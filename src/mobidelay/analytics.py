@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.stats import binom
 
-from .flight import FlightLaw, sample_flight_lengths
+from .flight import FlightLaw, sample_flight_lengths, sample_flight_steps
 from .geometry import segment_point_dist_np, uniform_points_in_disc
 from .world import DEFAULT_SEED, MODEL_IID, MODEL_LEVY, SALT_MC, trial_stream
 
@@ -332,10 +332,7 @@ def _no_contact_fraction(rng: np.random.Generator, model: str,
         if model == MODEL_LEVY:
             if law is None:
                 raise ValueError("heavy-flight model needs a FlightLaw")
-            th = _TWO_PI * (1.0 - rng.uniform(size=2 * k))
-            z = sample_flight_lengths(rng, law, 2 * k)
-            vx = z * np.cos(th)
-            vy = z * np.sin(th)
+            vx, vy = sample_flight_steps(rng, law, 2 * k)
             dx = vx[:k] - vx[k:]
             dy = vy[:k] - vy[k:]
         else:

@@ -9,8 +9,9 @@ CCDF comparison (dominance).
 
 Option precedence is flags over config file over built-in defaults; the
 config file is a flat JSON object keyed by the RunConfig field names.
-Exit codes: 0 on success, 1 on a usage or validation problem, 2 when a
---check assertion fails.
+Exit codes: 0 on success, 1 on a usage or validation problem or a run
+that cannot finish (contact-search budget exceeded, arithmetic
+overflow), 2 when a --check assertion fails.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
-import numpy as np
-
 from .analytics import compute_bound_report, tradeoff_curve
 from .experiments import (
     SweepPlan,
@@ -33,6 +32,7 @@ from .experiments import (
     run_delay_sweep,
     run_dominance_check,
     sample_neighbor_counts,
+    summarize_delays,
     write_json,
     write_rows_csv,
 )
@@ -60,8 +60,6 @@ _TRIALS_DEFAULT = {
 
 # slack added to the model delay exponent in sweep --check
 _SLOPE_SLACK = 0.15
-
-_CENSORED_LIMIT = 0.01
 
 
 class UsageError(ValueError):
@@ -363,25 +361,15 @@ def _run_delay(config: RunConfig) -> int:
                       master_seed=config.seed)
     _, _, delays = scheme_delays(cfg, config.effective_trials,
                                  workers=config.workers)
-    finite = delays[np.isfinite(delays)]
-    censored = 1.0 - finite.size / delays.size
-    row = {
-        "model": config.model, "n": n, "r": cfg.r,
-        "trials": int(delays.size),
-        "mean": float(finite.mean()) if finite.size else math.nan,
-        "stderr": (float(finite.std(ddof=1) / math.sqrt(finite.size))
-                   if finite.size > 1 else math.nan),
-        "median": float(np.median(finite)) if finite.size else math.nan,
-        "mean_ceil": (float(np.ceil(finite).mean())
-                      if finite.size else math.nan),
-        "censored_fraction": censored,
-    }
+    stat = summarize_delays(delays)
+    row = {"model": config.model, "n": n, "r": cfg.r, **stat._asdict()}
+    censored = stat.censored_fraction
     written = _emit(config, "delay", [row], summary=row)
-    print(f"delay: n={n} mean={row['mean']:.4g} "
+    print(f"delay: n={n} mean={stat.mean:.4g} "
           f"censored={censored:.4g} -> " + ", ".join(written))
     if not config.check:
         return EXIT_OK
-    return _checked(censored < _CENSORED_LIMIT,
+    return _checked(stat.censored_ok,
                     f"censored fraction {censored:.4g} >= 1%")
 
 
@@ -455,7 +443,7 @@ def run(config: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit code."""
     try:
         return _DISPATCH[config.subcommand](config)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -41,6 +41,8 @@ __all__ = [
     "PointStat",
     "ScalingFit",
     "GofResult",
+    "DelaySummary",
+    "summarize_delays",
     "fit_loglog",
     "run_delay_sweep",
     "run_ccdf_sweep",
@@ -55,6 +57,7 @@ __all__ = [
 # in the sampled counts.
 _GOF_BLOCK = 1024
 
+# a delay sample censoring this fraction or more is not summarised reliably
 _CENSORED_LIMIT = 0.01
 
 
@@ -169,6 +172,41 @@ class GofResult(NamedTuple):
     passed: bool
 
 
+class DelaySummary(NamedTuple):
+    """Finite-delay statistics of one relay-delay sample.
+
+    Censored (infinite) delays are excluded from the statistics but
+    counted in censored_fraction; statistics of an empty finite set are
+    NaN, as is stderr with fewer than two finite delays.
+    """
+
+    trials: int
+    mean: float
+    stderr: float
+    median: float
+    mean_ceil: float
+    censored_fraction: float
+
+    @property
+    def censored_ok(self) -> bool:
+        """True when less than 1% of the trials were censored."""
+        return self.censored_fraction < _CENSORED_LIMIT
+
+
+def summarize_delays(delays: np.ndarray) -> DelaySummary:
+    """Reduce a delay array (inf where censored) to a DelaySummary."""
+    finite = delays[np.isfinite(delays)]
+    return DelaySummary(
+        trials=int(delays.size),
+        mean=float(finite.mean()) if finite.size else math.nan,
+        stderr=(float(finite.std(ddof=1) / math.sqrt(finite.size))
+                if finite.size > 1 else math.nan),
+        median=float(np.median(finite)) if finite.size else math.nan,
+        mean_ceil=float(np.ceil(finite).mean()) if finite.size else math.nan,
+        censored_fraction=1.0 - finite.size / delays.size,
+    )
+
+
 def fit_loglog(points: Sequence[tuple]) -> ScalingFit:
     """Ordinary least squares of ln(mean) on ln(n).
 
@@ -222,15 +260,11 @@ def run_delay_sweep(plan: SweepPlan, workers: int = 1) -> ScalingFit:
     for i, n in enumerate(plan.n_grid):
         cfg = plan.config_for(n, i)
         _, _, delays = scheme_delays(cfg, plan.trials_per_point, workers=workers)
-        finite = delays[np.isfinite(delays)]
-        censored = 1.0 - finite.size / delays.size
-        mean = float(finite.mean()) if finite.size else math.nan
-        se = float(finite.std(ddof=1) / math.sqrt(finite.size)) if finite.size > 1 else math.nan
-        med = float(np.median(finite)) if finite.size else math.nan
-        pts.append(PointStat(n=n, r=cfg.r, mean=mean, stderr=se, median=med,
-                             trials=plan.trials_per_point,
-                             censored_fraction=censored))
-        if censored >= _CENSORED_LIMIT:
+        stat = summarize_delays(delays)
+        pts.append(PointStat(n=n, r=cfg.r, mean=stat.mean, stderr=stat.stderr,
+                             median=stat.median, trials=stat.trials,
+                             censored_fraction=stat.censored_fraction))
+        if not stat.censored_ok:
             bad.append(n)
     if bad:
         return ScalingFit(slope=math.nan, intercept=math.nan,

@@ -5,30 +5,22 @@ either from a truncated Pareto law (exact power-law tail P{Z > z} =
 tail_c / z^alpha for z >= z_th, with all mass above z_th) or as |Z*| of a
 symmetric alpha-stable variable with characteristic function
 exp(-|s t|^alpha).  The stable sampler uses the Chambers-Mallows-Stuck
-transformation, which is exact and rejection-free.
-
-The i.i.d. relocation model and the within-slot linear interpolation also
-live here.
+transformation, which is exact and rejection-free.  Every sampler draws
+a whole array per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiscWorld, Point2, SubSegment, uniform_point_in_disc, wrap_flight
-
 __all__ = [
     "FlightLaw",
-    "Flight",
-    "sample_stable_symmetric",
-    "sample_flight_length",
-    "sample_flight",
-    "next_position_levy",
-    "next_position_iid",
-    "interpolate",
+    "sample_stable_symmetric_np",
+    "sample_flight_lengths",
+    "sample_flight_steps",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -73,44 +65,6 @@ class FlightLaw:
             raise ValueError("tail_c must be positive")
 
 
-@dataclass(frozen=True)
-class Flight:
-    """One sampled step: polar form plus the cartesian step vector."""
-
-    angle_theta: float
-    length_z: float
-    vector_v: Point2 = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.vector_v is None:
-            object.__setattr__(self, "vector_v", Point2(
-                self.length_z * math.cos(self.angle_theta),
-                self.length_z * math.sin(self.angle_theta)))
-        else:
-            vx = self.length_z * math.cos(self.angle_theta)
-            vy = self.length_z * math.sin(self.angle_theta)
-            tol = 1e-12 * max(1.0, self.length_z)
-            if abs(vx - self.vector_v.x) > tol or abs(vy - self.vector_v.y) > tol:
-                raise ValueError("vector_v inconsistent with polar components")
-
-
-def sample_stable_symmetric(rng: np.random.Generator, alpha: float,
-                            scale_s: float = 1.0) -> float:
-    """One draw of a symmetric alpha-stable variable, scale scale_s.
-
-    Chambers-Mallows-Stuck: U uniform on (-pi/2, pi/2), W standard
-    exponential.  alpha=2 reduces to a Gaussian with variance 2*scale_s**2,
-    alpha=1 to a Cauchy.
-    """
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError("alpha must lie in (0, 2]")
-    if scale_s <= 0:
-        raise ValueError("scale_s must be positive")
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-    w = rng.standard_exponential()
-    return scale_s * _cms_transform(u, w, alpha)
-
-
 def _cms_transform(u, w, alpha):
     if alpha == 1.0:
         return np.tan(u)
@@ -122,7 +76,12 @@ def _cms_transform(u, w, alpha):
 
 def sample_stable_symmetric_np(rng: np.random.Generator, alpha: float,
                                scale_s: float, size: int) -> np.ndarray:
-    """Vectorised CMS draws."""
+    """Symmetric alpha-stable draws of scale scale_s, one array per call.
+
+    Chambers-Mallows-Stuck: U uniform on (-pi/2, pi/2), W standard
+    exponential.  alpha=2 reduces to a Gaussian with variance 2*scale_s**2,
+    alpha=1 to a Cauchy.
+    """
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
@@ -130,50 +89,21 @@ def sample_stable_symmetric_np(rng: np.random.Generator, alpha: float,
     return scale_s * _cms_transform(u, w, alpha)
 
 
-def sample_flight_length(rng: np.random.Generator, law: FlightLaw) -> float:
-    """One nonnegative flight length under the law."""
-    if law.sampler == SAMPLER_TRUNCATED_PARETO:
-        # exact inverse CDF of P{Z > z} = (z_th/z)^alpha, z >= z_th
-        u = 1.0 - rng.uniform()  # in (0, 1]
-        return law.z_th * u ** (-1.0 / law.alpha)
-    return abs(sample_stable_symmetric(rng, law.alpha, law.scale_s))
-
-
 def sample_flight_lengths(rng: np.random.Generator, law: FlightLaw,
                           size: int) -> np.ndarray:
-    """Vectorised flight lengths."""
+    """Nonnegative flight lengths under the law, one array per call."""
     if law.sampler == SAMPLER_TRUNCATED_PARETO:
-        u = 1.0 - rng.uniform(0.0, 1.0, size)
+        # exact inverse CDF of P{Z > z} = (z_th/z)^alpha, z >= z_th
+        u = 1.0 - rng.uniform(0.0, 1.0, size)  # in (0, 1]
         return law.z_th * u ** (-1.0 / law.alpha)
     return np.abs(sample_stable_symmetric_np(rng, law.alpha, law.scale_s, size))
 
 
-def sample_flight(rng: np.random.Generator, law: FlightLaw) -> Flight:
-    """One flight: angle uniform on (0, 2*pi], independent of the length."""
-    theta = _TWO_PI * (1.0 - rng.uniform())
-    z = sample_flight_length(rng, law)
-    return Flight(angle_theta=theta, length_z=z)
+def sample_flight_steps(rng: np.random.Generator, law: FlightLaw, size: int):
+    """Isotropic flight vectors as two (size,) arrays (dx, dy).
 
-
-def next_position_levy(x_prev: Point2, flight: Flight,
-                       world: DiscWorld) -> list[SubSegment]:
-    """Advance one slot by a flight vector; wrap-split pieces returned."""
-    return wrap_flight(x_prev, flight.vector_v, world)
-
-
-def next_position_iid(rng: np.random.Generator, world: DiscWorld) -> Point2:
-    """Fresh uniform location for the i.i.d. relocation model.
-
-    The caller forms the slot's single linear SubSegment from the previous
-    position to this one; motion within the slot is constant-velocity, and
-    since both endpoints lie in the disc the whole chord does.
+    Draw order: all angles, uniform on (0, 2*pi], then all lengths.
     """
-    return uniform_point_in_disc(rng, world.radius)
-
-
-def interpolate(x_prev: Point2, x_next: Point2, delta: float) -> Point2:
-    """Constant-velocity position at slot fraction delta in [0, 1]."""
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError("delta must lie in [0, 1]")
-    return Point2(x_prev.x + delta * (x_next.x - x_prev.x),
-                  x_prev.y + delta * (x_next.y - x_prev.y))
+    theta = _TWO_PI * (1.0 - rng.uniform(0.0, 1.0, size))
+    z = sample_flight_lengths(rng, law, size)
+    return z * np.cos(theta), z * np.sin(theta)

@@ -1,11 +1,8 @@
-"""Exact planar geometry on the wrapped disc.
+"""Exact planar geometry on the wrapped disc, in array form.
 
-Everything the contact machinery needs and nothing more: uniform point
-sampling, the clamped-quadratic segment/point distance (the continuous
-contact primitive), membership tests for the two no-contact sets used by
-the flight-differential and location-differential analyses, the central
-angle of the miss arc, and the antipodal wrap rule that splits one slot's
-motion into sub-segments.
+Uniform point sampling, the clamped-quadratic segment/point distance (the
+continuous contact primitive, broadcast over arrays) and the boundary
+exit of a ray, which the antipodal wrap rule in ``world`` is built on.
 
 Distances are plain Euclidean between wrapped positions; the wrap never
 shortcuts a distance measurement.  A flight that exits the boundary at p
@@ -16,134 +13,28 @@ uniform stationary distribution and isotropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Point2",
-    "DiscWorld",
-    "SubSegment",
-    "uniform_point_in_disc",
-    "min_dist_segment_to_point",
-    "segment_hits_disc",
-    "in_S",
-    "in_S_star",
-    "central_angle_phi",
-    "wrap_flight",
+    "uniform_points_in_disc",
+    "segment_point_dist_np",
 ]
 
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point or vector in the plane, distance units."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("Point2 components must be finite")
-
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def scaled(self, c: float) -> "Point2":
-        return Point2(c * self.x, c * self.y)
-
-    def dot(self, other: "Point2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-
-ORIGIN = Point2(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class DiscWorld:
-    """The deployment disc of area n (radius sqrt(n)), node density 1."""
-
-    radius: float
-    n: int
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError("n must be a positive integer")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        # radius is pinned to sqrt(n); allow only ulp-scale slack
-        if abs(self.radius - math.sqrt(self.n)) > 1e-12 * self.radius:
-            raise ValueError("radius must equal sqrt(n)")
-
-    @classmethod
-    def for_n(cls, n: int) -> "DiscWorld":
-        return cls(radius=math.sqrt(n), n=n)
-
-
-@dataclass(frozen=True)
-class SubSegment:
-    """One linear piece of a slot's motion, with its slot-time interval.
-
-    t_begin/t_end are fractions of the slot; a full list of pieces for a
-    slot partitions [0, 1].  Both endpoints lie in the closed disc.
-    """
-
-    start: Point2
-    end: Point2
-    t_begin: float
-    t_end: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_begin < self.t_end <= 1.0):
-            raise ValueError("require 0 <= t_begin < t_end <= 1")
-
-
-def uniform_point_in_disc(rng: np.random.Generator, radius: float) -> Point2:
-    """One point uniform over the disc of the given radius, centred at 0."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    theta = rng.uniform(0.0, _TWO_PI)
-    rho = radius * math.sqrt(rng.uniform())
-    return Point2(rho * math.cos(theta), rho * math.sin(theta))
-
-
 def uniform_points_in_disc(rng: np.random.Generator, radius: float, size: int):
-    """Vectorised twin of uniform_point_in_disc: two (size,) coordinate arrays."""
+    """Points uniform over the disc of the given radius, centred at 0.
+
+    Returns two (size,) coordinate arrays; all angles are drawn first,
+    then all radii.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     theta = rng.uniform(0.0, _TWO_PI, size)
     rho = radius * np.sqrt(rng.uniform(0.0, 1.0, size))
     return rho * np.cos(theta), rho * np.sin(theta)
-
-
-def min_dist_segment_to_point(a: Point2, b: Point2, q: Point2) -> float:
-    """min over d in [0,1] of |(1-d) a + d b - q|, closed form.
-
-    The critical d of the quadratic is clamped to [0,1]; no tolerance is
-    folded in.
-    """
-    return _seg_point_dist(a.x, a.y, b.x, b.y, q.x, q.y)
-
-
-def _seg_point_dist(ax, ay, bx, by, qx, qy) -> float:
-    dx = bx - ax
-    dy = by - ay
-    den = dx * dx + dy * dy
-    if den == 0.0:
-        return math.hypot(ax - qx, ay - qy)
-    t = ((qx - ax) * dx + (qy - ay) * dy) / den
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(ax + t * dx - qx, ay + t * dy - qy)
 
 
 def segment_point_dist_np(ax, ay, bx, by, qx=0.0, qy=0.0):
@@ -161,60 +52,6 @@ def segment_point_dist_np(ax, ay, bx, by, qx=0.0, qy=0.0):
     return np.hypot(px - t * dx, py - t * dy)
 
 
-def segment_hits_disc(a: Point2, b: Point2, center: Point2, r: float) -> bool:
-    """True iff the segment a->b comes within r of center (boundary counts)."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return min_dist_segment_to_point(a, b, center) <= r
-
-
-def in_S(l0: float, x: Point2, r: float) -> bool:
-    """No-contact set for the flight differential at initial distance l0.
-
-    x is the relative displacement over one slot; membership means the
-    segment from the origin to x stays clear of the disc of radius r
-    centred at (0, -l0).
-    """
-    _check_l0(l0, r)
-    return not segment_hits_disc(ORIGIN, x, Point2(0.0, -l0), r)
-
-
-def in_S_star(l0: float, x: Point2, r: float) -> bool:
-    """No-contact set for the location differential at initial distance l0.
-
-    x is the fresh relative location; membership means the segment from
-    (0, l0) to x stays clear of the disc of radius r centred at the origin.
-    """
-    _check_l0(l0, r)
-    return not segment_hits_disc(Point2(0.0, l0), x, ORIGIN, r)
-
-
-def _check_l0(l0: float, r: float):
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if l0 <= r:
-        raise ValueError("set undefined for l0 <= r")
-
-
-def central_angle_phi(x_mag: float, r: float, n: int) -> float:
-    """Central angle of the miss arc: 2*pi - 2*asin(r/(2 sqrt(n))) - 2*asin(r/x_mag).
-
-    For an endpoint at distance x_mag from the obstructing disc (radius r)
-    and a start point at distance 2*sqrt(n), this is the angular measure of
-    endpoint directions whose connecting segment misses the disc.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    two_sqrt_n = 2.0 * math.sqrt(n)
-    if x_mag <= r:
-        raise ValueError("require x_mag > r")
-    if x_mag > two_sqrt_n * (1.0 + 1e-12):
-        raise ValueError("require x_mag <= 2*sqrt(n)")
-    if r >= two_sqrt_n:
-        raise ValueError("require r < 2*sqrt(n)")
-    return _TWO_PI - 2.0 * math.asin(r / two_sqrt_n) - 2.0 * math.asin(r / x_mag)
-
-
 def _exit_fraction(px: float, py: float, vx: float, vy: float, radius: float):
     """Smallest u >= 0 with |p + u v| = radius, or None if the ray stays inside.
 
@@ -230,59 +67,3 @@ def _exit_fraction(px: float, py: float, vx: float, vy: float, radius: float):
     if disc <= 0.0:
         return None
     return (-b + math.sqrt(disc)) / a
-
-
-def wrap_flight(start: Point2, displacement: Point2, world: DiscWorld,
-                max_pieces: int = 1_000_000) -> list[SubSegment]:
-    """Split one slot's motion into sub-segments under the antipodal wrap rule.
-
-    The node moves from start with the given displacement at constant
-    speed.  Whenever the path exits the boundary at p it re-enters at -p
-    with the same direction.  The returned pieces partition [0,1] in slot
-    time (time fraction equals distance fraction) and the concatenation has
-    total path length |displacement|.
-    """
-    R = world.radius
-    if start.norm() > R * (1.0 + 1e-12):
-        raise ValueError("start must lie inside the disc")
-    total = displacement.norm()
-    if total == 0.0:
-        return [SubSegment(start, start, 0.0, 1.0)]
-
-    pieces: list[SubSegment] = []
-    px, py = start.x, start.y
-    vx, vy = displacement.x, displacement.y
-    t0 = 0.0
-    stalls = 0
-    while True:
-        if len(pieces) >= max_pieces:
-            raise RuntimeError("wrap_flight piece cap exceeded")
-        u = _exit_fraction(px, py, vx, vy, R)
-        if u is None or u >= 1.0:
-            pieces.append(SubSegment(Point2(px, py), Point2(px + vx, py + vy), t0, 1.0))
-            return pieces
-        if u <= 1e-15:
-            # on the boundary heading out: teleport without a zero-length piece
-            stalls += 1
-            if stalls > 3:
-                # tangent degenerate (measure zero): absorb the remainder here
-                pieces.append(SubSegment(Point2(px, py), Point2(px, py), t0, 1.0))
-                return pieces
-            px, py = -px, -py
-            continue
-        stalls = 0
-        ex = px + u * vx
-        ey = py + u * vy
-        t1 = t0 + u * (1.0 - t0)
-        if t1 >= 1.0:
-            # remaining time rounds away; close out at the exit point
-            pieces.append(SubSegment(Point2(px, py), Point2(ex, ey), t0, 1.0))
-            return pieces
-        pieces.append(SubSegment(Point2(px, py), Point2(ex, ey), t0, t1))
-        # antipodal re-entry, re-pinned to the circle against fp drift
-        nrm = math.hypot(ex, ey)
-        px = -ex * (R / nrm)
-        py = -ey * (R / nrm)
-        vx *= (1.0 - u)
-        vy *= (1.0 - u)
-        t0 = t1

@@ -20,47 +20,35 @@ at any flight length:
     the slower node's pieces to the faster node's two chords, and only
     the chord-traversal windows inside those candidates are tested.
 
-Randomness discipline: every public simulation entry point takes an
-explicit Generator.  Batch runners shard trials into fixed-size blocks,
-each with a stream derived from (master_seed, salt, block index), so
-results are independent of the worker count.
+Randomness discipline: the batch runners pair_meeting_times and
+scheme_delays shard trials into fixed-size blocks, each with a stream
+derived from (master_seed, salt, block index), so results are
+independent of the worker count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .flight import (
-    FlightLaw,
-    next_position_iid,
-    next_position_levy,
-    sample_flight,
-    sample_stable_symmetric_np,
-)
-from .geometry import (
-    ORIGIN,
-    DiscWorld,
-    Point2,
-    SubSegment,
-    _exit_fraction,
-    segment_hits_disc,
-    uniform_points_in_disc,
-)
+from .flight import FlightLaw, sample_flight_steps
+from .geometry import _exit_fraction, uniform_points_in_disc
 
 __all__ = [
+    "MODEL_LEVY",
+    "MODEL_IID",
+    "DEFAULT_SEED",
+    "SALT_MEET",
+    "SALT_DELAY",
+    "SALT_GOF",
+    "SALT_MC",
     "ModelConfig",
-    "MeetingSample",
-    "DelaySample",
     "trial_stream",
-    "slot_contact",
-    "simulate_pair_meeting",
-    "neighbor_set",
-    "simulate_scheme_delay",
-    "build_slot_trajectories",
+    "pair_meeting_times",
+    "scheme_delays",
 ]
 
 MODEL_LEVY = "levy"
@@ -130,49 +118,6 @@ class ModelConfig:
     @property
     def radius(self) -> float:
         return math.sqrt(self.n)
-
-    def world(self) -> DiscWorld:
-        return DiscWorld.for_n(self.n)
-
-
-@dataclass(frozen=True)
-class MeetingSample:
-    """Outcome of one pair-meeting trial.
-
-    meeting_time is the continuous first time the pair distance reaches r
-    (slot index minus one plus the in-slot root), inf when censored at the
-    horizon.  slot_indicators stops at the first 1.
-    """
-
-    initial_distance: float
-    meeting_time: float
-    met_at_t0: bool
-    slot_indicators: list[int]
-    censored: bool
-
-    def __post_init__(self):
-        if self.met_at_t0 != (self.meeting_time == 0.0):
-            raise ValueError("met_at_t0 must mirror meeting_time == 0")
-        if self.censored != math.isinf(self.meeting_time):
-            raise ValueError("censored must mirror an infinite meeting_time")
-
-
-@dataclass(frozen=True)
-class DelaySample:
-    """Outcome of one relay-scheme delay trial.
-
-    neighbor_count is |I(s)| including the source itself.  delay is the
-    continuous delivery time, inf when censored.
-    """
-
-    neighbor_count: int
-    dest_in_range: bool
-    delay: float
-    censored: bool
-
-    def __post_init__(self):
-        if self.dest_in_range and self.delay != 0.0:
-            raise ValueError("dest_in_range implies zero delay")
 
 
 def trial_stream(master_seed: int, salt: int, index: int) -> np.random.Generator:
@@ -473,13 +418,15 @@ def _periodic_search(fast: _SlotPath, slow: _SlotPath, r: float):
                 for m in range(max(m0, chord_par), min(m1, last_fast_piece) + 1, 2):
                     wa = fast.t1 + m * dtf
                     wb = min(wa + dtf, 1.0)
+                    # charge every enumerated window, collapsed ones too, so
+                    # a flight that wraps ~1e18 times fails in bounded time
+                    budget -= 1
+                    if budget < 0:
+                        raise RuntimeError("slot contact search budget exceeded")
                     a = max(wa, w_lo, o)
                     b = min(wb, w_hi, o + dur)
                     if b <= a:
                         continue
-                    budget -= 1
-                    if budget < 0:
-                        raise RuntimeError("slot contact search budget exceeded")
                     fx0 = cx + fast.dx * (a - wa)
                     fy0 = cy + fast.dy * (a - wa)
                     fx1 = cx + fast.dx * (b - wa)
@@ -525,14 +472,7 @@ def _pair_slot_contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
 
 
 # ---------------------------------------------------------------------------
-# public operations
-
-
-def slot_contact(rel_pieces: list[SubSegment], r: float) -> bool:
-    """True iff any relative-motion piece comes within r of the origin."""
-    if not rel_pieces:
-        raise ValueError("need at least one relative-motion piece")
-    return any(segment_hits_disc(p.start, p.end, ORIGIN, r) for p in rel_pieces)
+# trial cores
 
 
 def _draw_flight_vector(rng: np.random.Generator, law: FlightLaw):
@@ -609,45 +549,6 @@ def _simulate_pair_core(rng: np.random.Generator, cfg: ModelConfig,
     return l0, t_cont, cfg.horizon_slots, t_slot
 
 
-def simulate_pair_meeting(rng: np.random.Generator, cfg: ModelConfig) -> MeetingSample:
-    """Simulate one uniformly placed pair until first contact or horizon."""
-    l0, t, slots, _ = _simulate_pair_core(rng, cfg)
-    censored = math.isinf(t)
-    if t == 0.0:
-        indicators: list[int] = []
-    elif censored:
-        indicators = [0] * slots
-    else:
-        indicators = [0] * (slots - 1) + [1]
-    return MeetingSample(initial_distance=l0, meeting_time=t,
-                         met_at_t0=(t == 0.0), slot_indicators=indicators,
-                         censored=censored)
-
-
-def neighbor_set(positions: list[Point2], s: int, r: float) -> set[int]:
-    """Indices within range r of node s (plain distance), including s."""
-    if not (0 <= s < len(positions)):
-        raise IndexError("source index out of range")
-    ps = positions[s]
-    return {i for i, p in enumerate(positions)
-            if i == s or (p - ps).norm() <= r}
-
-
-def build_slot_trajectories(states: list[Point2], rng_streams, cfg: ModelConfig):
-    """Advance every node one slot; per-node streams keep nodes independent."""
-    world = cfg.world()
-    out = []
-    if cfg.model == MODEL_LEVY:
-        for p, rng in zip(states, rng_streams):
-            f = sample_flight(rng, cfg.law)
-            out.append(next_position_levy(p, f, world))
-    else:
-        for p, rng in zip(states, rng_streams):
-            q = next_position_iid(rng, world)
-            out.append([SubSegment(p, q, 0.0, 1.0)])
-    return out
-
-
 def _relay_slot_hits_np(rxs, rys, rexs, reys, dx0, dy0, dx1, dy1, r):
     """Vectorised earliest-hit fractions of relays against the destination.
 
@@ -699,16 +600,8 @@ def _simulate_delay_core(rng: np.random.Generator, cfg: ModelConfig):
     law = cfg.law
     for k in range(1, cfg.horizon_slots + 1):
         if levy:
-            # draw order: angles then lengths for [relays..., dest]
-            thetas = _TWO_PI * (1.0 - rng.uniform(0.0, 1.0, k_relays + 1))
-            if law.sampler == "truncated_pareto":
-                u = 1.0 - rng.uniform(0.0, 1.0, k_relays + 1)
-                zs = law.z_th * u ** (-1.0 / law.alpha)
-            else:
-                zs = np.abs(sample_stable_symmetric_np(rng, law.alpha, law.scale_s,
-                                                       k_relays + 1))
-            ddx = zs * np.cos(thetas)
-            ddy = zs * np.sin(thetas)
+            # draw order: one batch of flights for [relays..., dest]
+            ddx, ddy = sample_flight_steps(rng, law, k_relays + 1)
             ex = rx + ddx[:-1]
             ey = ry + ddy[:-1]
             dex = dxp + ddx[-1]
@@ -746,19 +639,6 @@ def _simulate_delay_core(rng: np.random.Generator, cfg: ModelConfig):
             dxp = float(nex[-1])
             dyp = float(ney[-1])
     return ncount, False, math.inf
-
-
-def simulate_scheme_delay(rng: np.random.Generator, cfg: ModelConfig) -> DelaySample:
-    """One delivery-delay trial of the broadcast-once relay scheme.
-
-    n nodes are placed uniformly; the source's initial neighbours (and the
-    source) carry the packet from t=0 and never hand it to each other; the
-    delay is the earliest continuous contact between any carrier and the
-    destination.
-    """
-    ncount, dest0, delay = _simulate_delay_core(rng, cfg)
-    return DelaySample(neighbor_count=ncount, dest_in_range=dest0,
-                       delay=delay, censored=math.isinf(delay))
 
 
 # ---------------------------------------------------------------------------

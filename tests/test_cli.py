@@ -245,3 +245,16 @@ def test_unknown_flag_exits_1():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "--speed" in proc.stderr
+
+
+def test_low_alpha_run_fails_in_bounded_time(tmp_path):
+    # alpha 0.1 draws flights that wrap ~1e18 times in one slot; the
+    # contact search exhausts its window budget and the run exits 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobidelay.cli", "meet", "--model", "levy",
+         "--alpha", "0.1", "--n", "400", "--r", "2", "--trials", "200",
+         "--horizon", "40", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,4 @@
-"""Flight-length laws, flight vectors, relocation, and interpolation."""
+"""Flight-length laws, flight vectors, relocation, and in-slot motion."""
 
 import math
 
@@ -8,26 +8,19 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mobidelay.flight import (
-    Flight,
     FlightLaw,
-    interpolate,
-    next_position_iid,
-    next_position_levy,
-    sample_flight,
-    sample_flight_length,
-    sample_stable_symmetric,
+    sample_flight_lengths,
+    sample_flight_steps,
+    sample_stable_symmetric_np,
 )
-from mobidelay.geometry import DiscWorld, Point2
+from mobidelay.geometry import uniform_points_in_disc
+from mobidelay.world import _SlotPath
 
 RNG = lambda seed: np.random.default_rng(seed)
 
 
-def _draws(fn, rng, n):
-    return np.fromiter((fn(rng) for _ in range(n)), dtype=float, count=n)
-
-
 # ---------------------------------------------------------------------------
-# FlightLaw / Flight invariants
+# FlightLaw invariants and the flight-vector draw
 
 
 def test_flightlaw_validation():
@@ -53,11 +46,15 @@ def test_flightlaw_truncated_pareto_ties_tail_c_to_z_th():
 
 
 def test_flight_vector_autofill_and_consistency():
-    f = Flight(angle_theta=math.pi / 2, length_z=2.0)
-    assert f.vector_v.x == pytest.approx(0.0, abs=1e-12)
-    assert f.vector_v.y == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        Flight(angle_theta=0.0, length_z=1.0, vector_v=Point2(0.0, 1.0))
+    # each step is z * (cos theta, sin theta), with every angle drawn
+    # before any length; the relay engine's stream depends on that order
+    for law in (FlightLaw(alpha=1.0), FlightLaw(alpha=1.5, sampler="stable")):
+        dx, dy = sample_flight_steps(RNG(20), law, 1000)
+        rng = RNG(20)
+        theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 1000))
+        z = sample_flight_lengths(rng, law, 1000)
+        assert np.array_equal(dx, z * np.cos(theta))
+        assert np.array_equal(dy, z * np.sin(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +65,7 @@ def test_stable_alpha2_is_gaussian_with_variance_2s2():
     rng = RNG(11)
     n = 10**6
     s = 1.3
-    x = _draws(lambda r: sample_stable_symmetric(r, 2.0, s), rng, n)
+    x = sample_stable_symmetric_np(rng, 2.0, s, n)
     var = x.var(ddof=1)
     want = 2.0 * s * s
     se = want * math.sqrt(2.0 / n)
@@ -80,7 +77,7 @@ def test_stable_alpha2_is_gaussian_with_variance_2s2():
 def test_stable_alpha1_cauchy_median_and_quartile():
     rng = RNG(12)
     n = 10**6
-    x = _draws(lambda r: sample_stable_symmetric(r, 1.0, 1.0), rng, n)
+    x = sample_stable_symmetric_np(rng, 1.0, 1.0, n)
     med_frac = float(np.mean(x > 0.0))
     se_half = math.sqrt(0.25 / n)
     assert abs(med_frac - 0.5) <= 3.0 * se_half
@@ -92,9 +89,9 @@ def test_stable_alpha1_cauchy_median_and_quartile():
 
 def test_stable_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        sample_stable_symmetric(RNG(0), 0.0, 1.0)
+        sample_stable_symmetric_np(RNG(0), 0.0, 1.0, 1)
     with pytest.raises(ValueError):
-        sample_stable_symmetric(RNG(0), 2.5, 1.0)
+        sample_stable_symmetric_np(RNG(0), 2.5, 1.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +102,7 @@ def test_truncated_pareto_tail_and_support():
     rng = RNG(13)
     law = FlightLaw(alpha=1.0)
     n = 10**6
-    z = _draws(lambda r: sample_flight_length(r, law), rng, n)
+    z = sample_flight_lengths(rng, law, n)
     assert z.min() >= law.z_th
     got = float(np.mean(z > 10.0))
     se = math.sqrt(0.1 * 0.9 / n)
@@ -116,7 +113,7 @@ def test_truncated_pareto_mean_alpha2():
     rng = RNG(14)
     law = FlightLaw(alpha=2.0)
     n = 10**6
-    z = _draws(lambda r: sample_flight_length(r, law), rng, n)
+    z = sample_flight_lengths(rng, law, n)
     mean = z.mean()
     se = z.std(ddof=1) / math.sqrt(n)
     assert abs(mean - 2.0) <= 3.0 * se
@@ -126,7 +123,7 @@ def test_truncated_pareto_ks_exact_ccdf():
     rng = RNG(15)
     law = FlightLaw(alpha=1.5, z_th=2.0)
     n = 10**6
-    z = _draws(lambda r: sample_flight_length(r, law), rng, n)
+    z = sample_flight_lengths(rng, law, n)
     res = stats.kstest(z, lambda v: 1.0 - (law.z_th / v) ** law.alpha)
     assert res.pvalue > 0.01
 
@@ -134,7 +131,7 @@ def test_truncated_pareto_ks_exact_ccdf():
 def test_stable_length_is_abs_of_stable():
     rng = RNG(16)
     law = FlightLaw(alpha=2.0, sampler="stable", tail_c=1.0)
-    z = _draws(lambda r: sample_flight_length(r, law), rng, 50_000)
+    z = sample_flight_lengths(rng, law, 50_000)
     assert z.min() >= 0.0
     # |N(0, 2s^2)| has mean 2s/sqrt(pi)
     want = 2.0 / math.sqrt(math.pi)
@@ -159,14 +156,10 @@ def test_alpha_dominance_of_truncated_pareto_ccdf():
 def flight_batch():
     rng = RNG(17)
     law = FlightLaw(alpha=1.0)
-    n = 10**6
-    ang = np.empty(n)
-    ln = np.empty(n)
-    for i in range(n):
-        f = sample_flight(rng, law)
-        ang[i] = f.angle_theta
-        ln[i] = f.length_z
-    return ang, ln
+    dx, dy = sample_flight_steps(rng, law, 10**6)
+    ang = np.arctan2(dy, dx)
+    ang = np.where(ang <= 0.0, ang + 2.0 * math.pi, ang)  # onto (0, 2*pi]
+    return ang, np.hypot(dx, dy)
 
 
 def test_flight_angle_uniform_chi_square(flight_batch):
@@ -207,27 +200,25 @@ def test_flight_isotropy_under_rotation(flight_batch):
 
 
 def test_next_position_levy_matches_wrap_rules():
-    w = DiscWorld(10.0, 100)
-    f = Flight(angle_theta=2.0 * math.pi, length_z=0.0)
-    pieces = next_position_levy(Point2(3.0, 4.0), f, w)
-    assert len(pieces) == 1 and pieces[0].end == Point2(3.0, 4.0)
+    still = _SlotPath(3.0, 4.0, 0.0, 0.0, 10.0)
+    assert still.n_wraps == 0 and still.end_pos() == (3.0, 4.0)
 
-    f2 = Flight(angle_theta=2.0 * math.pi, length_z=1.0)  # along +x
-    pieces2 = next_position_levy(Point2(0.0, 0.0), f2, w)
-    assert len(pieces2) == 1
-    assert pieces2[0].end.x == pytest.approx(1.0, rel=1e-12)
+    step = _SlotPath(0.0, 0.0, 1.0, 0.0, 10.0)  # along +x
+    assert step.n_wraps == 0
+    assert step.end_pos()[0] == pytest.approx(1.0, rel=1e-12)
+
+    wrapped = _SlotPath(9.0, 0.0, 2.0, 0.0, 10.0)  # exits at (10, 0)
+    assert wrapped.n_wraps == 1
+    assert wrapped.t1 == pytest.approx(0.5, abs=1e-12)
+    ex, ey = wrapped.end_pos()
+    assert ex == pytest.approx(-9.0, abs=1e-12)
+    assert ey == pytest.approx(0.0, abs=1e-12)
 
 
 def test_next_position_iid_marginal_and_autocorrelation():
-    w = DiscWorld(10.0, 100)
-    rng = RNG(18)
     n = 100_000
-    xs = np.empty(n)
-    sq = np.empty(n)
-    for i in range(n):
-        p = next_position_iid(rng, w)
-        xs[i] = p.x
-        sq[i] = p.x * p.x + p.y * p.y
+    xs, ys = uniform_points_in_disc(RNG(18), 10.0, n)
+    sq = xs * xs + ys * ys
     # marginal: E|p|^2 = R^2/2
     se_sq = sq.std(ddof=1) / math.sqrt(n)
     assert abs(sq.mean() - 50.0) <= 3.0 * se_sq
@@ -259,23 +250,14 @@ def test_pair_distance_density_bounded_by_2x_over_n():
 
 
 # ---------------------------------------------------------------------------
-# interpolate
+# constant-velocity motion inside a slot (no wrap)
 
 
 def test_interpolate_examples():
-    a, b = Point2(0.0, 0.0), Point2(2.0, 4.0)
-    assert interpolate(a, b, 0.0) == a
-    assert interpolate(a, b, 1.0) == b
-    mid = interpolate(a, b, 0.5)
-    assert (mid.x, mid.y) == (1.0, 2.0)
-
-
-def test_interpolate_rejects_bad_delta():
-    a, b = Point2(0.0, 0.0), Point2(1.0, 0.0)
-    with pytest.raises(ValueError):
-        interpolate(a, b, -0.01)
-    with pytest.raises(ValueError):
-        interpolate(a, b, 1.01)
+    p = _SlotPath(0.0, 0.0, 2.0, 4.0, 10.0)
+    assert p.pos(0.0) == (0.0, 0.0)
+    assert p.pos(1.0) == (2.0, 4.0)
+    assert p.pos(0.5) == (1.0, 2.0)
 
 
 @given(ax=st.floats(-10, 10), ay=st.floats(-10, 10),
@@ -283,6 +265,7 @@ def test_interpolate_rejects_bad_delta():
        d=st.floats(0, 1))
 @settings(max_examples=200, deadline=None)
 def test_interpolate_affine(ax, ay, bx, by, d):
-    p = interpolate(Point2(ax, ay), Point2(bx, by), d)
-    assert p.x == pytest.approx((1 - d) * ax + d * bx, abs=1e-12)
-    assert p.y == pytest.approx((1 - d) * ay + d * by, abs=1e-12)
+    # both endpoints lie in the disc of radius 20, so the chord does too
+    px, py = _SlotPath(ax, ay, bx - ax, by - ay, 20.0).pos(d)
+    assert px == pytest.approx((1 - d) * ax + d * bx, abs=1e-12)
+    assert py == pytest.approx((1 - d) * ay + d * by, abs=1e-12)

@@ -1,5 +1,6 @@
 """Geometry primitives: disc sampling, segment proximity, blocked-set
-membership, the central-angle formula, and antipodal wrapping."""
+membership against the central-angle formula, and the antipodal-wrap
+oracle that the contact engine is checked against."""
 
 import math
 
@@ -8,52 +9,51 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from mobidelay.geometry import (
-    DiscWorld,
-    Point2,
-    SubSegment,
-    central_angle_phi,
-    in_S,
-    in_S_star,
-    min_dist_segment_to_point,
-    segment_hits_disc,
-    uniform_point_in_disc,
-    wrap_flight,
-)
+from mobidelay.analytics import estimate_H1_mc
+from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
+from mobidelay.world import _seg_hit
+from oracle import central_angle_phi, wrap_flight
 
 RNG = lambda seed: np.random.default_rng(seed)
 
 
-def _pt(x, y):
-    return Point2(float(x), float(y))
+def _dist(a, b, q):
+    return float(segment_point_dist_np(a[0], a[1], b[0], b[1], q[0], q[1]))
+
+
+def _in_S(l0, x, y, r):
+    # flight-differential no-contact set: the segment from the origin to
+    # x misses the r-disc centred at (0, -l0)
+    return segment_point_dist_np(0.0, 0.0, x, y, 0.0, -l0) > r
+
+
+def _in_S_star(l0, x, y, r):
+    # location-differential no-contact set: the segment from (0, l0) to
+    # x misses the r-disc centred at the origin
+    return segment_point_dist_np(0.0, l0, x, y) > r
 
 
 # ---------------------------------------------------------------------------
-# uniform_point_in_disc
+# uniform_points_in_disc
 
 
 def test_disc_sampling_support():
-    rng = RNG(1)
-    for _ in range(2000):
-        p = uniform_point_in_disc(rng, 1.0)
-        assert p.norm() <= 1.0
+    xs, ys = uniform_points_in_disc(RNG(1), 1.0, 2000)
+    assert np.all(np.hypot(xs, ys) <= 1.0)
 
 
 def test_disc_sampling_rejects_bad_radius():
     with pytest.raises(ValueError):
-        uniform_point_in_disc(RNG(0), 0.0)
+        uniform_points_in_disc(RNG(0), 0.0, 1)
     with pytest.raises(ValueError):
-        uniform_point_in_disc(RNG(0), -2.0)
+        uniform_points_in_disc(RNG(0), -2.0, 1)
 
 
 def test_disc_sampling_moments():
     # E|p|^2 = R^2/2 and P{|p| <= R/2} = 1/4 for uniform area sampling
-    rng = RNG(2)
     n = 10**6
-    sq = np.empty(n)
-    for i in range(n):
-        p = uniform_point_in_disc(rng, 10.0)
-        sq[i] = p.x * p.x + p.y * p.y
+    xs, ys = uniform_points_in_disc(RNG(2), 10.0, n)
+    sq = xs * xs + ys * ys
     mean_sq = sq.mean()
     se_sq = sq.std(ddof=1) / math.sqrt(n)
     assert abs(mean_sq - 50.0) <= 3.0 * se_sq
@@ -64,7 +64,7 @@ def test_disc_sampling_moments():
 
 
 # ---------------------------------------------------------------------------
-# min_dist_segment_to_point / segment_hits_disc
+# segment_point_dist_np and the contact verdict dist <= r
 
 
 @pytest.mark.parametrize("a,b,q,want", [
@@ -73,8 +73,7 @@ def test_disc_sampling_moments():
     ((1, 0), (0, 1), (0, 0), math.sqrt(2) / 2),
 ])
 def test_min_dist_examples(a, b, q, want):
-    got = min_dist_segment_to_point(_pt(*a), _pt(*b), _pt(*q))
-    assert got == pytest.approx(want, rel=1e-12)
+    assert _dist(a, b, q) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("a,b,c,r,want", [
@@ -83,12 +82,19 @@ def test_min_dist_examples(a, b, q, want):
     ((0, 3), (0, 5), (0, 0), 3.0, True),      # boundary touch counts
 ])
 def test_segment_hits_disc_examples(a, b, c, r, want):
-    assert segment_hits_disc(_pt(*a), _pt(*b), _pt(*c), r) is want
+    assert (_dist(a, b, c) <= r) is want
 
 
-def test_segment_hits_disc_rejects_negative_r():
-    with pytest.raises(ValueError):
-        segment_hits_disc(_pt(0, 0), _pt(1, 0), _pt(0, 0), -0.5)
+def test_segment_dist_broadcasts_over_arrays():
+    # one call over many segments equals the per-segment calls
+    rng = RNG(4)
+    ax, ay, bx, by = rng.uniform(-5.0, 5.0, (4, 500))
+    got = segment_point_dist_np(ax, ay, bx, by, 0.5, -1.0)
+    assert got.shape == (500,)
+    each = [_dist((ax[i], ay[i]), (bx[i], by[i]), (0.5, -1.0)) for i in range(500)]
+    np.testing.assert_allclose(got, each, rtol=1e-14)
+    # zero-length segments fall back to the point distance
+    assert segment_point_dist_np(3.0, 4.0, 3.0, 4.0) == 5.0
 
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -98,11 +104,12 @@ finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
        qx=finite_coord, qy=finite_coord)
 @settings(max_examples=300, deadline=None)
 def test_min_dist_symmetry_and_endpoint_bound(ax, ay, bx, by, qx, qy):
-    a, b, q = _pt(ax, ay), _pt(bx, by), _pt(qx, qy)
-    d_ab = min_dist_segment_to_point(a, b, q)
-    d_ba = min_dist_segment_to_point(b, a, q)
+    a, b, q = (ax, ay), (bx, by), (qx, qy)
+    d_ab = _dist(a, b, q)
+    d_ba = _dist(b, a, q)
     assert d_ab == pytest.approx(d_ba, abs=1e-9)
-    assert d_ab <= min((a - q).norm(), (b - q).norm()) + 1e-12
+    assert d_ab <= min(math.hypot(ax - qx, ay - qy),
+                       math.hypot(bx - qx, by - qy)) + 1e-12
 
 
 @given(ax=finite_coord, ay=finite_coord, bx=finite_coord, by=finite_coord,
@@ -110,9 +117,14 @@ def test_min_dist_symmetry_and_endpoint_bound(ax, ay, bx, by, qx, qy):
        bump=st.floats(min_value=0, max_value=10))
 @settings(max_examples=300, deadline=None)
 def test_segment_hits_disc_monotone_in_r(ax, ay, bx, by, r, bump):
-    a, b, c = _pt(ax, ay), _pt(bx, by), _pt(0, 0)
-    if segment_hits_disc(a, b, c, r):
-        assert segment_hits_disc(a, b, c, r + bump)
+    # the engine's contact root agrees with the distance verdict away from
+    # the boundary, and a hit at range r stays a hit at any larger range
+    hit = _seg_hit(ax, ay, bx, by, r) is not None
+    d = _dist((ax, ay), (bx, by), (0.0, 0.0))
+    if abs(d - r) > 1e-7:
+        assert hit == (d <= r)
+    if hit:
+        assert _seg_hit(ax, ay, bx, by, r + bump) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +132,15 @@ def test_segment_hits_disc_monotone_in_r(ax, ay, bx, by, r, bump):
 
 
 def test_in_S_trivial_membership():
-    assert in_S(10.0, _pt(5, 5), 1.0) is True
-    assert in_S(10.0, _pt(0, -10), 1.0) is False
+    assert _in_S(10.0, 5.0, 5.0, 1.0)
+    assert not _in_S(10.0, 0.0, -10.0, 1.0)
 
 
 def test_in_S_rejects_bad_l0():
-    with pytest.raises(ValueError):
-        in_S(1.0, _pt(1, 1), 1.0)
-    with pytest.raises(ValueError):
-        in_S(0.5, _pt(1, 1), 1.0)
+    # the set is undefined for l0 <= r; its Monte Carlo estimator refuses it
+    for l0 in (1.0, 0.5):
+        with pytest.raises(ValueError):
+            estimate_H1_mc(RNG(0), "iid", None, 100, 1.0, l0, 10)
 
 
 def test_in_S_tangent_angle_fraction():
@@ -140,28 +152,21 @@ def test_in_S_tangent_angle_fraction():
 
     # independent oracle: exhaustive evenly spaced angle scan
     m = 400_000
-    ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    hits = sum(
-        in_S(l0, _pt(rad * math.cos(t), -l0 + rad * math.sin(t)), r)
-        for t in ang[:: m // 4000])
-    scan_frac = hits / len(ang[:: m // 4000])
+    ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)[:: m // 4000]
+    scan_frac = _in_S(l0, rad * np.cos(ang), -l0 + rad * np.sin(ang), r).mean()
     assert scan_frac == pytest.approx(want, abs=2e-3)
 
     rng = RNG(3)
     n = 200_000
     th = rng.uniform(0.0, 2.0 * math.pi, n)
-    got = np.fromiter(
-        (in_S(l0, _pt(rad * math.cos(t), -l0 + rad * math.sin(t)), r)
-         for t in th), dtype=bool, count=n).mean()
+    got = _in_S(l0, rad * np.cos(th), -l0 + rad * np.sin(th), r).mean()
     se = math.sqrt(want * (1.0 - want) / n)
     assert abs(got - want) <= 3.0 * se
 
 
 def test_in_S_star_trivial_membership():
-    assert in_S_star(10.0, _pt(0, 5), 1.0) is True
-    assert in_S_star(10.0, _pt(0, -5), 1.0) is False
-    with pytest.raises(ValueError):
-        in_S_star(1.0, _pt(0, 5), 2.0)
+    assert _in_S_star(10.0, 0.0, 5.0, 1.0)
+    assert not _in_S_star(10.0, 0.0, -5.0, 1.0)
 
 
 @pytest.mark.parametrize("x_mag", [3.0, 8.0, 14.0, 20.0])
@@ -172,18 +177,14 @@ def test_in_S_star_arc_matches_central_angle(x_mag):
     l0 = 2.0 * math.sqrt(n)
     r = 1.0
     m = 200_000
-    ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    step = m // 5000
-    sel = ang[::step]
-    frac = sum(
-        in_S_star(l0, _pt(x_mag * math.sin(t), x_mag * math.cos(t)), r)
-        for t in sel) / len(sel)
+    sel = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)[:: m // 5000]
+    frac = _in_S_star(l0, x_mag * np.sin(sel), x_mag * np.cos(sel), r).mean()
     want = central_angle_phi(x_mag, r, n) / (2.0 * math.pi)
     assert frac == pytest.approx(want, abs=2e-3)
 
 
 # ---------------------------------------------------------------------------
-# central_angle_phi
+# central_angle_phi, the arc reference above
 
 
 def test_phi_no_obstruction_limit():
@@ -242,12 +243,12 @@ point_in_box = st.tuples(st.floats(min_value=-30, max_value=30),
        grow=st.floats(min_value=0.0, max_value=10.0))
 @settings(max_examples=300, deadline=None)
 def test_S_membership_monotone_in_l0(xy, l0, grow):
-    x = _pt(*xy)
+    x, y = xy
     r = 1.0
-    if in_S(l0, x, r):
-        assert in_S(l0 + grow, x, r)
-    if in_S_star(l0, x, r):
-        assert in_S_star(l0 + grow, x, r)
+    if _in_S(l0, x, y, r):
+        assert _in_S(l0 + grow, x, y, r)
+    if _in_S_star(l0, x, y, r):
+        assert _in_S_star(l0 + grow, x, y, r)
 
 
 @given(ax=finite_coord, ay=finite_coord, bx=finite_coord, by=finite_coord,
@@ -259,55 +260,46 @@ def test_contact_rotation_invariance(ax, ay, bx, by, cx, cy, r, theta):
     # rotating segment and disc center together never changes the verdict
     def rot(p):
         c, s = math.cos(theta), math.sin(theta)
-        return _pt(c * p.x - s * p.y, s * p.x + c * p.y)
+        return c * p[0] - s * p[1], s * p[0] + c * p[1]
 
-    a, b, c = _pt(ax, ay), _pt(bx, by), _pt(cx, cy)
-    d0 = min_dist_segment_to_point(a, b, c)
-    d1 = min_dist_segment_to_point(rot(a), rot(b), rot(c))
+    a, b, c = (ax, ay), (bx, by), (cx, cy)
+    d0 = _dist(a, b, c)
+    d1 = _dist(rot(a), rot(b), rot(c))
     assert d1 == pytest.approx(d0, abs=1e-9)
     if abs(d0 - r) > 1e-7:        # verdict stable away from the boundary
-        assert segment_hits_disc(a, b, c, r) == segment_hits_disc(
-            rot(a), rot(b), rot(c), r)
+        assert (d0 <= r) == (d1 <= r)
 
 
 # ---------------------------------------------------------------------------
-# wrap_flight
+# the antipodal-wrap oracle
 
 
 def test_wrap_flight_no_crossing():
-    w = DiscWorld(10.0, 100)
-    pieces = wrap_flight(_pt(0, 0), _pt(1, 0), w)
-    assert len(pieces) == 1
-    assert pieces[0].start == _pt(0, 0)
-    assert pieces[0].end == _pt(1, 0)
-    assert pieces[0].t_begin == 0.0 and pieces[0].t_end == 1.0
+    pieces = wrap_flight(0.0, 0.0, 1.0, 0.0, 10.0)
+    assert pieces == [(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)]
 
 
 def test_wrap_flight_single_antipodal_crossing():
-    w = DiscWorld(10.0, 100)
-    pieces = wrap_flight(_pt(9, 0), _pt(2, 0), w)
+    pieces = wrap_flight(9.0, 0.0, 2.0, 0.0, 10.0)
     assert len(pieces) == 2
-    assert pieces[0].start == _pt(9, 0)
-    assert pieces[0].end.x == pytest.approx(10.0, abs=1e-12)
-    assert pieces[0].end.y == pytest.approx(0.0, abs=1e-12)
-    assert pieces[1].start.x == pytest.approx(-10.0, abs=1e-12)
-    assert pieces[1].end.x == pytest.approx(-9.0, abs=1e-12)
+    assert (pieces[0].ax, pieces[0].ay) == (9.0, 0.0)
+    assert pieces[0].bx == pytest.approx(10.0, abs=1e-12)
+    assert pieces[0].by == pytest.approx(0.0, abs=1e-12)
+    assert pieces[1].ax == pytest.approx(-10.0, abs=1e-12)
+    assert pieces[1].bx == pytest.approx(-9.0, abs=1e-12)
     # time split at the boundary crossing
-    assert pieces[0].t_end == pytest.approx(0.5, abs=1e-12)
-    assert pieces[1].t_begin == pytest.approx(0.5, abs=1e-12)
+    assert pieces[0].t1 == pytest.approx(0.5, abs=1e-12)
+    assert pieces[1].t0 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_wrap_flight_rejects_outside_start():
-    w = DiscWorld(10.0, 100)
     with pytest.raises(ValueError):
-        wrap_flight(_pt(11, 0), _pt(1, 0), w)
+        wrap_flight(11.0, 0.0, 1.0, 0.0, 10.0)
 
 
 def test_wrap_flight_zero_displacement():
-    w = DiscWorld(10.0, 100)
-    pieces = wrap_flight(_pt(3, 4), _pt(0, 0), w)
-    assert len(pieces) == 1
-    assert pieces[0].start == pieces[0].end == _pt(3, 4)
+    pieces = wrap_flight(3.0, 4.0, 0.0, 0.0, 10.0)
+    assert pieces == [(3.0, 4.0, 3.0, 4.0, 0.0, 1.0)]
 
 
 @given(sx=st.floats(min_value=-7, max_value=7),
@@ -316,62 +308,35 @@ def test_wrap_flight_zero_displacement():
        dy=st.floats(min_value=-300, max_value=300))
 @settings(max_examples=300, deadline=None)
 def test_wrap_flight_pieces_partition_and_stay_inside(sx, sy, dx, dy):
-    w = DiscWorld(10.0, 100)
-    start = _pt(sx, sy)
-    disp = _pt(dx, dy)
-    pieces = wrap_flight(start, disp, w)
-    tol = 1e-9 * w.radius
-    assert pieces[0].t_begin == 0.0
-    assert pieces[-1].t_end == 1.0
+    radius = 10.0
+    pieces = wrap_flight(sx, sy, dx, dy, radius)
+    tol = 1e-9 * radius
+    assert pieces[0].t0 == 0.0
+    assert pieces[-1].t1 == 1.0
     total = 0.0
     for i, p in enumerate(pieces):
-        assert p.start.norm() <= w.radius + tol
-        assert p.end.norm() <= w.radius + tol
-        total += (p.end - p.start).norm()
+        assert math.hypot(p.ax, p.ay) <= radius + tol
+        assert math.hypot(p.bx, p.by) <= radius + tol
+        total += math.hypot(p.bx - p.ax, p.by - p.ay)
         if i:
-            assert p.t_begin == pytest.approx(pieces[i - 1].t_end, abs=1e-12)
-    assert total == pytest.approx(disp.norm(), rel=1e-9, abs=1e-9)
+            assert p.t0 == pytest.approx(pieces[i - 1].t1, abs=1e-12)
+    assert total == pytest.approx(math.hypot(dx, dy), rel=1e-9, abs=1e-9)
 
 
 def test_wrap_flight_preserves_uniform_stationarity():
     # uniform starts + wrapped flights of |d| <= R/2 keep uniform ends;
     # radial KS with F(rho) = (rho/R)^2 at the 1% level
-    w = DiscWorld(10.0, 100)
+    radius = 10.0
     rng = RNG(5)
     n = 100_000
     th0 = rng.uniform(0, 2 * math.pi, n)
-    rh0 = w.radius * np.sqrt(rng.uniform(0, 1, n))
+    rh0 = radius * np.sqrt(rng.uniform(0, 1, n))
     fa = rng.uniform(0, 2 * math.pi, n)
-    fz = rng.uniform(0, w.radius / 2, n)
+    fz = rng.uniform(0, radius / 2, n)
     u = np.empty(n)
     for i in range(n):
-        start = _pt(rh0[i] * math.cos(th0[i]), rh0[i] * math.sin(th0[i]))
-        disp = _pt(fz[i] * math.cos(fa[i]), fz[i] * math.sin(fa[i]))
-        end = wrap_flight(start, disp, w)[-1].end
-        u[i] = (end.norm() / w.radius) ** 2
+        end = wrap_flight(rh0[i] * math.cos(th0[i]), rh0[i] * math.sin(th0[i]),
+                          fz[i] * math.cos(fa[i]), fz[i] * math.sin(fa[i]),
+                          radius)[-1]
+        u[i] = (math.hypot(end.bx, end.by) / radius) ** 2
     assert stats.kstest(u, "uniform").pvalue > 0.01
-
-
-# ---------------------------------------------------------------------------
-# dataclass invariants
-
-
-def test_point2_requires_finite():
-    with pytest.raises(ValueError):
-        Point2(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        Point2(0.0, math.inf)
-
-
-def test_subsegment_time_ordering():
-    with pytest.raises(ValueError):
-        SubSegment(_pt(0, 0), _pt(1, 0), 0.7, 0.7)
-    with pytest.raises(ValueError):
-        SubSegment(_pt(0, 0), _pt(1, 0), -0.1, 0.5)
-
-
-def test_discworld_radius_consistency():
-    DiscWorld(math.sqrt(400), 400)
-    with pytest.raises(ValueError):
-        DiscWorld(21.0, 400)
-    assert DiscWorld.for_n(400).radius == pytest.approx(20.0)
