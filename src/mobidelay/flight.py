@@ -91,12 +91,22 @@ def sample_stable_symmetric_np(rng: np.random.Generator, alpha: float,
 
 def sample_flight_lengths(rng: np.random.Generator, law: FlightLaw,
                           size: int) -> np.ndarray:
-    """Nonnegative flight lengths under the law, one array per call."""
-    if law.sampler == SAMPLER_TRUNCATED_PARETO:
-        # exact inverse CDF of P{Z > z} = (z_th/z)^alpha, z >= z_th
-        u = 1.0 - rng.uniform(0.0, 1.0, size)  # in (0, 1]
-        return law.z_th * u ** (-1.0 / law.alpha)
-    return np.abs(sample_stable_symmetric_np(rng, law.alpha, law.scale_s, size))
+    """Nonnegative flight lengths under the law, one array per call.
+
+    Raises OverflowError when a length is not a finite float, which
+    happens at very small alpha.
+    """
+    with np.errstate(all="ignore"):
+        if law.sampler == SAMPLER_TRUNCATED_PARETO:
+            # exact inverse CDF of P{Z > z} = (z_th/z)^alpha, z >= z_th
+            u = 1.0 - rng.uniform(0.0, 1.0, size)  # in (0, 1]
+            z = law.z_th * u ** (-1.0 / law.alpha)
+        else:
+            z = np.abs(sample_stable_symmetric_np(rng, law.alpha, law.scale_s, size))
+    # lengths are >= 0 and NaN propagates through max
+    if z.size and not math.isfinite(z.max()):
+        raise OverflowError(f"flight length overflows a float at alpha={law.alpha}")
+    return z
 
 
 def sample_flight_steps(rng: np.random.Generator, law: FlightLaw, size: int):

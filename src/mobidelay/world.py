@@ -1,5 +1,11 @@
 """Pair meeting-process and relay-scheme delay simulation.
 
+Pair meeting and relay delay are one process: the first instant one of a
+set of carriers comes within r of the destination.  Relay delay places n
+nodes and carries from every node within r of the source; pair meeting
+places two, so the source is the only carrier.  One block engine runs
+both, advancing all live trials of a block together slot by slot.
+
 One slot of motion is piecewise linear: antipodal wraps split a node's
 path into sub-segments, and within any time window where both nodes move
 linearly the relative motion is linear too, so the continuous contact
@@ -13,17 +19,25 @@ two fixed chords of equal length, traversed with the node's constant
 velocity.  The contact engine exploits that structure, so slots are exact
 at any flight length:
 
-  * no wrap on either side: one relative segment (fast path);
+  * no wrap on either side: one relative segment, tested for every such
+    carrier/destination pair of the block in one vector pass;
   * modest wrap counts: explicit walk over the merged sub-segment grid;
   * enormous wrap counts: positions come from the closed-form period-2
     cycle; candidate times are localised by convex distance functions of
     the slower node's pieces to the faster node's two chords, and only
     the chord-traversal windows inside those candidates are tested.
 
-Randomness discipline: the batch runners pair_meeting_times and
-scheme_delays shard trials into fixed-size blocks, each with a stream
-derived from (master_seed, salt, block index), so results are
-independent of the worker count.
+Randomness discipline (STREAM_VERSION 2): the batch runners
+pair_meeting_times and scheme_delays shard trials into fixed 1024-trial
+blocks, each with a stream derived from (master_seed, salt, block index),
+so results are independent of the worker count.  A block consumes its
+stream in this order: first the placements of all its trials, m nodes
+per trial in trial order, drawn in row chunks of at most _PLACE_POINTS
+points (each chunk all angles, then all radii); then, slot by slot, one
+draw for every node of the still-live trials, carriers first and then
+destinations, each in trial order: a uniform point per node under
+teleport, a flight per node (all angles, then all lengths) under
+heavy-flight.  Version 1 consumed the stream one trial at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ __all__ = [
     "MODEL_LEVY",
     "MODEL_IID",
     "DEFAULT_SEED",
+    "STREAM_VERSION",
     "SALT_MEET",
     "SALT_DELAY",
     "SALT_GOF",
@@ -60,6 +75,9 @@ DEFAULT_HORIZON_LEVY = 10_000
 
 DEFAULT_SEED = 0x5EED_CAFE
 
+# how the block streams are consumed; bumped whenever that order changes
+STREAM_VERSION = 2
+
 # stream salts (one namespace per purpose)
 SALT_MEET = 11
 SALT_DELAY = 12
@@ -72,8 +90,10 @@ _CAP_UNION = 2048
 # hard cap on exact window tests per slot in the periodic search
 _WINDOW_BUDGET = 5_000_000
 
-_TWO_PI = 2.0 * math.pi
 _BLOCK = 1024
+# cap on node placements drawn at once, which bounds a block's memory at
+# large n
+_PLACE_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -472,89 +492,17 @@ def _pair_slot_contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
 
 
 # ---------------------------------------------------------------------------
-# trial cores
-
-
-def _draw_flight_vector(rng: np.random.Generator, law: FlightLaw):
-    theta = _TWO_PI * (1.0 - rng.uniform())
-    if law.sampler == "truncated_pareto":
-        u = 1.0 - rng.uniform()
-        z = law.z_th * u ** (-1.0 / law.alpha)
-    else:
-        z = abs(_scalar_stable(rng, law.alpha, law.scale_s))
-    return z * math.cos(theta), z * math.sin(theta)
-
-
-def _scalar_stable(rng, alpha, scale_s):
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-    w = rng.standard_exponential()
-    if alpha == 1.0:
-        return scale_s * math.tan(u)
-    su = math.sin(alpha * u)
-    cu = math.cos(u)
-    cd = math.cos((1.0 - alpha) * u)
-    return scale_s * (su / cu ** (1.0 / alpha)) * (cd / w) ** ((1.0 - alpha) / alpha)
-
-
-def _simulate_pair_core(rng: np.random.Generator, cfg: ModelConfig,
-                        slotted: bool = False):
-    """One pair trial; returns (l0, t_meet, slots_run, t_slotted).
-
-    t_meet is inf when censored.  When slotted is set the trial also runs
-    the boundary-only detector on the same trajectory (first integer slot
-    whose endpoint distance is <= r) and keeps simulating until both
-    detectors fire or the horizon ends.
-    """
-    R = cfg.radius
-    r = cfg.r
-    th = rng.uniform(0.0, _TWO_PI, 2)
-    rho = R * np.sqrt(rng.uniform(0.0, 1.0, 2))
-    x1 = rho[0] * math.cos(th[0])
-    y1 = rho[0] * math.sin(th[0])
-    x2 = rho[1] * math.cos(th[1])
-    y2 = rho[1] * math.sin(th[1])
-    l0 = math.hypot(x1 - x2, y1 - y2)
-    if l0 <= r:
-        return l0, 0.0, 0, 0.0
-    levy = cfg.model == MODEL_LEVY
-    law = cfg.law
-    t_cont = math.inf
-    t_slot = math.inf
-    for k in range(1, cfg.horizon_slots + 1):
-        if levy:
-            d1x, d1y = _draw_flight_vector(rng, law)
-            d2x, d2y = _draw_flight_vector(rng, law)
-            s, x1n, y1n, x2n, y2n = _pair_slot_contact(
-                x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r)
-        else:
-            th1 = rng.uniform(0.0, _TWO_PI)
-            rho1 = R * math.sqrt(rng.uniform())
-            th2 = rng.uniform(0.0, _TWO_PI)
-            rho2 = R * math.sqrt(rng.uniform())
-            x1n = rho1 * math.cos(th1)
-            y1n = rho1 * math.sin(th1)
-            x2n = rho2 * math.cos(th2)
-            y2n = rho2 * math.sin(th2)
-            s = _seg_hit(x1 - x2, y1 - y2, x1n - x2n, y1n - y2n, r)
-        if s is not None and math.isinf(t_cont):
-            t_cont = (k - 1) + s
-            if not slotted:
-                return l0, t_cont, k, t_slot
-        x1, y1, x2, y2 = x1n, y1n, x2n, y2n
-        if slotted and math.isinf(t_slot):
-            if math.hypot(x1 - x2, y1 - y2) <= r:
-                t_slot = float(k)
-        if not (math.isinf(t_cont) or (slotted and math.isinf(t_slot))):
-            return l0, t_cont, k, t_slot
-    return l0, t_cont, cfg.horizon_slots, t_slot
+# the lockstep block engine
 
 
 def _relay_slot_hits_np(rxs, rys, rexs, reys, dx0, dy0, dx1, dy1, r):
-    """Vectorised earliest-hit fractions of relays against the destination.
+    """Earliest in-slot hit fractions of carriers against destinations.
 
-    Inputs are relay start/end coordinate arrays and the destination's
-    start/end; all paths must be wrap-free (straight).  Returns an array
-    of in-slot hit fractions (nan where no hit).
+    Carrier i moves straight from (rxs[i], rys[i]) to (rexs[i], reys[i])
+    and its destination from (dx0[i], dy0[i]) to (dx1[i], dy1[i]); all
+    paths must be wrap-free.  The arithmetic is _seg_hit's element for
+    element, boundary inclusive.  Returns the hit fractions, inf where
+    there is none.
     """
     ax = rxs - dx0
     ay = rys - dy0
@@ -565,145 +513,146 @@ def _relay_slot_hits_np(rxs, rys, rexs, reys, dx0, dy0, dx1, dy1, r):
     ddy = by - ay
     a = ddx * ddx + ddy * ddy
     b = ax * ddx + ay * ddy
-    out = np.full(ax.shape, np.nan)
-    at0 = c <= 0.0
-    out[at0] = 0.0
     disc = b * b - a * c
-    ok = (~at0) & (b < 0.0) & (disc > 0.0) & (a > 0.0)
-    s = np.full(ax.shape, np.nan)
+    # disc == 0 is an exact tangent touch; contact is inclusive
+    ok = (c > 0.0) & (b < 0.0) & (disc >= 0.0) & (a > 0.0)
+    s = np.full(ax.shape, np.inf)
     s[ok] = (-b[ok] - np.sqrt(disc[ok])) / a[ok]
-    good = ok & (s <= 1.0)
-    out[good] = s[good]
+    s[s > 1.0] = np.inf
+    s[c <= 0.0] = 0.0
+    return s
+
+
+def _per_trial_min(values, owner, size):
+    out = np.full(size, np.inf)
+    np.minimum.at(out, owner, values)
     return out
 
 
-def _simulate_delay_core(rng: np.random.Generator, cfg: ModelConfig):
-    """One relay-scheme trial; returns (neighbor_count, dest_in_range, delay)."""
-    if cfg.n < 2:
-        raise ValueError("need n >= 2")
+def _contact_block(args):
+    """One block of first-contact trials, all live trials in lockstep.
+
+    Each trial places m nodes: node 0 is the source, node 1 the
+    destination, and the carriers are the nodes within r of the source
+    other than the destination (for m = 2, the source alone).  Returns
+    (l0, neighbor_count, t_meet, t_slotted) arrays: the source-destination
+    distance, the nodes within r of the source (itself included), the
+    first instant a carrier is within r of the destination, and the first
+    slot end at which one is.  Both times are 0 when the destination
+    starts in range and inf when censored.  Otherwise t_slotted is only
+    tracked when slotted is set, and then a trial runs until both fire.
+    """
+    master_seed, salt, block, count, cfg, m, slotted = args
+    rng = trial_stream(master_seed, salt, block)
     R = cfg.radius
     r = cfg.r
-    xs, ys = uniform_points_in_disc(rng, R, cfg.n)
-    d2s = (xs - xs[0]) ** 2 + (ys - ys[0]) ** 2
-    in_range = d2s <= r * r
-    ncount = int(in_range.sum())  # includes s
-    if in_range[1]:
-        return ncount, True, 0.0
-    relay_idx = np.flatnonzero(in_range)
-    relay_idx = relay_idx[relay_idx != 1]
-    rx = xs[relay_idx].copy()
-    ry = ys[relay_idx].copy()
-    dxp = float(xs[1])
-    dyp = float(ys[1])
-    k_relays = rx.size
+    cols = l0, ncount, qx, qy, cx, cy, cown = [], [], [], [], [], [], []
+    rows = max(1, _PLACE_POINTS // m)
+    for lo in range(0, count, rows):
+        xs, ys = uniform_points_in_disc(rng, R, min(rows, count - lo) * m)
+        xs = xs.reshape(-1, m)
+        ys = ys.reshape(-1, m)
+        dist = np.hypot(xs - xs[:, :1], ys - ys[:, :1])
+        near = dist <= r
+        # copies, so the chunk's (rows, m) arrays are freed
+        l0.append(dist[:, 1].copy())
+        ncount.append(near.sum(axis=1))
+        qx.append(xs[:, 1].copy())
+        qy.append(ys[:, 1].copy())
+        near[near[:, 1]] = False  # destination in range: delivered at 0
+        near[:, 1] = False
+        i, j = np.nonzero(near)
+        cown.append(lo + i)
+        cx.append(xs[i, j])
+        cy.append(ys[i, j])
+    l0, ncount, qx, qy, cx, cy, cown = map(np.concatenate, cols)
+    live = np.flatnonzero(l0 > r)
+    qx = qx[live]
+    qy = qy[live]
+    # each carrier's owner as a position in live; carriers stay in trial order
+    cpos = np.searchsorted(live, cown)
+    t_meet = np.where(l0 > r, np.inf, 0.0)
+    t_slot = t_meet.copy()
     levy = cfg.model == MODEL_LEVY
-    law = cfg.law
     for k in range(1, cfg.horizon_slots + 1):
+        if live.size == 0:
+            break
+        nc = cx.size
+        # draw order: one batch for [carriers..., destinations...]
         if levy:
-            # draw order: one batch of flights for [relays..., dest]
-            ddx, ddy = sample_flight_steps(rng, law, k_relays + 1)
-            ex = rx + ddx[:-1]
-            ey = ry + ddy[:-1]
-            dex = dxp + ddx[-1]
-            dey = dyp + ddy[-1]
-            relay_wraps = ex * ex + ey * ey > R * R
-            dest_wraps = dex * dex + dey * dey > R * R
-            best = math.inf
-            if dest_wraps or relay_wraps.any():
-                for i in range(k_relays):
-                    t, e1x, e1y, e2x, e2y = _pair_slot_contact(
-                        float(rx[i]), float(ry[i]), float(ddx[i]), float(ddy[i]),
-                        dxp, dyp, float(ddx[-1]), float(ddy[-1]), R, r)
-                    ex[i] = e1x
-                    ey[i] = e1y
-                    dex, dey = e2x, e2y
-                    if t is not None and t < best:
-                        best = t
-            else:
-                hits = _relay_slot_hits_np(rx, ry, ex, ey, dxp, dyp, dex, dey, r)
-                if not np.all(np.isnan(hits)):
-                    best = float(np.nanmin(hits))
-            if best < math.inf:
-                return ncount, False, (k - 1) + best
-            rx, ry = ex, ey
-            dxp, dyp = float(dex), float(dey)
+            sx, sy = sample_flight_steps(rng, cfg.law, nc + live.size)
+            ex = cx + sx[:nc]
+            ey = cy + sy[:nc]
+            fx = qx + sx[nc:]
+            fy = qy + sy[nc:]
         else:
-            # draw order: one batch of fresh locations for [relays..., dest]
-            nex, ney = uniform_points_in_disc(rng, R, k_relays + 1)
-            hits = _relay_slot_hits_np(rx, ry, nex[:-1], ney[:-1],
-                                       dxp, dyp, float(nex[-1]), float(ney[-1]), r)
-            if not np.all(np.isnan(hits)):
-                return ncount, False, (k - 1) + float(np.nanmin(hits))
-            rx = nex[:-1].copy()
-            ry = ney[:-1].copy()
-            dxp = float(nex[-1])
-            dyp = float(ney[-1])
-    return ncount, False, math.inf
+            px, py = uniform_points_in_disc(rng, R, nc + live.size)
+            ex, fx = px[:nc], px[nc:]
+            ey, fy = py[:nc], py[nc:]
+        hits = _relay_slot_hits_np(cx, cy, ex, ey, qx[cpos], qy[cpos],
+                                   fx[cpos], fy[cpos], r)
+        if levy:
+            # pairs where either end wraps take the exact contact engine,
+            # which also gives the wrapped end positions
+            wraps = (ex * ex + ey * ey > R * R) | (fx * fx + fy * fy > R * R)[cpos]
+            for i in np.flatnonzero(wraps).tolist():
+                j = cpos[i]
+                t, ex[i], ey[i], fx[j], fy[j] = _pair_slot_contact(
+                    float(cx[i]), float(cy[i]), float(sx[i]), float(sy[i]),
+                    float(qx[j]), float(qy[j]), float(sx[nc + j]), float(sy[nc + j]),
+                    R, r)
+                hits[i] = math.inf if t is None else t
+        tm = t_meet[live]
+        tm = np.where(np.isinf(tm), (k - 1) + _per_trial_min(hits, cpos, live.size), tm)
+        t_meet[live] = tm
+        done = np.isfinite(tm)
+        if slotted:
+            ts = t_slot[live]
+            gap = _per_trial_min(np.hypot(ex - fx[cpos], ey - fy[cpos]), cpos, live.size)
+            ts[np.isinf(ts) & (gap <= r)] = k
+            t_slot[live] = ts
+            done &= np.isfinite(ts)
+        keep = ~done
+        kept = keep[cpos]
+        live = live[keep]
+        qx = fx[keep]
+        qy = fy[keep]
+        cx = ex[kept]
+        cy = ey[kept]
+        cpos = (np.cumsum(keep) - 1)[cpos[kept]]
+    return l0, ncount, t_meet, t_slot
 
 
-# ---------------------------------------------------------------------------
-# block-sharded batch runners (worker-count invariant)
-
-
-def _meet_block(args):
-    master_seed, salt, block, count, cfg, slotted = args
-    rng = trial_stream(master_seed, salt, block)
-    l0 = np.empty(count)
-    tm = np.empty(count)
-    ts = np.empty(count)
-    for i in range(count):
-        a, b, _, d = _simulate_pair_core(rng, cfg, slotted=slotted)
-        l0[i] = a
-        tm[i] = b
-        ts[i] = d
-    return l0, tm, ts
-
-
-def _delay_block(args):
-    master_seed, salt, block, count, cfg = args
-    rng = trial_stream(master_seed, salt, block)
-    nc = np.empty(count, dtype=np.int64)
-    d0 = np.empty(count, dtype=bool)
-    dl = np.empty(count)
-    for i in range(count):
-        a, b, c = _simulate_delay_core(rng, cfg)
-        nc[i] = a
-        d0[i] = b
-        dl[i] = c
-    return nc, d0, dl
-
-
-def _run_sharded(fn, argl, workers):
+def _run_sharded(cfg, trials, salt, workers, m, slotted):
+    """_contact_block over fixed blocks of trials, columns concatenated."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    blocks = [(cfg.master_seed, salt, b, min(_BLOCK, trials - b * _BLOCK), cfg, m, slotted)
+              for b in range((trials + _BLOCK - 1) // _BLOCK)]
     if workers <= 1:
-        return [fn(a) for a in argl]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, argl))
+        parts = [_contact_block(b) for b in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(_contact_block, blocks))
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 def pair_meeting_times(cfg: ModelConfig, trials: int, salt: int = SALT_MEET,
                        workers: int = 1, slotted: bool = False):
-    """Batch pair-meeting trials.
+    """Batch pair-meeting trials: the one-carrier case of scheme_delays.
 
     Returns (l0, t_meet, t_slotted) float arrays; censored entries are inf.
     Trials are sharded into fixed blocks with per-block streams, so the
     result does not depend on the worker count.
     """
-    blocks = [(cfg.master_seed, salt, b, min(_BLOCK, trials - b * _BLOCK), cfg, slotted)
-              for b in range((trials + _BLOCK - 1) // _BLOCK)]
-    parts = _run_sharded(_meet_block, blocks, workers)
-    l0 = np.concatenate([p[0] for p in parts])
-    tm = np.concatenate([p[1] for p in parts])
-    ts = np.concatenate([p[2] for p in parts])
+    l0, _, tm, ts = _run_sharded(cfg, trials, salt, workers, 2, slotted)
     return l0, tm, ts
 
 
 def scheme_delays(cfg: ModelConfig, trials: int, salt: int = SALT_DELAY,
                   workers: int = 1):
     """Batch relay-scheme delay trials; returns (neighbor_counts, dest0, delays)."""
-    blocks = [(cfg.master_seed, salt, b, min(_BLOCK, trials - b * _BLOCK), cfg)
-              for b in range((trials + _BLOCK - 1) // _BLOCK)]
-    parts = _run_sharded(_delay_block, blocks, workers)
-    nc = np.concatenate([p[0] for p in parts])
-    d0 = np.concatenate([p[1] for p in parts])
-    dl = np.concatenate([p[2] for p in parts])
-    return nc, d0, dl
+    if cfg.n < 2:
+        raise ValueError("need n >= 2")
+    l0, nc, dl, _ = _run_sharded(cfg, trials, salt, workers, cfg.n, False)
+    return nc, l0 <= cfg.r, dl

@@ -258,3 +258,17 @@ def test_low_alpha_run_fails_in_bounded_time(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_overflowing_flight_length_exits_1(tmp_path):
+    # at alpha 0.01 the Pareto inverse CDF overflows to inf; the bounds
+    # Monte Carlo must fail with an error line, not count NaN distances
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobidelay.cli", "bounds", "--model", "levy",
+         "--alpha", "0.01", "--n", "10000", "--r", "4", "--trials", "200000",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "alpha=0.01" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,6 +1,7 @@
 """Flight-length laws, flight vectors, relocation, and in-slot motion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,16 @@ def test_truncated_pareto_ks_exact_ccdf():
     z = sample_flight_lengths(rng, law, n)
     res = stats.kstest(z, lambda v: 1.0 - (law.z_th / v) ** law.alpha)
     assert res.pvalue > 0.01
+
+
+def test_overflowing_length_raises_without_warning():
+    # at alpha 0.01 u ** -100 is inf for u below ~8e-4; such a draw must
+    # fail loudly instead of reaching the contact tests as inf
+    law = FlightLaw(alpha=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="alpha=0.01"):
+            sample_flight_lengths(RNG(17), law, 100_000)
 
 
 def test_stable_length_is_abs_of_stable():
