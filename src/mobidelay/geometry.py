@@ -52,18 +52,17 @@ def segment_point_dist_np(ax, ay, bx, by, qx=0.0, qy=0.0):
     return np.hypot(px - t * dx, py - t * dy)
 
 
-def _exit_fraction(px: float, py: float, vx: float, vy: float, radius: float):
-    """Smallest u >= 0 with |p + u v| = radius, or None if the ray stays inside.
+def _exit_fraction(px, py, vx, vy, radius):
+    """Smallest u >= 0 with |p + u v| = radius, inf where the ray stays inside.
 
-    p must be inside the closed disc.  Returns the outgoing root of the
-    quadratic u^2 |v|^2 + 2 u (p.v) + |p|^2 - R^2 = 0.
+    Arrays broadcast; each p must be inside the closed disc.  Returns the
+    outgoing root of the quadratic u^2 |v|^2 + 2 u (p.v) + |p|^2 - R^2 = 0,
+    NaN where that overflows.
     """
     a = vx * vx + vy * vy
-    if a == 0.0:
-        return None
     b = px * vx + py * vy
     c = px * px + py * py - radius * radius
     disc = b * b - a * c
-    if disc <= 0.0:
-        return None
-    return (-b + math.sqrt(disc)) / a
+    inside = (a == 0.0) | (disc <= 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(inside, np.inf, (-b + np.sqrt(disc)) / a)

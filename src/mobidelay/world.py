@@ -21,11 +21,15 @@ at any flight length:
 
   * no wrap on either side: one relative segment, tested for every such
     carrier/destination pair of the block in one vector pass;
-  * modest wrap counts: explicit walk over the merged sub-segment grid;
-  * enormous wrap counts: positions come from the closed-form period-2
-    cycle; candidate times are localised by convex distance functions of
-    the slower node's pieces to the faster node's two chords, and only
-    the chord-traversal windows inside those candidates are tested.
+  * modest wrap counts (at most _CAP_UNION between the pair's two paths):
+    the union walk, one vector pass over the merged sub-segment grids of
+    all such pairs of the slot, with every piece taken from the
+    closed-form period-2 cycle;
+  * enormous wrap counts: the union walk up to the faster node's first
+    wrap; past it, candidate times are localised by convex distance
+    functions of the slower node's pieces to the faster node's two
+    chords, and only the chord-traversal windows inside those candidates
+    are tested.
 
 Randomness discipline (STREAM_VERSION 2): the batch runners
 pair_meeting_times and scheme_delays shard trials into fixed 1024-trial
@@ -43,6 +47,7 @@ heavy-flight.  Version 1 consumed the stream one trial at a time.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -84,8 +89,8 @@ SALT_DELAY = 12
 SALT_GOF = 13
 SALT_MC = 14
 
-# wrap-count threshold between the explicit union walk and the periodic
-# candidate search
+# wrap-count threshold between the union walk and the periodic candidate
+# search
 _CAP_UNION = 2048
 # hard cap on exact window tests per slot in the periodic search
 _WINDOW_BUDGET = 5_000_000
@@ -163,147 +168,101 @@ def _seg_hit(ax: float, ay: float, bx: float, by: float, r: float):
     b = ax * dx + ay * dy
     if b >= 0.0:
         return None
-    disc = b * b - a * c
-    if disc < 0.0:
+    # the line's clearance decides the touch: b*b - a*c equals
+    # a*r*r - cross**2, but cancels catastrophically near a tangent.
+    # Clearance exactly r is an exact tangent touch; contact is inclusive
+    cross = ax * dy - ay * dx
+    if cross * cross > a * (r * r):
         return None
-    # disc == 0 is an exact tangent touch; contact is inclusive
-    s = (-b - math.sqrt(disc)) / a
+    s = (-b - math.sqrt(max(b * b - a * c, 0.0))) / a
     return s if s <= 1.0 else None
 
 
-class _SlotPath:
-    """Closed-form description of one node's path over one slot.
+# math.hypot is correctly rounded and np.hypot is not; wrapped positions
+# are defined by the former
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
-    Constant velocity (dx, dy); antipodal wraps at t1, t1+dt, ... with the
-    path alternating between chord A (anchor ax,ay) and chord B (anchor
-    bx,by), both traversed at the same velocity.  A tangent exit (chord
-    length ~ 0) freezes the node at its re-entry point; that case has one
-    wrap and is handled by the explicit piece list.
-    """
 
-    __slots__ = ("x0", "y0", "dx", "dy", "R", "t1", "dt", "n_wraps",
-                 "ax", "ay", "bx", "by", "frozen")
+# Closed-form wrap geometry of slot paths, one entry per path.  A path
+# that leaves the disc first exits at slot time t1.  From then on the
+# antipodal rule makes it alternate, with period dt, between chord A (from
+# anchor ax, ay) and chord B (from bx, by), both traversed at the path's
+# own velocity: chord m = 0 .. m_last starts at t1 + m dt, on A for even m
+# and on B for odd m.  A tangent exit (chord length ~ 0) freezes the node
+# at A from t1 on (dt = inf, m_last = 0).  A path that stays in the disc
+# has t1 = dt = inf and m_last = -1.  m_last is a float holding an integer.
+_Wraps = namedtuple("_Wraps", "t1 dt m_last ax ay bx by frozen")
 
-    def __init__(self, x0, y0, dx, dy, R):
-        self.x0 = x0
-        self.y0 = y0
-        self.dx = dx
-        self.dy = dy
-        self.R = R
-        self.frozen = False
-        ex_end = x0 + dx
-        ey_end = y0 + dy
-        if ex_end * ex_end + ey_end * ey_end <= R * R:
-            # endpoints inside; the straight chord stays inside by convexity
-            self.t1 = math.inf
-            self.n_wraps = 0
-            return
-        u = _exit_fraction(x0, y0, dx, dy, R)
-        if u is None or u >= 1.0:
-            self.t1 = math.inf
-            self.n_wraps = 0
-            return
+
+def _wrap_geometry(x0, y0, dx, dy, R) -> _Wraps:
+    """_Wraps of the paths that start at (x0, y0) and move by (dx, dy)."""
+    u = _exit_fraction(x0, y0, dx, dy, R)
+    ex_end = x0 + dx
+    ey_end = y0 + dy
+    # endpoints inside: the straight chord stays inside by convexity
+    wraps = (ex_end * ex_end + ey_end * ey_end > R * R) & ~(u >= 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
         ex = x0 + u * dx
         ey = y0 + u * dy
-        pin = R / math.hypot(ex, ey)
+        pin = R / _hypot(ex, ey).astype(float)
         p1x = ex * pin
         p1y = ey * pin
-        self.t1 = u
-        speed = math.hypot(dx, dy)
+        speed = _hypot(dx, dy).astype(float)
         vhx = dx / speed
         vhy = dy / speed
         s = 2.0 * (p1x * vhx + p1y * vhy)
-        self.ax = -p1x
-        self.ay = -p1y
-        if s <= 1e-12 * R:
-            self.frozen = True
-            self.n_wraps = 1
-            self.dt = math.inf
-            self.bx = self.ax
-            self.by = self.ay
-            return
-        p2x = -p1x + s * vhx
-        p2y = -p1y + s * vhy
-        self.bx = -p2x
-        self.by = -p2y
-        self.dt = s / speed
-        self.n_wraps = 1 + int((1.0 - u) / self.dt)
+        frozen = wraps & (s <= 1e-12 * R)
+        moving = wraps & ~frozen
+        dt = np.where(moving, s / speed, np.inf)
+        m_last = np.where(moving, np.trunc((1.0 - u) / dt), np.where(frozen, 0.0, -1.0))
+    if not np.isfinite(m_last).all():
+        raise OverflowError("a flight's wrap count overflows a float")
+    return _Wraps(np.where(wraps, u, np.inf), dt, m_last, -p1x, -p1y,
+                  np.where(moving, -(-p1x + s * vhx), -p1x),
+                  np.where(moving, -(-p1y + s * vhy), -p1y), frozen)
+
+
+def _piece(x0, y0, dx, dy, g, m):
+    """Piece m of each path as (t0, px, py, vx, vy).
+
+    On the piece the position at slot time t is (px, py) + (vx, vy)(t - t0).
+    Piece -1 is the motion before the first wrap; piece m >= 0 is chord m
+    of _Wraps, or the stand at A of a frozen path.
+    """
+    pre = m < 0
+    still = g.frozen & ~pre
+    odd = m % 2 == 1
+    with np.errstate(invalid="ignore"):
+        t0 = np.where(pre, 0.0, g.t1 + m * np.where(g.frozen, 0.0, g.dt))
+    return (t0, np.where(pre, x0, np.where(odd, g.bx, g.ax)),
+            np.where(pre, y0, np.where(odd, g.by, g.ay)),
+            np.where(still, 0.0, dx), np.where(still, 0.0, dy))
+
+
+class _SlotPath:
+    """One path's _Wraps as Python scalars, for the periodic search."""
+
+    __slots__ = ("x0", "y0", "dx", "dy", "t1", "dt", "n_wraps",
+                 "ax", "ay", "bx", "by", "frozen", "_arrays")
+
+    def __init__(self, x0, y0, dx, dy, R):
+        self.x0, self.y0, self.dx, self.dy = x0, y0, dx, dy
+        arrays = [np.array([v], dtype=float) for v in (x0, y0, dx, dy)]
+        g = _wrap_geometry(*arrays, R)
+        self._arrays = arrays, g
+        self.t1, self.dt, self.ax, self.ay, self.bx, self.by = (
+            float(v[0]) for v in (g.t1, g.dt, g.ax, g.ay, g.bx, g.by))
+        self.n_wraps = 1 + int(g.m_last[0])
+        self.frozen = bool(g.frozen[0])
 
     def pos(self, t: float):
-        if self.n_wraps == 0 or t <= self.t1:
-            return self.x0 + self.dx * t, self.y0 + self.dy * t
-        if self.frozen:
-            return self.ax, self.ay
-        k = int((t - self.t1) / self.dt)
-        ph = t - (self.t1 + k * self.dt)
-        if k % 2 == 0:
-            return self.ax + self.dx * ph, self.ay + self.dy * ph
-        return self.bx + self.dx * ph, self.by + self.dy * ph
-
-    def pieces_in(self, lo: float, hi: float):
-        """Linear pieces (ta, tb, px, py, vx, vy) covering [lo, hi].
-
-        Anchor (px, py) is the piece's position at ta' = piece start; the
-        position at any t inside is anchor + v*(t - ta_piece).  Yielded
-        tuples carry the piece's own start time for that purpose.
-        """
-        out = []
-        if self.n_wraps == 0:
-            out.append((max(0.0, lo), min(1.0, hi), 0.0, self.x0, self.y0, self.dx, self.dy))
-            return out
-        if lo < self.t1:
-            out.append((max(0.0, lo), min(self.t1, hi), 0.0, self.x0, self.y0, self.dx, self.dy))
-        if hi <= self.t1:
-            return out
-        if self.frozen:
-            out.append((max(lo, self.t1), min(1.0, hi), self.t1, self.ax, self.ay, 0.0, 0.0))
-            return out
-        m_lo = max(0, int((max(lo, self.t1) - self.t1) / self.dt))
-        m_hi = min(self.n_wraps - 1, int((min(hi, 1.0) - self.t1) / self.dt))
-        for m in range(m_lo, m_hi + 1):
-            ta = self.t1 + m * self.dt
-            tb = min(ta + self.dt, 1.0)
-            a = max(ta, lo)
-            b = min(tb, hi)
-            if b <= a:
-                continue
-            if m % 2 == 0:
-                out.append((a, b, ta, self.ax, self.ay, self.dx, self.dy))
-            else:
-                out.append((a, b, ta, self.bx, self.by, self.dx, self.dy))
-        return out
-
-    def pieces(self):
-        return self.pieces_in(0.0, 1.0)
+        m = -1 if t <= self.t1 else int((t - self.t1) / self.dt)
+        arrays, g = self._arrays
+        t0, px, py, vx, vy = (float(v[0]) for v in _piece(*arrays, g, np.array([m])))
+        return px + vx * (t - t0), py + vy * (t - t0)
 
     def end_pos(self):
         return self.pos(1.0)
-
-
-def _walk_pieces(pieces1, pieces2, r: float):
-    """Exact earliest contact over merged linear pieces; None if clear."""
-    i = 0
-    j = 0
-    n1 = len(pieces1)
-    n2 = len(pieces2)
-    while i < n1 and j < n2:
-        a1, b1, t01, px1, py1, vx1, vy1 = pieces1[i]
-        a2, b2, t02, px2, py2, vx2, vy2 = pieces2[j]
-        lo = a1 if a1 > a2 else a2
-        hi = b1 if b1 < b2 else b2
-        if hi > lo:
-            rx0 = (px1 + vx1 * (lo - t01)) - (px2 + vx2 * (lo - t02))
-            ry0 = (py1 + vy1 * (lo - t01)) - (py2 + vy2 * (lo - t02))
-            rx1 = (px1 + vx1 * (hi - t01)) - (px2 + vx2 * (hi - t02))
-            ry1 = (py1 + vy1 * (hi - t01)) - (py2 + vy2 * (hi - t02))
-            s = _seg_hit(rx0, ry0, rx1, ry1, r)
-            if s is not None:
-                return lo + s * (hi - lo)
-        if b1 <= b2:
-            i += 1
-        if b2 <= b1:
-            j += 1
-    return None
 
 
 def _convex_sublevel(px, py, vx, vy, dur, sx0, sy0, sx1, sy1, r):
@@ -365,7 +324,8 @@ def _convex_sublevel(px, py, vx, vy, dur, sx0, sy0, sx1, sy1, r):
 
 
 def _periodic_search(fast: _SlotPath, slow: _SlotPath, r: float):
-    """Earliest contact when the faster node wraps too often to enumerate.
+    """Earliest contact from fast.t1 on, for a node that wraps too often
+    to enumerate; the union walk covers the motion before fast.t1.
 
     For t >= fast.t1 the fast node occupies one of its two chords, so any
     contact instant satisfies dist(slow(t), chord) <= r for the active
@@ -376,16 +336,6 @@ def _periodic_search(fast: _SlotPath, slow: _SlotPath, r: float):
     """
     budget = _WINDOW_BUDGET
     best = math.inf
-
-    # before the fast node's first wrap it is linear: walk explicitly
-    if fast.t1 > 0.0:
-        zhit = _walk_pieces(fast.pieces_in(0.0, min(fast.t1, 1.0)),
-                            slow.pieces_in(0.0, min(fast.t1, 1.0)), r)
-        if zhit is not None:
-            return zhit
-    if fast.t1 >= 1.0:
-        return None
-
     dtf = fast.dt
 
     # slow-node classes: (piece duration, anchor, velocity, start0, step, count)
@@ -466,31 +416,6 @@ def _periodic_search(fast: _SlotPath, slow: _SlotPath, r: float):
     return None if math.isinf(best) else best
 
 
-def _pair_slot_contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
-    """Exact earliest in-slot contact time for two wrapped paths.
-
-    Returns (t_hit or None, end1x, end1y, end2x, end2y).
-    """
-    e1x = x1 + d1x
-    e1y = y1 + d1y
-    e2x = x2 + d2x
-    e2y = y2 + d2y
-    if (e1x * e1x + e1y * e1y <= R * R) and (e2x * e2x + e2y * e2y <= R * R):
-        s = _seg_hit(x1 - x2, y1 - y2, e1x - e2x, e1y - e2y, r)
-        return s, e1x, e1y, e2x, e2y
-    p1 = _SlotPath(x1, y1, d1x, d1y, R)
-    p2 = _SlotPath(x2, y2, d2x, d2y, R)
-    if p1.n_wraps + p2.n_wraps <= _CAP_UNION:
-        t = _walk_pieces(p1.pieces(), p2.pieces(), r)
-    elif p1.n_wraps >= p2.n_wraps:
-        t = _periodic_search(p1, p2, r)
-    else:
-        t = _periodic_search(p2, p1, r)
-    ex1, ey1 = p1.end_pos()
-    ex2, ey2 = p2.end_pos()
-    return t, ex1, ey1, ex2, ey2
-
-
 # ---------------------------------------------------------------------------
 # the lockstep block engine
 
@@ -506,18 +431,15 @@ def _relay_slot_hits_np(rxs, rys, rexs, reys, dx0, dy0, dx1, dy1, r):
     """
     ax = rxs - dx0
     ay = rys - dy0
-    bx = rexs - dx1
-    by = reys - dy1
+    ddx = rexs - dx1 - ax
+    ddy = reys - dy1 - ay
     c = ax * ax + ay * ay - r * r
-    ddx = bx - ax
-    ddy = by - ay
     a = ddx * ddx + ddy * ddy
     b = ax * ddx + ay * ddy
-    disc = b * b - a * c
-    # disc == 0 is an exact tangent touch; contact is inclusive
-    ok = (c > 0.0) & (b < 0.0) & (disc >= 0.0) & (a > 0.0)
-    s = np.full(ax.shape, np.inf)
-    s[ok] = (-b[ok] - np.sqrt(disc[ok])) / a[ok]
+    cross = ax * ddy - ay * ddx
+    # touch decided by the line's clearance, as in _seg_hit
+    s = np.divide(-b - np.sqrt(np.maximum(b * b - a * c, 0.0)), a, out=np.full(a.shape, np.inf),
+                  where=(b < 0.0) & (cross * cross <= a * (r * r)))
     s[s > 1.0] = np.inf
     s[c <= 0.0] = 0.0
     return s
@@ -527,6 +449,124 @@ def _per_trial_min(values, owner, size):
     out = np.full(size, np.inf)
     np.minimum.at(out, owner, values)
     return out
+
+
+# pieces the union walk lays out at once, which bounds its memory however
+# many pairs wrap; a pair with more pieces is walked alone
+_UNION_PIECES = 1 << 15
+
+
+def _union_walk(x0, y0, dx, dy, g, stop, r):
+    """Earliest contact of each pair over the merged pieces of its paths.
+
+    Pair k is paths k and K + k of the path arrays and _Wraps g, with
+    K = stop.size; only its motion in [0, stop[k] <= 1] is walked.  The
+    windows are the steps of a merge of the pair's two piece lists by end
+    time; in each, both paths move linearly, so contact is the clamped
+    quadratic of _relay_slot_hits_np, and the pair's contact is the hit of
+    its first window that has one.  Returns the times, inf where none.
+    """
+    K = stop.size
+    with np.errstate(invalid="ignore"):
+        # the last chord that starts before stop
+        last = np.where(g.m_last < 0.0, -1.0, np.minimum(
+            g.m_last, np.trunc((np.tile(stop, 2) - g.t1) / g.dt)))
+    size = last[:K] + last[K:] + 4.0
+    if np.max(size, initial=0.0) > _WINDOW_BUDGET:
+        raise RuntimeError("slot contact search budget exceeded")
+    count = (last + 2.0).astype(np.int64)
+    size = size.astype(np.int64)
+    end = np.cumsum(size)
+    t = np.full(K, np.inf)
+    lo = 0
+    while lo < K:
+        hi = max(lo + 1, int(np.searchsorted(end, end[lo] - size[lo] + _UNION_PIECES, "right")))
+        pairs = np.arange(lo, hi)
+        t[lo:hi] = _union_chunk(x0, y0, dx, dy, g, count,
+                                np.stack((pairs, pairs + K), axis=1).ravel(), stop[lo:hi], r)
+        lo = hi
+    return t
+
+
+def _union_chunk(x0, y0, dx, dy, g, count, paths, stop, r):
+    # paths lists the chunk's pairs pair-major: (first, second) per pair
+    k = stop.size
+    c = count[paths]
+    own = np.repeat(paths, c)
+    m = np.arange(own.size) - np.repeat(np.cumsum(c) - c, c) - 1
+    side = np.repeat(np.arange(2 * k) % 2, c)
+    pair = np.repeat(np.arange(k), c[0::2] + c[1::2])
+    go = _Wraps(*(f[own] for f in g))
+    t0, px, py, vx, vy = _piece(x0[own], y0[own], dx[own], dy[own], go, m)
+    a = np.maximum(t0, 0.0)
+    b = np.minimum(np.where(m < 0, go.t1, t0 + go.dt), stop[pair])
+    keep = b > a
+    side, pair, a, b, t0, px, py, vx, vy = (
+        v[keep] for v in (side, pair, a, b, t0, px, py, vx, vy))
+    # kept pieces stay pair-major, first path before second, in time order
+    n1 = np.bincount(pair[side == 0], minlength=k)
+    n2 = np.bincount(pair[side == 1], minlength=k)
+    start1 = np.cumsum(n1 + n2) - (n1 + n2)
+    # merge step q of a pair ends at its q-th piece end, over the pieces
+    # of both paths current there; after a tie (the slot end, say) one
+    # path has no piece left or the window is empty
+    order = np.lexsort((side, b, pair))
+    sp = pair[order]
+    first = side[order] == 0
+    before1 = np.cumsum(first) - first - (np.cumsum(n1) - n1)[sp]
+    before2 = np.cumsum(~first) - ~first - (np.cumsum(n2) - n2)[sp]
+    step = (before1 < n1[sp]) & (before2 < n2[sp])
+    sp = sp[step]
+    p1 = (start1[sp] + before1[step])
+    p2 = (start1[sp] + n1[sp] + before2[step])
+    lo = np.maximum(a[p1], a[p2])
+    hi = np.minimum(b[p1], b[p2])
+    open_ = hi > lo
+    sp, p1, p2, lo, hi = sp[open_], p1[open_], p2[open_], lo[open_], hi[open_]
+
+    def at(p, t):
+        return px[p] + vx[p] * (t - t0[p]), py[p] + vy[p] * (t - t0[p])
+
+    s = _relay_slot_hits_np(*at(p1, lo), *at(p1, hi), *at(p2, lo), *at(p2, hi), r)
+    hit = np.isfinite(s)
+    sp = sp[hit]
+    th = lo[hit] + s[hit] * (hi[hit] - lo[hit])
+    # steps are in time order within a pair: keep each pair's first hit
+    first_hit = np.diff(sp, prepend=-1) != 0
+    out = np.full(k, np.inf)
+    out[sp[first_hit]] = th[first_hit]
+    return out
+
+
+def _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
+    """Exact earliest in-slot contact of each pair of paths.
+
+    Path 1 of pair k starts at (x1[k], y1[k]) and moves by (d1x[k],
+    d1y[k]), path 2 likewise.  Pairs whose paths wrap at most _CAP_UNION
+    times between them are walked whole by _union_walk; the others are
+    walked up to the first wrap of the path that wraps more, and past it
+    take _periodic_search.  Returns (t, e1x, e1y, e2x, e2y): the contact
+    times, inf where there is none, and the end positions of the paths.
+    """
+    K = x1.size
+    x0, y0, dx, dy = (np.concatenate(v) for v in ((x1, x2), (y1, y2), (d1x, d2x), (d1y, d2y)))
+    g = _wrap_geometry(x0, y0, dx, dy, R)
+    n1 = g.m_last[:K] + 1.0
+    n2 = g.m_last[K:] + 1.0
+    first_fast = n1 >= n2
+    periodic = n1 + n2 > _CAP_UNION
+    stop = np.where(periodic, np.where(first_fast, g.t1[:K], g.t1[K:]), 1.0)
+    t = _union_walk(x0, y0, dx, dy, g, stop, r)
+    for k in np.flatnonzero(periodic & np.isinf(t)).tolist():
+        p1 = _SlotPath(float(x1[k]), float(y1[k]), float(d1x[k]), float(d1y[k]), R)
+        p2 = _SlotPath(float(x2[k]), float(y2[k]), float(d2x[k]), float(d2y[k]), R)
+        hit = _periodic_search(*((p1, p2) if first_fast[k] else (p2, p1)), r)
+        if hit is not None:
+            t[k] = hit
+    t0, px, py, vx, vy = _piece(x0, y0, dx, dy, g, g.m_last)
+    ex = px + vx * (1.0 - t0)
+    ey = py + vy * (1.0 - t0)
+    return t, ex[:K], ey[:K], ex[K:], ey[K:]
 
 
 def _contact_block(args):
@@ -592,16 +632,12 @@ def _contact_block(args):
         hits = _relay_slot_hits_np(cx, cy, ex, ey, qx[cpos], qy[cpos],
                                    fx[cpos], fy[cpos], r)
         if levy:
-            # pairs where either end wraps take the exact contact engine,
-            # which also gives the wrapped end positions
-            wraps = (ex * ex + ey * ey > R * R) | (fx * fx + fy * fy > R * R)[cpos]
-            for i in np.flatnonzero(wraps).tolist():
-                j = cpos[i]
-                t, ex[i], ey[i], fx[j], fy[j] = _pair_slot_contact(
-                    float(cx[i]), float(cy[i]), float(sx[i]), float(sy[i]),
-                    float(qx[j]), float(qy[j]), float(sx[nc + j]), float(sy[nc + j]),
-                    R, r)
-                hits[i] = math.inf if t is None else t
+            # pairs where either end leaves the disc take the wrap-aware
+            # engine, which also gives the wrapped end positions
+            i = np.flatnonzero((ex * ex + ey * ey > R * R) | (fx * fx + fy * fy > R * R)[cpos])
+            j = cpos[i]
+            hits[i], ex[i], ey[i], fx[j], fy[j] = _pair_slot_contacts(
+                cx[i], cy[i], sx[i], sy[i], qx[j], qy[j], sx[nc + j], sy[nc + j], R, r)
         tm = t_meet[live]
         tm = np.where(np.isinf(tm), (k - 1) + _per_trial_min(hits, cpos, live.size), tm)
         t_meet[live] = tm
@@ -629,6 +665,7 @@ def _run_sharded(cfg, trials, salt, workers, m, slotted):
         raise ValueError("trials must be positive")
     blocks = [(cfg.master_seed, salt, b, min(_BLOCK, trials - b * _BLOCK), cfg, m, slotted)
               for b in range((trials + _BLOCK - 1) // _BLOCK)]
+    workers = min(workers, len(blocks))
     if workers <= 1:
         parts = [_contact_block(b) for b in blocks]
     else:

@@ -42,7 +42,7 @@ from mobidelay.flight import FlightLaw, sample_flight_lengths
 from mobidelay.geometry import uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
-    _pair_slot_contact,
+    _pair_slot_contacts,
     _seg_hit,
     pair_meeting_times,
     scheme_delays,
@@ -238,14 +238,16 @@ def test_h1_matches_conditioned_simulation_levy():
     rng = RNG(12)
     pairs = _conditioned_pairs(rng, n, l0, 3_000)
     R = math.sqrt(n)
-    hits = 0
-    for x1, y1, x2, y2 in pairs:
+    steps = []
+    for _ in pairs:
         th = TWO_PI * (1.0 - rng.uniform(size=2))
         z = sample_flight_lengths(rng, law, 2)
-        t, *_ = _pair_slot_contact(x1, y1, z[0] * math.cos(th[0]), z[0] * math.sin(th[0]),
-                                   x2, y2, z[1] * math.cos(th[1]), z[1] * math.sin(th[1]),
-                                   R, r)
-        hits += t is not None
+        steps.append((z[0] * math.cos(th[0]), z[0] * math.sin(th[0]),
+                      z[1] * math.cos(th[1]), z[1] * math.sin(th[1])))
+    x1, y1, x2, y2 = np.array(pairs, dtype=float).T
+    d1x, d1y, d2x, d2y = np.array(steps).T
+    t, *_ = _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r)
+    hits = int(np.isfinite(t).sum())
     frac = hits / len(pairs)
     se_sim = math.sqrt(frac * (1 - frac) / len(pairs))
     est = estimate_H1_mc(trial_stream(12, 14, 0), "levy", law, n, r, l0, 400_000)

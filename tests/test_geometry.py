@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from mobidelay.analytics import estimate_H1_mc
@@ -116,6 +116,8 @@ def test_min_dist_symmetry_and_endpoint_bound(ax, ay, bx, by, qx, qy):
        r=st.floats(min_value=0, max_value=10),
        bump=st.floats(min_value=0, max_value=10))
 @settings(max_examples=300, deadline=None)
+# clears the origin by 1.2e-7, where b*b - a*c cancels to a touch
+@example(ax=0.0, ay=16.0, bx=1.192092896e-07, by=0.0, r=0.0, bump=0.0)
 def test_segment_hits_disc_monotone_in_r(ax, ay, bx, by, r, bump):
     # the engine's contact root agrees with the distance verdict away from
     # the boundary, and a hit at range r stays a hit at any larger range

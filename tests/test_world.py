@@ -5,25 +5,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import oracle
+from mobidelay import world
 from mobidelay.flight import FlightLaw, sample_flight_steps
 from mobidelay.geometry import uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
-    _pair_slot_contact,
-    _periodic_search,
+    _pair_slot_contacts,
+    _piece,
     _relay_slot_hits_np,
     _seg_hit,
     _SlotPath,
-    _walk_pieces,
+    _wrap_geometry,
     pair_meeting_times,
     scheme_delays,
     trial_stream,
 )
 
 RNG = lambda seed: np.random.default_rng(seed)
+
+
+def _contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
+    """The vector engine on one pair: (t or None, e1x, e1y, e2x, e2y)."""
+    one = [np.array([v], dtype=float) for v in (x1, y1, d1x, d1y, x2, y2, d2x, d2y)]
+    t, *ends = (float(v[0]) for v in _pair_slot_contacts(*one, R, r))
+    return (None if math.isinf(t) else t), *ends
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +69,7 @@ def test_model_config_defaults():
 
 
 def _contact_with_parked(x, y, dx, dy, r):
-    return _pair_slot_contact(x, y, dx, dy, 0.0, 0.0, 0.0, 0.0, 10.0, r)[0]
+    return _contact(x, y, dx, dy, 0.0, 0.0, 0.0, 0.0, 10.0, r)[0]
 
 
 def test_slot_contact_examples():
@@ -88,18 +97,25 @@ def _random_slot(rng, R, huge=False):
             float(x2), float(y2), float(z2 * np.cos(a2)), float(z2 * np.sin(a2)))
 
 
-def test_union_walk_agrees_with_periodic_search():
+def _walk_and_search(monkeypatch, slot, R, r):
+    # the same pair through the union walk alone (no cap) and through the
+    # periodic search past the faster path's first wrap (cap 0)
+    monkeypatch.setattr(world, "_CAP_UNION", math.inf)
+    walked = _contact(*slot, R, r)
+    monkeypatch.setattr(world, "_CAP_UNION", 0)
+    searched = _contact(*slot, R, r)
+    monkeypatch.undo()
+    return walked, searched
+
+
+def test_union_walk_agrees_with_periodic_search(monkeypatch):
     rng = RNG(101)
     R = 20.0
     hits = 0
     for _ in range(3000):
-        x1, y1, d1x, d1y, x2, y2, d2x, d2y = _random_slot(rng, R)
+        slot = _random_slot(rng, R)
         r = float(rng.uniform(0.3, 3.0))
-        p1 = _SlotPath(x1, y1, d1x, d1y, R)
-        p2 = _SlotPath(x2, y2, d2x, d2y, R)
-        tb = _walk_pieces(p1.pieces(), p2.pieces(), r)
-        fast, slow = (p1, p2) if p1.n_wraps >= p2.n_wraps else (p2, p1)
-        tc = _periodic_search(fast, slow, r)
+        (tb, *_), (tc, *_) = _walk_and_search(monkeypatch, slot, R, r)
         assert (tb is None) == (tc is None)
         if tb is not None:
             hits += 1
@@ -107,17 +123,13 @@ def test_union_walk_agrees_with_periodic_search():
     assert hits > 500  # the comparison actually exercised contacts
 
 
-def test_periodic_search_exact_at_large_wrap_counts():
+def test_periodic_search_exact_at_large_wrap_counts(monkeypatch):
     rng = RNG(102)
     R = 20.0
     for _ in range(120):
-        x1, y1, d1x, d1y, x2, y2, d2x, d2y = _random_slot(rng, R, huge=True)
+        slot = _random_slot(rng, R, huge=True)
         r = float(rng.uniform(0.3, 3.0))
-        p1 = _SlotPath(x1, y1, d1x, d1y, R)
-        p2 = _SlotPath(x2, y2, d2x, d2y, R)
-        tb = _walk_pieces(p1.pieces(), p2.pieces(), r)
-        fast, slow = (p1, p2) if p1.n_wraps >= p2.n_wraps else (p2, p1)
-        tc = _periodic_search(fast, slow, r)
+        (tb, *_), (tc, *_) = _walk_and_search(monkeypatch, slot, R, r)
         assert (tb is None) == (tc is None)
         if tb is not None:
             assert tc == pytest.approx(tb, abs=1e-9)
@@ -134,7 +146,7 @@ def test_contact_time_lies_on_range_circle():
         x1, y1, d1x, d1y, x2, y2, d2x, d2y = _random_slot(rng, R)
         if math.hypot(x1 - x2, y1 - y2) <= r:
             continue
-        t, *_ = _pair_slot_contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r)
+        t, *_ = _contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r)
         if t is None:
             continue
         p1 = _SlotPath(x1, y1, d1x, d1y, R)
@@ -180,6 +192,11 @@ def test_vector_kernel_shares_the_inclusive_contact_rule():
                               0.0, 0.0, 0.0, 0.0, 2.0)
     assert _seg_hit(-1.0, 2.0, 1.0, 2.0, 2.0) == 0.5
     assert got[0] == 0.5
+    # a pass that clears the range circle by 1.2e-7 is no contact in either
+    got = _relay_slot_hits_np(one(0.0), one(16.0), one(1.192092896e-07), one(0.0),
+                              0.0, 0.0, 0.0, 0.0, 1e-9)
+    assert _seg_hit(0.0, 16.0, 1.192092896e-07, 0.0, 1e-9) is None
+    assert got[0] == math.inf
     # and both agree element for element on random straight slots
     rng = RNG(112)
     xs = rng.uniform(-5.0, 5.0, (8, 2000))
@@ -238,7 +255,7 @@ def test_pair_slot_contact_matches_oracle_walk():
     for _ in range(1500):
         x1, y1, d1x, d1y, x2, y2, d2x, d2y = _random_slot(rng, R)
         r = float(rng.uniform(0.3, 3.0))
-        t, *_ = _pair_slot_contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r)
+        t, *_ = _contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r)
         rel = oracle.relative_pieces(oracle.wrap_flight(x1, y1, d1x, d1y, R),
                                      oracle.wrap_flight(x2, y2, d2x, d2y, R))
         want = oracle.first_contact(rel, r)
@@ -247,6 +264,87 @@ def test_pair_slot_contact_matches_oracle_walk():
             hits += 1
             assert t == pytest.approx(want, abs=1e-9)
     assert hits > 300  # the comparison actually exercised contacts
+
+
+def _check_kernel(monkeypatch, slots, R, r):
+    # the union walk on a batch of pairs against the periodic search past
+    # each pair's first wrap, the oracle walk and the scalar end positions
+    cols = [np.array(c, dtype=float) for c in zip(*slots)]
+    t, e1x, e1y, e2x, e2y = _pair_slot_contacts(*cols, R, r)
+    monkeypatch.setattr(world, "_UNION_PIECES", 64)  # many small chunks
+    assert np.array_equal(_pair_slot_contacts(*cols, R, r)[0], t)
+    monkeypatch.setattr(world, "_CAP_UNION", 0)
+    hits = 0
+    for k, slot in enumerate(slots):
+        searched = _contact(*slot, R, r)[0]
+        rel = oracle.relative_pieces(oracle.wrap_flight(*slot[:4], R),
+                                     oracle.wrap_flight(*slot[4:], R))
+        walked = oracle.first_contact(rel, r)
+        assert math.isinf(t[k]) == (searched is None) == (walked is None)
+        if walked is not None:
+            hits += 1
+            assert t[k] == pytest.approx(searched, abs=1e-9)
+            assert t[k] == pytest.approx(walked, abs=1e-9)
+        for (x, y, dx, dy), ex, ey in ((slot[:4], e1x[k], e1y[k]), (slot[4:], e2x[k], e2y[k])):
+            assert (ex, ey) == pytest.approx(_SlotPath(x, y, dx, dy, R).end_pos(), abs=1e-12 * R)
+    monkeypatch.undo()
+    return hits
+
+
+def test_vector_kernel_matches_periodic_search_and_oracle(monkeypatch):
+    rng = RNG(113)
+    R = 20.0
+    slots = [_random_slot(rng, R) for _ in range(600)]
+    # keep the corpus below the cap, so the whole batch takes the walk
+    slots = [s for s in slots if _SlotPath(*s[:4], R).n_wraps
+             + _SlotPath(*s[4:], R).n_wraps <= world._CAP_UNION]
+    assert len(slots) > 500
+    assert _check_kernel(monkeypatch, slots, R, 1.5) > 100
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_vector_kernel_matches_oracle_up_to_the_cap(data):
+    R = 20.0
+    slot = []
+    for _ in range(2):
+        rho = data.draw(st.floats(0.0, 1.0))
+        th, phi = data.draw(st.floats(0.0, 2 * math.pi)), data.draw(st.floats(0.0, 2 * math.pi))
+        z = 10.0 ** data.draw(st.floats(-1.0, 4.5))
+        slot += [R * math.sqrt(rho) * math.cos(th), R * math.sqrt(rho) * math.sin(th),
+                 z * math.cos(phi), z * math.sin(phi)]
+    wraps = _SlotPath(*slot[:4], R).n_wraps + _SlotPath(*slot[4:], R).n_wraps
+    assume(wraps <= 2000)
+    r = data.draw(st.floats(0.3, 3.0))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_kernel(monkeypatch, [tuple(slot)], R, r)
+
+
+def test_vector_kernel_edge_cases():
+    R = 10.0
+    # a tangent exit: the node leaves (0, 10) grazing the boundary and
+    # stands at the antipode (0, -10) for the whole slot, while the other
+    # node passes below it at height -9.5 and wraps later (t1 = 0.76)
+    frozen = _SlotPath(0.0, 10.0, 3.0, 3e-13, R)
+    assert frozen.frozen and frozen.t1 == 0.0
+    t, e1x, e1y, *_ = _contact(0.0, 10.0, 3.0, 3e-13, -6.0, -9.5, 12.0, 0.0, R, 1.0)
+    assert t == pytest.approx((6.0 - math.sqrt(0.75)) / 12.0, abs=1e-9)
+    assert (e1x, e1y) == pytest.approx((0.0, -10.0), abs=1e-12 * R)
+    # only one end wraps, and the relative motion grazes the range circle
+    # of the parked node exactly (clearance 2 = r) at t = 1/3
+    slot = (-8.0, 2.0, 24.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert _SlotPath(*slot[:4], R).n_wraps == 1
+    t, *_ = _contact(*slot, R, 2.0)
+    assert t == pytest.approx(1.0 / 3.0, abs=1e-9)
+    rel = oracle.relative_pieces(oracle.wrap_flight(*slot[:4], R),
+                                 oracle.wrap_flight(*slot[4:], R))
+    assert oracle.first_contact(rel, 2.0) == pytest.approx(t, abs=1e-9)
+    # and just outside the tangent it misses
+    assert _contact(*slot, R, 2.0 - 1e-9)[0] is None
+    # a flight whose squared length overflows has no wrap count: an
+    # error, not a path that silently leaves the disc
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        _contact(1.0, 2.0, 1e200, 3e200, 0.0, 0.0, 0.0, 0.0, R, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -524,17 +622,28 @@ def test_trajectories_preserve_count_and_continuity():
     # node's position and partition the slot without gaps
     law = FlightLaw(alpha=1.0)
     cfg = ModelConfig(n=100, r=2.0, model="levy", law=law)
-    pos = [(0.0, 0.0), (3.0, 4.0), (-5.0, 1.0)]
+    x0 = np.array([0.0, 3.0, -5.0, 1.0])
+    y0 = np.array([0.0, 4.0, 1.0, 2.0])
     dx, dy = sample_flight_steps(trial_stream(1, 500, 0), law, 3)
-    paths = [_SlotPath(x, y, float(dx[i]), float(dy[i]), cfg.radius)
-             for i, (x, y) in enumerate(pos)]
-    assert len(paths) == 3
-    for (x, y), path in zip(pos, paths):
-        pieces = path.pieces()
-        assert pieces[0][0] == 0.0 and pieces[0][3:5] == (x, y)
-        assert pieces[-1][1] == 1.0
-        for prev, nxt in zip(pieces, pieces[1:]):
-            assert nxt[0] == pytest.approx(prev[1], abs=1e-12)
+    # plus one fixed flight that wraps several times
+    dx = np.append(dx, 137.0)
+    dy = np.append(dy, -55.0)
+    g = _wrap_geometry(x0, y0, dx, dy, cfg.radius)
+    assert g.m_last[3] > 2
+    for i in range(4):
+        gi = world._Wraps(*(np.repeat(f[i], g.m_last[i] + 2) for f in g))
+        m = np.arange(-1.0, g.m_last[i] + 1)
+        t0, px, py, vx, vy = _piece(np.full(m.size, x0[i]), np.full(m.size, y0[i]),
+                                    np.full(m.size, dx[i]), np.full(m.size, dy[i]), gi, m)
+        end = np.where(m < 0, gi.t1, t0 + gi.dt)
+        assert t0[0] == 0.0 and (px[0], py[0]) == (x0[i], y0[i])
+        assert min(end[-1], 1.0) == 1.0
+        np.testing.assert_allclose(t0[1:], end[:-1], rtol=0, atol=1e-12)
+        # consecutive pieces join on antipodal boundary points
+        jx = px[:-1] + vx[:-1] * (end[:-1] - t0[:-1])
+        jy = py[:-1] + vy[:-1] * (end[:-1] - t0[:-1])
+        np.testing.assert_allclose(px[1:], -jx, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(py[1:], -jy, rtol=0, atol=1e-9)
 
 
 def test_batch_runs_replay_and_ignore_worker_count():
@@ -554,6 +663,43 @@ def test_batch_runs_replay_and_ignore_worker_count():
         d1 = scheme_delays(cfg, 1100, salt=306)
         d2 = scheme_delays(cfg, 1100, salt=306, workers=2)
         assert np.array_equal(d1[2], d2[2])
+
+
+def test_single_block_runs_without_a_pool(monkeypatch):
+    # one block leaves nothing to split: two workers run it inline
+    cfg = ModelConfig(n=100, r=2.0, model="levy", law=FlightLaw(alpha=1.0),
+                      horizon_slots=10)
+    want = pair_meeting_times(cfg, 500, salt=310)
+    want_delay = scheme_delays(cfg, 500, salt=311)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one block")
+
+    monkeypatch.setattr(world, "ProcessPoolExecutor", no_pool)
+    got = pair_meeting_times(cfg, 500, salt=310, workers=2)
+    got_delay = scheme_delays(cfg, 500, salt=311, workers=2)
+    for w, g in zip((*want, *want_delay), (*got, *got_delay)):
+        assert np.array_equal(w, g)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_union_walk_matches_periodic_search_over_whole_runs(monkeypatch, alpha):
+    # with the cap at 0 every wrapped pair takes the periodic search past
+    # its first wrap; both runs must meet on the same trials, at the same
+    # times up to the search's precision
+    cfg = ModelConfig(n=50, r=2.0, model="levy", law=FlightLaw(alpha=alpha),
+                      horizon_slots=20)
+    runs = []
+    for cap in (world._CAP_UNION, 0):
+        monkeypatch.setattr(world, "_CAP_UNION", cap)
+        _, tm, _ = pair_meeting_times(cfg, 1100, salt=312)
+        _, _, dl = scheme_delays(cfg, 1100, salt=313)
+        runs.append((tm, dl))
+    for walked, searched in zip(*runs):
+        assert np.array_equal(np.isfinite(walked), np.isfinite(searched))
+        fin = np.isfinite(walked)
+        assert np.any(walked[fin] > 0.0)
+        np.testing.assert_allclose(walked[fin], searched[fin], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("cfg", [
