@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from .flight import FlightLaw, sample_flight_lengths, sample_flight_steps
 from .geometry import segment_point_dist_np, uniform_points_in_disc
@@ -541,6 +540,8 @@ def iid_delay_bound(n: int, r: float, p_hat: float, p_out: float,
     if x < 0 or p_in == 0.0:
         few_neighbors = 1.0 if x >= 0 else 0.0
     elif tail == "exact":
+        # imported here: scipy.stats dominates the package's import time
+        from scipy.stats import binom
         few_neighbors = float(binom.cdf(x, n - 2, p_in))
     else:
         few_neighbors = binomial_chernoff_tail(n - 2, p_in, x)

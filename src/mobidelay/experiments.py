@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .analytics import format_real, p_hat_bounds_iid, p_hat_bounds_levy, \
     p_out_bounds, cosine_diff_tail_constants, ccdf_geometric_bound, dumps_stable
@@ -427,6 +426,9 @@ def neighbor_binomial_gof(samples: Sequence[int], n: int, p_out_c: float,
     freedom is spent.  Cells are pooled so every expectation is at least
     5.  Passing means not rejected at the 1% level.
     """
+    # imported here: scipy.stats dominates the package's import time
+    from scipy import stats
+
     counts = np.asarray(samples, dtype=np.int64)
     if counts.size < 10_000:
         raise ValueError("need at least 10^4 samples")

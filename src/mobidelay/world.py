@@ -26,10 +26,12 @@ at any flight length:
     all such pairs of the slot, with every piece taken from the
     closed-form period-2 cycle;
   * enormous wrap counts: the union walk up to the faster node's first
-    wrap; past it, candidate times are localised by convex distance
-    functions of the slower node's pieces to the faster node's two
-    chords, and only the chord-traversal windows inside those candidates
-    are tested.
+    wrap; past it, the periodic search, one vector pass over all such
+    pairs of the slot.  Each of the slower node's piece classes is within
+    r of each of the faster node's two chords over one closed-form phase
+    interval, where its line crosses the chord's capsule, and only the
+    chord windows inside those intervals are tested, lazily, up to the
+    first hit.
 
 Randomness discipline (STREAM_VERSION 2): the batch runners
 pair_meeting_times and scheme_delays shard trials into fixed 1024-trial
@@ -92,7 +94,8 @@ SALT_MC = 14
 # wrap-count threshold between the union walk and the periodic candidate
 # search
 _CAP_UNION = 2048
-# hard cap on exact window tests per slot in the periodic search
+# hard cap on the windows one pair's periodic search may enumerate in a
+# slot
 _WINDOW_BUDGET = 5_000_000
 
 _BLOCK = 1024
@@ -153,29 +156,6 @@ def trial_stream(master_seed: int, salt: int, index: int) -> np.random.Generator
 
 # ---------------------------------------------------------------------------
 # slot paths and the exact contact engine
-
-
-def _seg_hit(ax: float, ay: float, bx: float, by: float, r: float):
-    """Earliest s in [0,1] with |(1-s)(ax,ay) + s(bx,by)| <= r, else None."""
-    c = ax * ax + ay * ay - r * r
-    if c <= 0.0:
-        return 0.0
-    dx = bx - ax
-    dy = by - ay
-    a = dx * dx + dy * dy
-    if a == 0.0:
-        return None
-    b = ax * dx + ay * dy
-    if b >= 0.0:
-        return None
-    # the line's clearance decides the touch: b*b - a*c equals
-    # a*r*r - cross**2, but cancels catastrophically near a tangent.
-    # Clearance exactly r is an exact tangent touch; contact is inclusive
-    cross = ax * dy - ay * dx
-    if cross * cross > a * (r * r):
-        return None
-    s = (-b - math.sqrt(max(b * b - a * c, 0.0))) / a
-    return s if s <= 1.0 else None
 
 
 # math.hypot is correctly rounded and np.hypot is not; wrapped positions
@@ -239,183 +219,6 @@ def _piece(x0, y0, dx, dy, g, m):
             np.where(still, 0.0, dx), np.where(still, 0.0, dy))
 
 
-class _SlotPath:
-    """One path's _Wraps as Python scalars, for the periodic search."""
-
-    __slots__ = ("x0", "y0", "dx", "dy", "t1", "dt", "n_wraps",
-                 "ax", "ay", "bx", "by", "frozen", "_arrays")
-
-    def __init__(self, x0, y0, dx, dy, R):
-        self.x0, self.y0, self.dx, self.dy = x0, y0, dx, dy
-        arrays = [np.array([v], dtype=float) for v in (x0, y0, dx, dy)]
-        g = _wrap_geometry(*arrays, R)
-        self._arrays = arrays, g
-        self.t1, self.dt, self.ax, self.ay, self.bx, self.by = (
-            float(v[0]) for v in (g.t1, g.dt, g.ax, g.ay, g.bx, g.by))
-        self.n_wraps = 1 + int(g.m_last[0])
-        self.frozen = bool(g.frozen[0])
-
-    def pos(self, t: float):
-        m = -1 if t <= self.t1 else int((t - self.t1) / self.dt)
-        arrays, g = self._arrays
-        t0, px, py, vx, vy = (float(v[0]) for v in _piece(*arrays, g, np.array([m])))
-        return px + vx * (t - t0), py + vy * (t - t0)
-
-    def end_pos(self):
-        return self.pos(1.0)
-
-
-def _convex_sublevel(px, py, vx, vy, dur, sx0, sy0, sx1, sy1, r):
-    """{phi in [0, dur] : dist(point(phi), segment) <= r} for a linear point.
-
-    Distance from an affinely moving point to a fixed segment is convex in
-    phi, so the sublevel set is one interval; returns (phi_lo, phi_hi) or
-    None.  Crossings are bracketed by bisection to ~1e-13*dur; the caller
-    pads its window enumeration by one window either side.
-    """
-
-    def g(ph):
-        qx = px + vx * ph
-        qy = py + vy * ph
-        dx = sx1 - sx0
-        dy = sy1 - sy0
-        den = dx * dx + dy * dy
-        ex = qx - sx0
-        ey = qy - sy0
-        if den > 0.0:
-            t = (ex * dx + ey * dy) / den
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            ex -= t * dx
-            ey -= t * dy
-        return math.hypot(ex, ey)
-
-    lo_v = g(0.0)
-    hi_v = g(dur)
-    # ternary search for the convex minimum
-    a, b = 0.0, dur
-    for _ in range(80):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if g(m1) <= g(m2):
-            b = m2
-        else:
-            a = m1
-    pm = 0.5 * (a + b)
-    if g(pm) > r:
-        return None
-
-    def cross(lo, hi, inside_at_hi):
-        # one crossing of r in [lo, hi]; keep the bracket around it
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if (g(mid) <= r) == inside_at_hi:
-                hi = mid
-            else:
-                lo = mid
-        return lo if inside_at_hi else hi
-
-    # enter branch: outside at 0, inside at pm; exit branch: the reverse
-    phi_lo = 0.0 if lo_v <= r else cross(0.0, pm, True)
-    phi_hi = dur if hi_v <= r else cross(pm, dur, False)
-    return phi_lo, phi_hi
-
-
-def _periodic_search(fast: _SlotPath, slow: _SlotPath, r: float):
-    """Earliest contact from fast.t1 on, for a node that wraps too often
-    to enumerate; the union walk covers the motion before fast.t1.
-
-    For t >= fast.t1 the fast node occupies one of its two chords, so any
-    contact instant satisfies dist(slow(t), chord) <= r for the active
-    chord.  The slow node's pieces fall into at most four spatial classes
-    (pre-wrap piece, chord A, chord B, final partial piece); per class and
-    per fast chord the candidate times form one phase interval, repeated
-    at the class period.  Only fast windows inside candidates are tested.
-    """
-    budget = _WINDOW_BUDGET
-    best = math.inf
-    dtf = fast.dt
-
-    # slow-node classes: (piece duration, anchor, velocity, start0, step, count)
-    classes = []
-    if slow.n_wraps == 0:
-        classes.append((1.0, slow.x0, slow.y0, slow.dx, slow.dy, 0.0, 1.0, 1))
-    else:
-        classes.append((slow.t1, slow.x0, slow.y0, slow.dx, slow.dy, 0.0, 1.0, 1))
-        if slow.frozen:
-            classes.append((1.0 - slow.t1, slow.ax, slow.ay, 0.0, 0.0, slow.t1, 1.0, 1))
-        else:
-            dts = slow.dt
-            m_full = int((1.0 - slow.t1) / dts)
-            n_a = (m_full + 1) // 2
-            n_b = m_full // 2
-            if n_a:
-                classes.append((dts, slow.ax, slow.ay, slow.dx, slow.dy,
-                                slow.t1, 2.0 * dts, n_a))
-            if n_b:
-                classes.append((dts, slow.bx, slow.by, slow.dx, slow.dy,
-                                slow.t1 + dts, 2.0 * dts, n_b))
-            t_part = slow.t1 + m_full * dts
-            if t_part < 1.0:
-                anch = (slow.ax, slow.ay) if m_full % 2 == 0 else (slow.bx, slow.by)
-                classes.append((1.0 - t_part, anch[0], anch[1], slow.dx, slow.dy,
-                                t_part, 1.0, 1))
-
-    last_fast_piece = fast.n_wraps - 1
-    for chord_par, (cx, cy) in ((0, (fast.ax, fast.ay)), (1, (fast.bx, fast.by))):
-        sx1 = cx + fast.dx * dtf
-        sy1 = cy + fast.dy * dtf
-        for dur, px, py, vx, vy, start0, step, count in classes:
-            if dur <= 0.0:
-                continue
-            sub = _convex_sublevel(px, py, vx, vy, dur, cx, cy, sx1, sy1, r)
-            if sub is None:
-                continue
-            phi_lo, phi_hi = sub
-            hit_t = None
-            for k in range(count):
-                o = start0 + k * step
-                w_lo = max(o + phi_lo, fast.t1, o)
-                w_hi = min(o + phi_hi, 1.0, o + dur)
-                if w_hi < w_lo:
-                    continue
-                m0 = int((w_lo - fast.t1) / dtf) - 2
-                m1 = int((w_hi - fast.t1) / dtf) + 2
-                if m0 % 2 != chord_par:
-                    m0 += 1
-                for m in range(max(m0, chord_par), min(m1, last_fast_piece) + 1, 2):
-                    wa = fast.t1 + m * dtf
-                    wb = min(wa + dtf, 1.0)
-                    # charge every enumerated window, collapsed ones too, so
-                    # a flight that wraps ~1e18 times fails in bounded time
-                    budget -= 1
-                    if budget < 0:
-                        raise RuntimeError("slot contact search budget exceeded")
-                    a = max(wa, w_lo, o)
-                    b = min(wb, w_hi, o + dur)
-                    if b <= a:
-                        continue
-                    fx0 = cx + fast.dx * (a - wa)
-                    fy0 = cy + fast.dy * (a - wa)
-                    fx1 = cx + fast.dx * (b - wa)
-                    fy1 = cy + fast.dy * (b - wa)
-                    yx0 = px + vx * (a - o)
-                    yy0 = py + vy * (a - o)
-                    yx1 = px + vx * (b - o)
-                    yy1 = py + vy * (b - o)
-                    s = _seg_hit(fx0 - yx0, fy0 - yy0, fx1 - yx1, fy1 - yy1, r)
-                    if s is not None:
-                        hit_t = a + s * (b - a)
-                        break
-                if hit_t is not None:
-                    break
-            if hit_t is not None and hit_t < best:
-                best = hit_t
-    return None if math.isinf(best) else best
-
-
 # ---------------------------------------------------------------------------
 # the lockstep block engine
 
@@ -425,9 +228,9 @@ def _relay_slot_hits_np(rxs, rys, rexs, reys, dx0, dy0, dx1, dy1, r):
 
     Carrier i moves straight from (rxs[i], rys[i]) to (rexs[i], reys[i])
     and its destination from (dx0[i], dy0[i]) to (dx1[i], dy1[i]); all
-    paths must be wrap-free.  The arithmetic is _seg_hit's element for
-    element, boundary inclusive.  Returns the hit fractions, inf where
-    there is none.
+    paths must be wrap-free.  This is the engine's one contact rule:
+    the earliest root of the clamped distance quadratic, boundary
+    inclusive.  Returns the hit fractions, inf where there is none.
     """
     ax = rxs - dx0
     ay = rys - dy0
@@ -437,7 +240,9 @@ def _relay_slot_hits_np(rxs, rys, rexs, reys, dx0, dy0, dx1, dy1, r):
     a = ddx * ddx + ddy * ddy
     b = ax * ddx + ay * ddy
     cross = ax * ddy - ay * ddx
-    # touch decided by the line's clearance, as in _seg_hit
+    # the line's clearance decides the touch: b*b - a*c equals
+    # a*r*r - cross**2 but cancels catastrophically near a tangent.
+    # Clearance exactly r is an exact tangent touch; contact is inclusive
     s = np.divide(-b - np.sqrt(np.maximum(b * b - a * c, 0.0)), a, out=np.full(a.shape, np.inf),
                   where=(b < 0.0) & (cross * cross <= a * (r * r)))
     s[s > 1.0] = np.inf
@@ -451,8 +256,9 @@ def _per_trial_min(values, owner, size):
     return out
 
 
-# pieces the union walk lays out at once, which bounds its memory however
-# many pairs wrap; a pair with more pieces is walked alone
+# pieces the union walk, or windows the periodic search, lays out at once,
+# which bounds their memory however many pairs wrap; a pair with more
+# pieces is walked alone
 _UNION_PIECES = 1 << 15
 
 
@@ -538,6 +344,169 @@ def _union_chunk(x0, y0, dx, dy, g, count, paths, stop, r):
     return out
 
 
+def _band(alpha, beta, top):
+    """Phases phi with 0 <= alpha + beta phi <= top, as (lo, hi); NaN where none."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = -alpha / beta
+        q = (top - alpha) / beta
+    inside = (alpha >= 0.0) & (alpha <= top)
+    flat = beta == 0.0
+    return (np.where(flat, np.where(inside, -np.inf, np.nan), np.minimum(p, q)),
+            np.where(flat, np.where(inside, np.inf, np.nan), np.maximum(p, q)))
+
+
+def _capsule(px, py, vx, vy, dur, cx, cy, wx, wy, r):
+    """Phases phi in [0, dur] where (px, py) + (vx, vy) phi is within r of
+    the segment from (cx, cy) to (cx + wx, cy + wy), as (lo, hi).
+
+    The set is where the point's line crosses the capsule, the segment
+    grown by r: the union of its crossings of the two end discs and of the
+    slab over the segment, one interval because the capsule is convex.
+    Exact up to rounding; lo <= hi fails where the set is empty.
+    """
+    ex = px - cx
+    ey = py - cy
+    vv = vx * vx + vy * vy
+    lo = hi = np.nan
+    for ox, oy in ((ex, ey), (ex - wx, ey - wy)):
+        b = ox * vx + oy * vy
+        c = ox * ox + oy * oy - r * r
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = np.sqrt(b * b - vv * c)
+            # a parked point is inside for every phase or none
+            lo = np.fmin(lo, np.where(vv == 0.0, np.where(c <= 0.0, -np.inf, np.nan), (-b - root) / vv))
+            hi = np.fmax(hi, np.where(vv == 0.0, np.where(c <= 0.0, np.inf, np.nan), (-b + root) / vv))
+    ww = wx * wx + wy * wy
+    rw = r * np.sqrt(ww)
+    # along the segment and at most r across it; a point segment has no slab
+    l1, h1 = _band(ex * wx + ey * wy, vx * wx + vy * wy, ww)
+    l2, h2 = _band(wx * ey - wy * ex + rw, wx * vy - wy * vx, 2.0 * rw)
+    l1 = np.maximum(l1, l2)
+    h1 = np.minimum(h1, h2)
+    slab = (ww > 0.0) & (l1 <= h1)
+    lo = np.fmin(lo, np.where(slab, l1, np.nan))
+    hi = np.fmax(hi, np.where(slab, h1, np.nan))
+    return np.maximum(lo, 0.0), np.minimum(hi, dur)
+
+
+def _periodic_search(x0, y0, dx, dy, g, fast, slow, r):
+    """Earliest contact of each pair from the first wrap of its fast path.
+
+    Pair k is paths fast[k] and slow[k] of the path arrays and _Wraps g;
+    the union walk covers the motion before the fast path's first wrap.
+    From then on the fast node is on one of its two chords, so a contact
+    needs the slow node within r of the active chord.  The slow path's
+    pieces fall into four classes, each one piece repeated every two
+    chords: the pre-wrap piece, the even and the odd full chords, and the
+    last piece (or the stand of a frozen path).  For each class and fast
+    chord, a row, the slow node is within r of the chord over one phase
+    interval of its piece (_capsule), and only the fast windows on that
+    chord inside it are tested.  Rows enumerate their windows in time
+    order, each up to its first hit, in batches of at most _UNION_PIECES
+    windows over all rows; a pair's contact is the earliest of its rows'
+    hits.
+    Every enumerated window, collapsed ones too, is charged to the pair, so
+    a flight that wraps ~1e18 times fails in bounded time.  Returns the
+    times, inf where none.
+    """
+    K = fast.size
+    L = g.m_last[slow]
+    # rows pair-major, chord A then B; row class j starts at slow piece
+    # first[j] and repeats every two pieces count[j] times
+    first = np.stack((np.full(K, -1.0), np.zeros(K), np.ones(K), L), axis=1)
+    count = np.stack((np.ones(K), np.floor((L + 1.0) / 2.0), np.floor(L / 2.0), L >= 0.0), axis=1)
+    pair = np.repeat(np.arange(K), 8)
+    par = np.tile(np.repeat([0.0, 1.0], 4), K)
+    mj = np.tile(first, 2).ravel()
+    count = np.tile(count, 2).ravel()
+    keep = count > 0.0
+    pair, par, mj, count = pair[keep], par[keep], mj[keep], count[keep]
+
+    def piece(paths, m):
+        return _piece(x0[paths], y0[paths], dx[paths], dy[paths], _Wraps(*(v[paths] for v in g)), m)
+
+    f = fast[pair]
+    s = slow[pair]
+    t0, px, py, vx, vy = piece(s, mj)
+    dur = np.where(mj < 0.0, np.minimum(g.t1[s], 1.0), np.where(mj == g.m_last[s], 1.0 - t0, g.dt[s]))
+    _, cx, cy, wx, wy = piece(f, par)
+    span = np.where(g.frozen[f], 0.0, g.dt[f])
+    lo, hi = _capsule(px, py, vx, vy, dur, cx, cy, wx * span, wy * span, r)
+    with np.errstate(invalid="ignore"):
+        # repeats that end before the fast path's first wrap have no window
+        rep = np.where(count > 1.0, np.maximum(
+            np.floor((g.t1[f] - t0 - hi) / (2.0 * g.dt[s])) - 1.0, 0.0), 0.0)
+    m_at = np.full(pair.size, -np.inf)  # where a row resumes within repeat rep
+    t = np.full(K, np.inf)
+    spent = np.zeros(K)
+    rows = np.flatnonzero((lo <= hi) & (dur > 0.0) & (rep < count))
+    batch = 4
+    while rows.size:
+        # most rows hit within a few windows: batches start small and double
+        quota = max(1, min(batch, _UNION_PIECES // rows.size))
+        batch *= 2
+        # items: the next repeats of each row, at most quota of them
+        n_items = np.minimum(count[rows] - rep[rows], quota).astype(np.int64)
+        item_row = np.repeat(np.arange(rows.size), n_items)
+        it = rows[item_row]
+        j = np.arange(it.size) - np.repeat(np.cumsum(n_items) - n_items, n_items)
+        o, spx, spy, svx, svy = piece(s[it], mj[it] + 2.0 * (rep[it] + j))
+        fi = f[it]
+        # hi <= dur, so w_hi is within the slow piece
+        w_lo = np.maximum(o + lo[it], g.t1[fi])
+        w_hi = np.minimum(o + hi[it], 1.0)
+        # the fast windows on the row's chord that meet [w_lo, w_hi], with
+        # two spare either side for rounding in the window index
+        m0 = np.floor((w_lo - g.t1[fi]) / g.dt[fi]) - 2.0
+        m0 += (m0 - par[it]) % 2.0
+        m0 = np.maximum(np.maximum(m0, par[it]), np.where(j == 0, m_at[it], -np.inf))
+        m1 = np.minimum(np.floor((w_hi - g.t1[fi]) / g.dt[fi]) + 2.0, g.m_last[fi])
+        n = np.where(w_hi >= w_lo, np.maximum(np.floor((m1 - m0) / 2.0) + 1.0, 0.0), 0.0)
+        # at most quota windows per row, in time order
+        before = np.cumsum(n) - n
+        before -= np.repeat(before[np.cumsum(n_items) - n_items], n_items)
+        take = np.minimum(n, np.maximum(quota - before, 0.0)).astype(np.int64)
+        wi = np.repeat(np.arange(it.size), take)
+        m = m0[wi] + 2.0 * (np.arange(wi.size) - np.repeat(np.cumsum(take) - take, take))
+        fw = fi[wi]
+        wa, fx, fy, fvx, fvy = piece(fw, m)
+        a = np.maximum(wa, w_lo[wi])
+        b = np.minimum(np.minimum(wa + g.dt[fw], 1.0), w_hi[wi])
+        ow = o[wi]
+        hit_s = _relay_slot_hits_np(fx + fvx * (a - wa), fy + fvy * (a - wa),
+                                    fx + fvx * (b - wa), fy + fvy * (b - wa),
+                                    spx[wi] + svx[wi] * (a - ow), spy[wi] + svy[wi] * (a - ow),
+                                    spx[wi] + svx[wi] * (b - ow), spy[wi] + svy[wi] * (b - ow), r)
+        h = np.flatnonzero((b > a) & np.isfinite(hit_s))
+        hr = item_row[wi[h]]
+        first_hit = np.diff(hr, prepend=-1) != 0
+        h = h[first_hit]
+        hr = hr[first_hit]
+        np.minimum.at(t, pair[rows[hr]], a[h] + hit_s[h] * (b[h] - a[h]))
+        # charge each row its windows up to and including its first hit
+        charge = np.bincount(item_row, take, minlength=rows.size)
+        charge[hr] = h - (np.cumsum(charge) - charge)[hr] + 1
+        np.add.at(spent, pair[rows], charge)
+        if spent.max() > _WINDOW_BUDGET:
+            raise RuntimeError("slot contact search budget exceeded")
+        # resume at the first repeat not taken whole
+        rep_next = rep[rows] + n_items
+        m_next = np.full(rows.size, -np.inf)
+        cut = np.flatnonzero(take < n)
+        cr = item_row[cut]
+        first_cut = np.diff(cr, prepend=-1) != 0
+        cut = cut[first_cut]
+        cr = cr[first_cut]
+        rep_next[cr] = rep[it[cut]] + j[cut]
+        m_next[cr] = m0[cut] + 2.0 * take[cut]
+        rep[rows] = rep_next
+        m_at[rows] = m_next
+        alive = rep_next < count[rows]
+        alive[hr] = False
+        rows = rows[alive]
+    return t
+
+
 def _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
     """Exact earliest in-slot contact of each pair of paths.
 
@@ -557,12 +526,10 @@ def _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
     periodic = n1 + n2 > _CAP_UNION
     stop = np.where(periodic, np.where(first_fast, g.t1[:K], g.t1[K:]), 1.0)
     t = _union_walk(x0, y0, dx, dy, g, stop, r)
-    for k in np.flatnonzero(periodic & np.isinf(t)).tolist():
-        p1 = _SlotPath(float(x1[k]), float(y1[k]), float(d1x[k]), float(d1y[k]), R)
-        p2 = _SlotPath(float(x2[k]), float(y2[k]), float(d2x[k]), float(d2y[k]), R)
-        hit = _periodic_search(*((p1, p2) if first_fast[k] else (p2, p1)), r)
-        if hit is not None:
-            t[k] = hit
+    k = np.flatnonzero(periodic & np.isinf(t))
+    if k.size:
+        fast = np.where(first_fast[k], k, K + k)
+        t[k] = _periodic_search(x0, y0, dx, dy, g, fast, np.where(first_fast[k], K + k, k), r)
     t0, px, py, vx, vy = _piece(x0, y0, dx, dy, g, g.m_last)
     ex = px + vx * (1.0 - t0)
     ey = py + vy * (1.0 - t0)

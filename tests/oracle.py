@@ -7,8 +7,10 @@ instead, keeping every linear piece, and finds first contact by scanning
 the merged relative-motion pieces in time order.  It shares no code with
 the package, so agreement between the two is evidence for both.
 
-Also here: the closed-form central angle of the miss arc, the reference
-the segment-distance tests check their arc membership against.
+Also here: ``seg_hit``, the scalar contact rule the vector kernel is
+checked against element for element, and the closed-form central angle
+of the miss arc, the reference the segment-distance tests check their
+arc membership against.
 """
 
 from __future__ import annotations
@@ -134,6 +136,31 @@ def _earliest_within(ax, ay, bx, by, r):
     b = ax * dx + ay * dy
     c = ax * ax + ay * ay - r * r
     return (-b - math.sqrt(max(b * b - a * c, 0.0))) / a
+
+
+def seg_hit(ax: float, ay: float, bx: float, by: float, r: float) -> float | None:
+    """Earliest s in [0, 1] with |(1-s)(ax, ay) + s(bx, by)| <= r, else None.
+
+    The scalar form of the engine's contact rule, boundary inclusive: the
+    line's clearance decides a touch, since b*b - a*c, which equals
+    a*r*r - cross**2, cancels catastrophically near a tangent.
+    """
+    c = ax * ax + ay * ay - r * r
+    if c <= 0.0:
+        return 0.0
+    dx = bx - ax
+    dy = by - ay
+    a = dx * dx + dy * dy
+    if a == 0.0:
+        return None
+    b = ax * dx + ay * dy
+    if b >= 0.0:
+        return None
+    cross = ax * dy - ay * dx
+    if cross * cross > a * (r * r):
+        return None
+    s = (-b - math.sqrt(max(b * b - a * c, 0.0))) / a
+    return s if s <= 1.0 else None
 
 
 def first_contact(rel: list[Piece], r: float) -> float | None:

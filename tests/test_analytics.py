@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gamma as gamma_fn
 
+import oracle
 from mobidelay.analytics import (
     BoundReport,
     Estimate,
@@ -43,7 +44,6 @@ from mobidelay.geometry import uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
     _pair_slot_contacts,
-    _seg_hit,
     pair_meeting_times,
     scheme_delays,
     trial_stream,
@@ -221,8 +221,8 @@ def test_h1_matches_conditioned_simulation_iid():
     for x1, y1, x2, y2 in pairs:
         nx1, ny1 = uniform_points_in_disc(rng, R, 1)
         nx2, ny2 = uniform_points_in_disc(rng, R, 1)
-        hit = _seg_hit(x1 - x2, y1 - y2,
-                       float(nx1[0] - nx2[0]), float(ny1[0] - ny2[0]), r)
+        hit = oracle.seg_hit(x1 - x2, y1 - y2,
+                             float(nx1[0] - nx2[0]), float(ny1[0] - ny2[0]), r)
         hits += hit is not None
     frac = hits / len(pairs)
     se_sim = math.sqrt(frac * (1 - frac) / len(pairs))

@@ -230,6 +230,20 @@ def test_module_entry_point(tmp_path):
     assert (out / "bounds.json").exists()
 
 
+def test_cli_and_a_meet_run_leave_scipy_unloaded(tmp_path):
+    # scipy.stats is most of the package's import time; only the exact
+    # binomial bound and the goodness-of-fit test load it
+    code = ("import sys\n"
+            "import mobidelay.cli as cli\n"
+            f"code = cli.main(['meet', '--n', '100', '--r', '2', '--trials', '200',"
+            f" '--horizon', '50', '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_help_documents_defaults():
     proc = subprocess.run(
         [sys.executable, "-m", "mobidelay.cli", "bounds", "--help"],

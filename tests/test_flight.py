@@ -15,7 +15,7 @@ from mobidelay.flight import (
     sample_stable_symmetric_np,
 )
 from mobidelay.geometry import uniform_points_in_disc
-from mobidelay.world import _SlotPath
+from slot_path import SlotPath
 
 RNG = lambda seed: np.random.default_rng(seed)
 
@@ -211,14 +211,14 @@ def test_flight_isotropy_under_rotation(flight_batch):
 
 
 def test_next_position_levy_matches_wrap_rules():
-    still = _SlotPath(3.0, 4.0, 0.0, 0.0, 10.0)
+    still = SlotPath(3.0, 4.0, 0.0, 0.0, 10.0)
     assert still.n_wraps == 0 and still.end_pos() == (3.0, 4.0)
 
-    step = _SlotPath(0.0, 0.0, 1.0, 0.0, 10.0)  # along +x
+    step = SlotPath(0.0, 0.0, 1.0, 0.0, 10.0)  # along +x
     assert step.n_wraps == 0
     assert step.end_pos()[0] == pytest.approx(1.0, rel=1e-12)
 
-    wrapped = _SlotPath(9.0, 0.0, 2.0, 0.0, 10.0)  # exits at (10, 0)
+    wrapped = SlotPath(9.0, 0.0, 2.0, 0.0, 10.0)  # exits at (10, 0)
     assert wrapped.n_wraps == 1
     assert wrapped.t1 == pytest.approx(0.5, abs=1e-12)
     ex, ey = wrapped.end_pos()
@@ -265,7 +265,7 @@ def test_pair_distance_density_bounded_by_2x_over_n():
 
 
 def test_interpolate_examples():
-    p = _SlotPath(0.0, 0.0, 2.0, 4.0, 10.0)
+    p = SlotPath(0.0, 0.0, 2.0, 4.0, 10.0)
     assert p.pos(0.0) == (0.0, 0.0)
     assert p.pos(1.0) == (2.0, 4.0)
     assert p.pos(0.5) == (1.0, 2.0)
@@ -277,6 +277,6 @@ def test_interpolate_examples():
 @settings(max_examples=200, deadline=None)
 def test_interpolate_affine(ax, ay, bx, by, d):
     # both endpoints lie in the disc of radius 20, so the chord does too
-    px, py = _SlotPath(ax, ay, bx - ax, by - ay, 20.0).pos(d)
+    px, py = SlotPath(ax, ay, bx - ax, by - ay, 20.0).pos(d)
     assert px == pytest.approx((1 - d) * ax + d * bx, abs=1e-12)
     assert py == pytest.approx((1 - d) * ay + d * by, abs=1e-12)

@@ -11,7 +11,7 @@ from scipy import stats
 
 from mobidelay.analytics import estimate_H1_mc
 from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
-from mobidelay.world import _seg_hit
+from mobidelay.world import _relay_slot_hits_np
 from oracle import central_angle_phi, wrap_flight
 
 RNG = lambda seed: np.random.default_rng(seed)
@@ -119,14 +119,18 @@ def test_min_dist_symmetry_and_endpoint_bound(ax, ay, bx, by, qx, qy):
 # clears the origin by 1.2e-7, where b*b - a*c cancels to a touch
 @example(ax=0.0, ay=16.0, bx=1.192092896e-07, by=0.0, r=0.0, bump=0.0)
 def test_segment_hits_disc_monotone_in_r(ax, ay, bx, by, r, bump):
-    # the engine's contact root agrees with the distance verdict away from
+    # the engine's contact rule agrees with the distance verdict away from
     # the boundary, and a hit at range r stays a hit at any larger range
-    hit = _seg_hit(ax, ay, bx, by, r) is not None
+    def hits(rr):
+        s = _relay_slot_hits_np(*(np.array([v]) for v in (ax, ay, bx, by)), 0.0, 0.0, 0.0, 0.0, rr)
+        return bool(np.isfinite(s[0]))
+
+    hit = hits(r)
     d = _dist((ax, ay), (bx, by), (0.0, 0.0))
     if abs(d - r) > 1e-7:
         assert hit == (d <= r)
     if hit:
-        assert _seg_hit(ax, ay, bx, by, r + bump) is not None
+        assert hits(r + bump)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,18 @@ from scipy import stats
 import oracle
 from mobidelay import world
 from mobidelay.flight import FlightLaw, sample_flight_steps
-from mobidelay.geometry import uniform_points_in_disc
+from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
     _pair_slot_contacts,
     _piece,
     _relay_slot_hits_np,
-    _seg_hit,
-    _SlotPath,
     _wrap_geometry,
     pair_meeting_times,
     scheme_delays,
     trial_stream,
 )
+from slot_path import SlotPath
 
 RNG = lambda seed: np.random.default_rng(seed)
 
@@ -135,6 +134,74 @@ def test_periodic_search_exact_at_large_wrap_counts(monkeypatch):
             assert tc == pytest.approx(tb, abs=1e-9)
 
 
+def test_periodic_search_stops_at_the_first_hit_of_a_huge_wrap_count(monkeypatch):
+    # the fast node runs along y = 6 and wraps 1e12 times between the
+    # chords y = -6 (A, even windows) and y = 6 (B, odd windows); the parked
+    # node at (-4, 6.5) is within r = 1 of chord B only, for the whole slot.
+    # The first candidate is window 1, entered at x = -8 at t1 + dt, and
+    # contact comes at x = -4 - sqrt(0.75).  The ~1e12 windows after it are
+    # never charged: a budget of 3 covers the union walk's 3 pieces before
+    # the first wrap and the search's one window
+    R = 10.0
+    z = 16e12
+    monkeypatch.setattr(world, "_WINDOW_BUDGET", 3)
+    t, *_ = _contact(0.0, 6.0, z, 0.0, -4.0, 6.5, 0.0, 0.0, R, 1.0)
+    g = _wrap_geometry(*(np.array([v]) for v in (0.0, 6.0, z, 0.0)), R)
+    assert g.m_last[0] + 1.0 >= 1e12  # wraps
+    assert g.t1[0] == 8.0 / z and g.dt[0] == 16.0 / z
+    assert t == pytest.approx((8.0 + 16.0 + 4.0 - math.sqrt(0.75)) / z, rel=1e-12)
+
+
+def test_periodic_search_is_independent_of_its_batch_size(monkeypatch):
+    # rows resume where the previous batch stopped: tiny batches find the
+    # same contacts, bit for bit, as one pass
+    rng = RNG(115)
+    R = 20.0
+    slots = [_random_slot(rng, R, huge=True) for _ in range(40)]
+    cols = [np.array(c, dtype=float) for c in zip(*slots)]
+    monkeypatch.setattr(world, "_CAP_UNION", 0)
+    want = _pair_slot_contacts(*cols, R, 2.0)[0]
+    assert np.isfinite(want).sum() > 10
+    monkeypatch.setattr(world, "_UNION_PIECES", 3)
+    assert np.array_equal(_pair_slot_contacts(*cols, R, 2.0)[0], want)
+
+
+def test_capsule_interval_is_where_the_point_is_within_r():
+    # the closed-form phase interval against the segment distance: its
+    # ends sit at distance r unless clipped to 0 or dur, its midpoint is
+    # within r, and where it is empty a fine grid never comes within r
+    rng = RNG(114)
+    n = 2000
+    px, py, cx, cy = rng.uniform(-10.0, 10.0, (4, n))
+    vx, vy, wx, wy = rng.normal(0.0, 8.0, (4, n))
+    r = rng.uniform(0.2, 3.0, n)
+    dur = rng.uniform(0.1, 1.0, n)
+    # parked points, then lines parallel to the segment, all starting
+    # about the segment's middle
+    px[:400] = cx[:400] + 0.5 * wx[:400] + rng.normal(0.0, 3.0, 400)
+    py[:400] = cy[:400] + 0.5 * wy[:400] + rng.normal(0.0, 3.0, 400)
+    vx[:200] = vy[:200] = 0.0
+    vx[200:400] = -0.7 * wx[200:400]
+    vy[200:400] = -0.7 * wy[200:400]
+    lo, hi = world._capsule(px, py, vx, vy, dur, cx, cy, wx, wy, r)
+
+    def dist(phi):
+        return segment_point_dist_np(cx, cy, cx + wx, cy + wy, px + vx * phi, py + vy * phi)
+
+    full = lo <= hi
+    for part in (slice(0, 200), slice(200, 400), slice(400, n)):
+        assert 20 < full[part].sum() < full[part].size - 20
+    for end, clip in ((lo, 0.0), (hi, dur)):
+        d = dist(np.where(full, end, 0.0))
+        on_circle = full & (end != clip)
+        assert on_circle[400:].sum() > 100
+        np.testing.assert_allclose(d[on_circle], r[on_circle], rtol=0, atol=1e-9)
+        assert np.all(d[full] <= r[full] + 1e-9)
+    assert np.all(dist(0.5 * (lo + hi))[full] <= r[full])
+    grid = np.linspace(0.0, 1.0, 2001)[:, None] * dur
+    assert np.all(dist(grid).min(axis=0)[~full] > r[~full])
+
+
 def test_contact_time_lies_on_range_circle():
     # away from teleport instants the first contact must land exactly on
     # distance r; at a teleport the re-entry value may already be inside
@@ -149,8 +216,8 @@ def test_contact_time_lies_on_range_circle():
         t, *_ = _contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r)
         if t is None:
             continue
-        p1 = _SlotPath(x1, y1, d1x, d1y, R)
-        p2 = _SlotPath(x2, y2, d2x, d2y, R)
+        p1 = SlotPath(x1, y1, d1x, d1y, R)
+        p2 = SlotPath(x2, y2, d2x, d2y, R)
         at_jump = False
         for p in (p1, p2):
             if p.n_wraps and not math.isinf(p.t1):
@@ -172,38 +239,40 @@ def test_slot_paths_never_leave_disc():
     R = 20.0
     for _ in range(200):
         x1, y1, d1x, d1y, *_ = _random_slot(rng, R)
-        p = _SlotPath(x1, y1, d1x, d1y, R)
+        p = SlotPath(x1, y1, d1x, d1y, R)
         for t in np.linspace(0, 1, 97):
             qx, qy = p.pos(float(t))
             assert math.hypot(qx, qy) <= R * (1 + 1e-9)
 
 
+def _hit_parked(ax, ay, bx, by, r):
+    # the engine's contact rule for a carrier moving from a to b against a
+    # destination parked at the origin
+    s = _relay_slot_hits_np(*(np.array([v]) for v in (ax, ay, bx, by)), 0.0, 0.0, 0.0, 0.0, r)
+    return float(s[0])
+
+
 def test_seg_hit_boundary_inclusive():
-    assert _seg_hit(0.0, 3.0, 0.0, 5.0, 3.0) == 0.0
-    assert _seg_hit(-2.0, 1.0, 2.0, 1.0, 1.0) == pytest.approx(0.5)
-    assert _seg_hit(0.0, 3.0, 0.0, 5.0, 1.0) is None
+    assert _hit_parked(0.0, 3.0, 0.0, 5.0, 3.0) == 0.0
+    assert _hit_parked(-2.0, 1.0, 2.0, 1.0, 1.0) == pytest.approx(0.5)
+    assert _hit_parked(0.0, 3.0, 0.0, 5.0, 1.0) == math.inf
 
 
 def test_vector_kernel_shares_the_inclusive_contact_rule():
     # a carrier from (-1, 2) to (1, 2) grazes the parked destination's
     # range circle r = 2 at s = 0.5: an exact tangent counts as contact
-    one = lambda v: np.array([v])
-    got = _relay_slot_hits_np(one(-1.0), one(2.0), one(1.0), one(2.0),
-                              0.0, 0.0, 0.0, 0.0, 2.0)
-    assert _seg_hit(-1.0, 2.0, 1.0, 2.0, 2.0) == 0.5
-    assert got[0] == 0.5
+    assert oracle.seg_hit(-1.0, 2.0, 1.0, 2.0, 2.0) == 0.5
+    assert _hit_parked(-1.0, 2.0, 1.0, 2.0, 2.0) == 0.5
     # a pass that clears the range circle by 1.2e-7 is no contact in either
-    got = _relay_slot_hits_np(one(0.0), one(16.0), one(1.192092896e-07), one(0.0),
-                              0.0, 0.0, 0.0, 0.0, 1e-9)
-    assert _seg_hit(0.0, 16.0, 1.192092896e-07, 0.0, 1e-9) is None
-    assert got[0] == math.inf
+    assert oracle.seg_hit(0.0, 16.0, 1.192092896e-07, 0.0, 1e-9) is None
+    assert _hit_parked(0.0, 16.0, 1.192092896e-07, 0.0, 1e-9) == math.inf
     # and both agree element for element on random straight slots
     rng = RNG(112)
     xs = rng.uniform(-5.0, 5.0, (8, 2000))
     got = _relay_slot_hits_np(*xs, 1.5)
     for i in range(xs.shape[1]):
         x1, y1, e1x, e1y, x2, y2, e2x, e2y = xs[:, i]
-        want = _seg_hit(x1 - x2, y1 - y2, e1x - e2x, e1y - e2y, 1.5)
+        want = oracle.seg_hit(x1 - x2, y1 - y2, e1x - e2x, e1y - e2y, 1.5)
         assert got[i] == (math.inf if want is None else want)
 
 
@@ -214,7 +283,7 @@ def test_vector_kernel_shares_the_inclusive_contact_rule():
 def _wraps_match_oracle(x, y, dx, dy, R):
     # wrap times and end position of one slot path against the oracle;
     # returns the path's wrap count
-    path = _SlotPath(x, y, dx, dy, R)
+    path = SlotPath(x, y, dx, dy, R)
     pieces = oracle.wrap_flight(x, y, dx, dy, R)
     want = [p.t1 for p in pieces[:-1]]
     if path.n_wraps == 0:
@@ -286,7 +355,7 @@ def _check_kernel(monkeypatch, slots, R, r):
             assert t[k] == pytest.approx(searched, abs=1e-9)
             assert t[k] == pytest.approx(walked, abs=1e-9)
         for (x, y, dx, dy), ex, ey in ((slot[:4], e1x[k], e1y[k]), (slot[4:], e2x[k], e2y[k])):
-            assert (ex, ey) == pytest.approx(_SlotPath(x, y, dx, dy, R).end_pos(), abs=1e-12 * R)
+            assert (ex, ey) == pytest.approx(SlotPath(x, y, dx, dy, R).end_pos(), abs=1e-12 * R)
     monkeypatch.undo()
     return hits
 
@@ -296,8 +365,8 @@ def test_vector_kernel_matches_periodic_search_and_oracle(monkeypatch):
     R = 20.0
     slots = [_random_slot(rng, R) for _ in range(600)]
     # keep the corpus below the cap, so the whole batch takes the walk
-    slots = [s for s in slots if _SlotPath(*s[:4], R).n_wraps
-             + _SlotPath(*s[4:], R).n_wraps <= world._CAP_UNION]
+    slots = [s for s in slots if SlotPath(*s[:4], R).n_wraps
+             + SlotPath(*s[4:], R).n_wraps <= world._CAP_UNION]
     assert len(slots) > 500
     assert _check_kernel(monkeypatch, slots, R, 1.5) > 100
 
@@ -313,7 +382,7 @@ def test_vector_kernel_matches_oracle_up_to_the_cap(data):
         z = 10.0 ** data.draw(st.floats(-1.0, 4.5))
         slot += [R * math.sqrt(rho) * math.cos(th), R * math.sqrt(rho) * math.sin(th),
                  z * math.cos(phi), z * math.sin(phi)]
-    wraps = _SlotPath(*slot[:4], R).n_wraps + _SlotPath(*slot[4:], R).n_wraps
+    wraps = SlotPath(*slot[:4], R).n_wraps + SlotPath(*slot[4:], R).n_wraps
     assume(wraps <= 2000)
     r = data.draw(st.floats(0.3, 3.0))
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -325,7 +394,7 @@ def test_vector_kernel_edge_cases():
     # a tangent exit: the node leaves (0, 10) grazing the boundary and
     # stands at the antipode (0, -10) for the whole slot, while the other
     # node passes below it at height -9.5 and wraps later (t1 = 0.76)
-    frozen = _SlotPath(0.0, 10.0, 3.0, 3e-13, R)
+    frozen = SlotPath(0.0, 10.0, 3.0, 3e-13, R)
     assert frozen.frozen and frozen.t1 == 0.0
     t, e1x, e1y, *_ = _contact(0.0, 10.0, 3.0, 3e-13, -6.0, -9.5, 12.0, 0.0, R, 1.0)
     assert t == pytest.approx((6.0 - math.sqrt(0.75)) / 12.0, abs=1e-9)
@@ -333,7 +402,7 @@ def test_vector_kernel_edge_cases():
     # only one end wraps, and the relative motion grazes the range circle
     # of the parked node exactly (clearance 2 = r) at t = 1/3
     slot = (-8.0, 2.0, 24.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert _SlotPath(*slot[:4], R).n_wraps == 1
+    assert SlotPath(*slot[:4], R).n_wraps == 1
     t, *_ = _contact(*slot, R, 2.0)
     assert t == pytest.approx(1.0 / 3.0, abs=1e-9)
     rel = oracle.relative_pieces(oracle.wrap_flight(*slot[:4], R),
