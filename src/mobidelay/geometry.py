@@ -1,8 +1,9 @@
 """Exact planar geometry on the wrapped disc, in array form.
 
 Uniform point sampling, the clamped-quadratic segment/point distance (the
-continuous contact primitive, broadcast over arrays) and the boundary
-exit of a ray, which the antipodal wrap rule in ``world`` is built on.
+continuous contact primitive, broadcast over arrays), the area a range
+ball covers of the disc, and the boundary exit of a ray, which the
+antipodal wrap rule in ``world`` is built on.
 
 Distances are plain Euclidean between wrapped positions; the wrap never
 shortcuts a distance measurement.  A flight that exits the boundary at p
@@ -19,6 +20,7 @@ import numpy as np
 __all__ = [
     "uniform_points_in_disc",
     "segment_point_dist_np",
+    "lens_area",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -50,6 +52,43 @@ def segment_point_dist_np(ax, ay, bx, by, qx=0.0, qy=0.0):
         t = np.where(den > 0.0, (px * dx + py * dy) / np.where(den > 0, den, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
     return np.hypot(px - t * dx, py - t * dy)
+
+
+def _segment(rho, beta):
+    """Area of the circular segment of half-angle beta of a radius-rho circle."""
+    # rho^2 (2 beta - sin 2 beta) / 2, by its series where that cancels
+    x = 2.0 * beta
+    x2 = x * x
+    series = x * x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0)))
+    return 0.5 * rho * rho * np.where(x < 0.1, series, x - np.sin(x))
+
+
+def lens_area(d, r: float, radius: float):
+    """Area of B(p, r) intersected with the disc of the given radius.
+
+    d = |p| broadcasts and must lie in [0, radius].  Closed form: pi r^2
+    where the ball lies in the disc (d + r <= radius), pi radius^2 where
+    it covers the disc (r >= radius + d), otherwise the lens, one circular
+    segment of each circle cut off by their common chord.  The chord and
+    the segments are computed from factors that do not cancel, so the
+    area stays accurate relative to itself down to tiny r at the
+    boundary, and it never leaves [0, min(pi r^2, pi radius^2)].
+    """
+    d = np.asarray(d, dtype=float)
+    R = radius
+    inside = d + r <= R
+    cover = r >= R + d
+    # d > 0 on the lens branch; the others take a stand-in that divides safely
+    dl = np.where(inside | cover, R, d)
+    e = R - dl
+    # the half chord, and the signed distances to it from each centre
+    c = np.sqrt(np.maximum((r + e) * (r - e) * (dl + R - r) * (dl + R + r), 0.0)) / (2.0 * dl)
+    h_disc = (dl * dl + R * R - r * r) / (2.0 * dl)
+    h_ball = (r * r - e * (dl + R)) / (2.0 * dl)
+    lens = _segment(R, np.arctan2(c, h_disc)) + _segment(r, np.arctan2(c, h_ball))
+    full = min(math.pi * r * r, math.pi * R * R)
+    return np.where(inside, math.pi * r * r,
+                    np.where(cover, math.pi * R * R, np.minimum(lens, full)))
 
 
 def _exit_fraction(px, py, vx, vy, radius):

@@ -1,10 +1,14 @@
 """Pair meeting-process and relay-scheme delay simulation.
 
 Pair meeting and relay delay are one process: the first instant one of a
-set of carriers comes within r of the destination.  Relay delay places n
-nodes and carries from every node within r of the source; pair meeting
-places two, so the source is the only carrier.  One block engine runs
-both, advancing all live trials of a block together slot by slot.
+set of carriers comes within r of the destination.  Relay delay carries
+from every node within r of the source; pair meeting places two nodes,
+so the source is the only carrier.  Only the carriers and the destination
+ever move, so relay delay places only them: the source's neighbours
+other than the destination number Binomial(n - 2, q), with q the share
+of the disc within r of the source, and lie uniformly in that lens, which
+is the law of placing all n nodes.  One block engine runs both, advancing
+all live trials of a block together slot by slot.
 
 One slot of motion is piecewise linear: antipodal wraps split a node's
 path into sub-segments, and within any time window where both nodes move
@@ -33,17 +37,24 @@ at any flight length:
     chord windows inside those intervals are tested, lazily, up to the
     first hit.
 
-Randomness discipline (STREAM_VERSION 2): the batch runners
+Randomness discipline (STREAM_VERSION 3): the batch runners
 pair_meeting_times and scheme_delays shard trials into fixed 1024-trial
 blocks, each with a stream derived from (master_seed, salt, block index),
 so results are independent of the worker count.  A block consumes its
-stream in this order: first the placements of all its trials, m nodes
-per trial in trial order, drawn in row chunks of at most _PLACE_POINTS
-points (each chunk all angles, then all radii); then, slot by slot, one
-draw for every node of the still-live trials, carriers first and then
-destinations, each in trial order: a uniform point per node under
-teleport, a flight per node (all angles, then all lengths) under
-heavy-flight.  Version 1 consumed the stream one trial at a time.
+stream in this order: first the sources and destinations of all its
+trials, one draw of two points per trial in trial order (all angles,
+then all radii); then, for relay runs with n > 2 only, the neighbour
+count of every trial, one binomial draw in trial order; then the lens
+carriers of the trials whose destination starts out of range, in
+rejection rounds from the range ball around the source, each round one
+point draw for the carriers still unplaced, in trial order; then, slot
+by slot, one draw for every node of the still-live trials, carriers
+first and then destinations, each in trial order: a uniform point per
+node under teleport, a flight per node (all angles, then all lengths)
+under heavy-flight.  Pair meeting draws no neighbour counts or lens
+carriers, so its streams are those of version 2, which placed all n
+nodes of a relay trial instead; version 1 consumed the stream one trial
+at a time.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flight import FlightLaw, sample_flight_steps
-from .geometry import _exit_fraction, uniform_points_in_disc
+from .geometry import _exit_fraction, lens_area, uniform_points_in_disc
 
 __all__ = [
     "MODEL_LEVY",
@@ -83,7 +94,7 @@ DEFAULT_HORIZON_LEVY = 10_000
 DEFAULT_SEED = 0x5EED_CAFE
 
 # how the block streams are consumed; bumped whenever that order changes
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # stream salts (one namespace per purpose)
 SALT_MEET = 11
@@ -99,9 +110,6 @@ _CAP_UNION = 2048
 _WINDOW_BUDGET = 5_000_000
 
 _BLOCK = 1024
-# cap on node placements drawn at once, which bounds a block's memory at
-# large n
-_PLACE_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -536,48 +544,64 @@ def _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
     return t, ex[:K], ey[:K], ex[K:], ey[K:]
 
 
+def _place_trials(rng, cfg, count, m):
+    """The starting layout of count first-contact trials of m nodes each.
+
+    Node 0 is the source S, node 1 the destination D; the carriers are the
+    nodes within r of S other than D, and only trials with D out of range
+    of S are live.  Returns (l0, ncount, live, qx, qy, cx, cy, cpos): the
+    S-D distances, the nodes within r of S (S itself included), the live
+    trial indices, the live destinations, and the carriers of the live
+    trials in trial order, S first, with each carrier's trial as a
+    position in live.  The m - 2 other nodes are iid uniform, so the
+    count of them within r of S is Binomial(m - 2, q(S)), q the share of
+    the disc in the lens B(S, r), and those nodes are uniform in the lens;
+    nodes outside it never move the message and are not placed.
+    """
+    R = cfg.radius
+    r = cfg.r
+    xs, ys = uniform_points_in_disc(rng, R, 2 * count)
+    xs = xs.reshape(count, 2)
+    ys = ys.reshape(count, 2)
+    sx, sy = xs[:, 0], ys[:, 0]
+    l0 = np.hypot(xs[:, 1] - sx, ys[:, 1] - sy)
+    k = np.zeros(count, dtype=np.int64)
+    if m > 2:
+        k = rng.binomial(m - 2, lens_area(np.hypot(sx, sy), r, R) / (math.pi * R * R))
+    live = np.flatnonzero(l0 > r)
+    cpos = np.repeat(np.arange(live.size), k[live] + 1)
+    cx = sx[live][cpos]
+    cy = sy[live][cpos]
+    # each source leads its lens carriers, drawn by rejection from B(S, r)
+    todo = np.flatnonzero(np.diff(cpos, prepend=-1) == 0)
+    while todo.size:
+        ux, uy = uniform_points_in_disc(rng, r, todo.size)
+        ux += cx[todo]
+        uy += cy[todo]
+        ok = ux * ux + uy * uy <= R * R
+        cx[todo[ok]] = ux[ok]
+        cy[todo[ok]] = uy[ok]
+        todo = todo[~ok]
+    return l0, 1 + (l0 <= r) + k, live, xs[live, 1], ys[live, 1], cx, cy, cpos
+
+
 def _contact_block(args):
     """One block of first-contact trials, all live trials in lockstep.
 
-    Each trial places m nodes: node 0 is the source, node 1 the
-    destination, and the carriers are the nodes within r of the source
-    other than the destination (for m = 2, the source alone).  Returns
-    (l0, neighbor_count, t_meet, t_slotted) arrays: the source-destination
-    distance, the nodes within r of the source (itself included), the
-    first instant a carrier is within r of the destination, and the first
-    slot end at which one is.  Both times are 0 when the destination
-    starts in range and inf when censored.  Otherwise t_slotted is only
-    tracked when slotted is set, and then a trial runs until both fire.
+    Each trial is laid out by _place_trials with m nodes: for m = 2 the
+    source is the only carrier.  Returns (l0, neighbor_count, t_meet,
+    t_slotted) arrays: the source-destination distance, the nodes within
+    r of the source (itself included), the first instant a carrier is
+    within r of the destination, and the first slot end at which one is.
+    Both times are 0 when the destination starts in range and inf when
+    censored.  Otherwise t_slotted is only tracked when slotted is set,
+    and then a trial runs until both fire.
     """
     master_seed, salt, block, count, cfg, m, slotted = args
     rng = trial_stream(master_seed, salt, block)
     R = cfg.radius
     r = cfg.r
-    cols = l0, ncount, qx, qy, cx, cy, cown = [], [], [], [], [], [], []
-    rows = max(1, _PLACE_POINTS // m)
-    for lo in range(0, count, rows):
-        xs, ys = uniform_points_in_disc(rng, R, min(rows, count - lo) * m)
-        xs = xs.reshape(-1, m)
-        ys = ys.reshape(-1, m)
-        dist = np.hypot(xs - xs[:, :1], ys - ys[:, :1])
-        near = dist <= r
-        # copies, so the chunk's (rows, m) arrays are freed
-        l0.append(dist[:, 1].copy())
-        ncount.append(near.sum(axis=1))
-        qx.append(xs[:, 1].copy())
-        qy.append(ys[:, 1].copy())
-        near[near[:, 1]] = False  # destination in range: delivered at 0
-        near[:, 1] = False
-        i, j = np.nonzero(near)
-        cown.append(lo + i)
-        cx.append(xs[i, j])
-        cy.append(ys[i, j])
-    l0, ncount, qx, qy, cx, cy, cown = map(np.concatenate, cols)
-    live = np.flatnonzero(l0 > r)
-    qx = qx[live]
-    qy = qy[live]
-    # each carrier's owner as a position in live; carriers stay in trial order
-    cpos = np.searchsorted(live, cown)
+    l0, ncount, live, qx, qy, cx, cy, cpos = _place_trials(rng, cfg, count, m)
     t_meet = np.where(l0 > r, np.inf, 0.0)
     t_slot = t_meet.copy()
     levy = cfg.model == MODEL_LEVY

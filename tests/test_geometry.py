@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from mobidelay.analytics import estimate_H1_mc
-from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
+from mobidelay.geometry import lens_area, segment_point_dist_np, uniform_points_in_disc
 from mobidelay.world import _relay_slot_hits_np
 from oracle import central_angle_phi, wrap_flight
 
@@ -61,6 +61,56 @@ def test_disc_sampling_moments():
     inner = float(np.mean(sq <= 25.0))
     se_in = math.sqrt(0.25 * 0.75 / n)
     assert abs(inner - 0.25) <= 3.0 * se_in
+
+
+# ---------------------------------------------------------------------------
+# lens_area, the disc share within r of a point
+
+
+@pytest.mark.parametrize("d,r", [
+    (3.0, 2.0),    # interior: pi r^2
+    (9.0, 2.0),    # straddling the boundary
+    (10.0, 3.0),   # centred on the boundary
+    (6.0, 12.0),   # straddling with r above the disc radius
+    (0.0, 4.0),    # centred, inside
+    (0.0, 10.0),   # centred, r = R: inside and covering at once
+    (0.0, 15.0),   # centred, covering
+    (4.0, 15.0),   # covering: pi R^2
+    (10.0, 20.0),  # the largest range, a disc diameter
+], ids=["interior", "straddling", "on-boundary", "straddling-wide", "centred",
+        "centred-R", "centred-covering", "covering", "diameter"])
+def test_lens_area_matches_monte_carlo(d, r):
+    R = 10.0
+    k = 400_000
+    xs, ys = uniform_points_in_disc(RNG(31), R, k)
+    f = float(np.mean(np.hypot(xs - d, ys) <= r))
+    disc = math.pi * R * R
+    se = disc * math.sqrt(f * (1.0 - f) / k)
+    got = float(lens_area(d, r, R))
+    assert abs(got - disc * f) <= 3.0 * se + 1e-12 * disc
+
+
+def test_lens_share_is_a_probability():
+    # q = area / (pi R^2) over the whole accepted range grid, with the
+    # d = 0 and branch-edge points computed without a floating-point fault
+    for n in (2, 50, 10**6):
+        R = math.sqrt(n)
+        d = np.linspace(0.0, R, 101)
+        for r in (1e-9, 0.5, R / 2, R, 1.5 * R, 2.0 * R):
+            with np.errstate(all="raise"):
+                a = lens_area(d, r, R)
+                q = a / (math.pi * R * R)
+            assert np.all((q >= 0.0) & (q <= 1.0))
+            assert np.all(a <= math.pi * r * r * (1.0 + 1e-12))
+            # more of the ball leaves the disc as its centre moves out
+            assert np.all(np.diff(a) <= 1e-9 * a.max())
+    # the lens meets both closed forms at the branch edges, and a tiny
+    # ball centred on the boundary covers half its area
+    R = 10.0
+    assert float(lens_area(R - 3.0 + 1e-9, 3.0, R)) == pytest.approx(9.0 * math.pi, rel=1e-8)
+    assert float(lens_area(1.0, R + 1.0 - 1e-9, R)) == pytest.approx(R * R * math.pi, rel=1e-8)
+    for r in (1e-9, 1e-4):
+        assert float(lens_area(R, r, R)) == pytest.approx(0.5 * math.pi * r * r, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

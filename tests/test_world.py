@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import oracle
+import placement
 from mobidelay import world
 from mobidelay.flight import FlightLaw, sample_flight_steps
 from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
@@ -575,6 +576,98 @@ def test_neighbor_count_binomial_at_chart_center():
 # scheme_delays
 
 
+def _agree(a, b):
+    """Two independent samples' means within 3 standard errors."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    assert abs(a.mean() - b.mean()) <= 3.0 * se
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(n=200, r=2.0, horizon_slots=300),
+    # r above sqrt(n): most sources see the boundary and many the destination
+    ModelConfig(n=50, r=9.0, horizon_slots=300),
+    ModelConfig(n=200, r=2.0, model="levy", law=FlightLaw(alpha=1.0),
+                horizon_slots=300),
+], ids=["iid", "iid-wide", "levy-1"])
+def test_relay_layout_matches_explicit_placement(monkeypatch, cfg):
+    # the engine draws the neighbour count and places the lens carriers;
+    # explicit placement of all n nodes (tests/placement.py) has the same
+    # law, so neighbour counts, destination-in-range shares and delays
+    # agree at every quartile of the explicit run
+    trials = 4000
+    nc, d0, dl = scheme_delays(cfg, trials, salt=320)
+    monkeypatch.setattr(world, "_place_trials", placement.place_all)
+    nc_x, d0_x, dl_x = scheme_delays(cfg, trials, salt=321)
+    H = cfg.horizon_slots
+    _agree(nc, nc_x)
+    _agree(d0, d0_x)
+    _agree(np.minimum(dl, H), np.minimum(dl_x, H))
+    for c in np.unique(np.quantile(nc_x, [0.25, 0.5, 0.75], method="lower")):
+        _agree(nc <= c, nc_x <= c)
+    for t in np.unique(np.quantile(dl_x[~d0_x], [0.25, 0.5, 0.75], method="lower")):
+        _agree(dl > t, dl_x > t)
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(n=400, r=4.0, horizon_slots=60),
+    ModelConfig(n=400, r=4.0, model="levy", law=FlightLaw(alpha=0.5), horizon_slots=60),
+], ids=["iid", "levy-0.5"])
+def test_pair_streams_match_explicit_placement(monkeypatch, cfg):
+    # pair meeting places its two nodes as explicit placement always did,
+    # so its times are the explicit reference's bit for bit
+    want = pair_meeting_times(cfg, 1500, salt=322, slotted=True)
+    monkeypatch.setattr(world, "_place_trials", placement.place_all)
+    got = pair_meeting_times(cfg, 1500, salt=322, slotted=True)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+def test_relay_setup_places_only_the_carriers(monkeypatch):
+    # at n = 10^6 no point request may exceed two per trial plus the lens
+    # carriers: a placement of all n nodes fails on its first request
+    cfg = ModelConfig(n=10**6, r=1.0, horizon_slots=20)
+    trials = 2000
+    draw = world.uniform_points_in_disc
+    sizes = []
+
+    def guarded(rng, radius, size):
+        sizes.append(size)
+        # the lens carriers number about trials * r^2 (n - 2) / n <= trials
+        if size > 4 * trials:
+            raise AssertionError(f"a request for {size} points")
+        return draw(rng, radius, size)
+
+    monkeypatch.setattr(world, "uniform_points_in_disc", guarded)
+    nc, d0, dl = scheme_delays(cfg, trials)
+    carriers = int(np.sum(nc - 1 - d0))
+    assert 0 < carriers and max(sizes) <= 2 * trials + carriers
+    assert np.any(nc > 2) and np.any(np.isfinite(dl) & ~d0)
+
+
+@pytest.mark.parametrize("n,r", [(200, 2.0), (50, 9.0), (50, 2.0 * math.sqrt(50)), (10**6, 3.0)])
+def test_lens_carriers_lie_in_the_lens(n, r):
+    cfg = ModelConfig(n=n, r=r, horizon_slots=1)
+    R = cfg.radius
+    count = 1000
+    l0, ncount, live, qx, qy, cx, cy, cpos = world._place_trials(
+        trial_stream(5, 323, 0), cfg, count, n)
+    assert np.array_equal(live, np.flatnonzero(l0 > r))
+    # carriers in trial order, as many as the live trials' neighbours
+    assert np.all(np.diff(cpos) >= 0)
+    assert np.array_equal(np.bincount(cpos, minlength=live.size), ncount[live])
+    # each trial's first carrier is its source, the rest lie in its lens
+    lead = np.cumsum(ncount[live]) - ncount[live]
+    assert np.array_equal(np.hypot(cx[lead] - qx, cy[lead] - qy), l0[live])
+    sx = cx[lead][cpos]
+    sy = cy[lead][cpos]
+    assert np.all(np.hypot(cx - sx, cy - sy) <= r * (1.0 + 1e-12))
+    assert np.all(np.hypot(cx, cy) <= R * (1.0 + 1e-12))
+    assert np.all(ncount >= 1 + (l0 <= r)) and np.all(ncount <= n)
+
+
+
 def test_delay_zero_iff_dest_in_range():
     cfg = ModelConfig(n=9, r=2.5, horizon_slots=100, master_seed=108)
     nc, d0, dl = scheme_delays(cfg, 300)
@@ -721,6 +814,8 @@ def test_batch_runs_replay_and_ignore_worker_count():
         # heavy flights wrap on most slots: covers the lockstep wrap fallback
         ModelConfig(n=100, r=2.0, model="levy", law=FlightLaw(alpha=0.5),
                     horizon_slots=10),
+        # a large relay population, affordable since only carriers are placed
+        ModelConfig(n=50_000, r=2.0, horizon_slots=50),
     ):
         # two blocks each, so two workers really split the work
         a = pair_meeting_times(cfg, 1500, salt=305)
@@ -731,7 +826,8 @@ def test_batch_runs_replay_and_ignore_worker_count():
 
         d1 = scheme_delays(cfg, 1100, salt=306)
         d2 = scheme_delays(cfg, 1100, salt=306, workers=2)
-        assert np.array_equal(d1[2], d2[2])
+        for u, v in zip(d1, d2):
+            assert np.array_equal(u, v)
 
 
 def test_single_block_runs_without_a_pool(monkeypatch):
