@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .flight import FlightLaw, sample_flight_lengths, sample_flight_steps
+from .flight import FlightLaw, sample_flight_polar
 from .geometry import segment_point_dist_np, uniform_points_in_disc
 from .world import DEFAULT_SEED, MODEL_IID, MODEL_LEVY, SALT_MC, trial_stream
 
@@ -66,6 +66,13 @@ _SUMMAND_FLOOR = 1e-12
 _DEFAULT_TAIL_CUT = 100_000
 
 _MC_CHUNK = 1 << 20
+# Heavy-flight estimators evaluate a chunk of pairs in tiles of this many,
+# which keeps their temporaries small.
+_MC_TILE = 1 << 15
+# A pair of flights of lengths z1, z2 moves its difference by at most
+# z1 + z2.  The length pre-test sets aside pairs that fall short of a
+# reach by more than this share of its scale, far above rounding error.
+_REACH_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -313,6 +320,23 @@ def _rotate(dx: np.ndarray, dy: np.ndarray, angle: float):
     return c * dx + s * dy, -s * dx + c * dy
 
 
+def _reachable_pairs(z: np.ndarray, k: int, reach: float):
+    """Index the pairs (i, k + i) of a 2k-array of flight lengths whose
+    summed length is at least reach, one tile of _MC_TILE pairs at a time.
+
+    Yields (first, second), indexers into the 2k-arrays; slices where
+    every pair of the tile qualifies, so that case copies nothing.
+    """
+    for s in range(0, k, _MC_TILE):
+        e = min(s + _MC_TILE, k)
+        keep = z[s:e] + z[k + s:k + e] >= reach
+        if keep.all():
+            yield slice(s, e), slice(k + s, k + e)
+        else:
+            i = np.flatnonzero(keep) + s
+            yield i, i + k
+
+
 def _no_contact_fraction(rng: np.random.Generator, model: str,
                          law: Optional[FlightLaw], n: int, r: float,
                          l0: float, trials: int, anchor_rotation: float) -> int:
@@ -320,36 +344,39 @@ def _no_contact_fraction(rng: np.random.Generator, model: str,
 
     The start sits at distance l0 from the obstruction.  Heavy-flight
     model: the path is the segment from the start through the flight
-    differential.  Teleport model: the segment from the start to a fresh
-    uniform-pair difference.
+    differential; each chunk draws all 2k flights (angles, then lengths)
+    as pairs (i, k + i).  The segment stays farther than l0 - (z1 + z2)
+    from the obstruction, so a pair with z1 + z2 < l0 - r, less a
+    margin, is a miss whatever its angles: only the others are turned
+    into vectors and measured, and the count is the one the full
+    measurement gives.  Teleport model: the segment from the start to a
+    fresh uniform-pair difference.
     """
     radius = math.sqrt(n)
+    reach = (l0 - r) - _REACH_MARGIN * l0
     misses = 0
     done = 0
     while done < trials:
         k = min(_MC_CHUNK, trials - done)
+        done += k
+        # the start sits at (0, l0), the obstruction disc at the origin
         if model == MODEL_LEVY:
             if law is None:
                 raise ValueError("heavy-flight model needs a FlightLaw")
-            vx, vy = sample_flight_steps(rng, law, 2 * k)
-            dx = vx[:k] - vx[k:]
-            dy = vy[:k] - vy[k:]
+            theta, z = sample_flight_polar(rng, law, 2 * k)
+            misses += k  # less the measured pairs that come within r
+            for i1, i2 in _reachable_pairs(z, k, reach):
+                t1, t2, z1, z2 = theta[i1], theta[i2], z[i1], z[i2]
+                dx, dy = _rotate(z1 * np.cos(t1) - z2 * np.cos(t2),
+                                 z1 * np.sin(t1) - z2 * np.sin(t2), anchor_rotation)
+                d = segment_point_dist_np(0.0, l0, dx, l0 + dy)
+                misses -= d.size - int(np.count_nonzero(d > r))
         else:
             x1, y1 = uniform_points_in_disc(rng, radius, k)
             x2, y2 = uniform_points_in_disc(rng, radius, k)
-            dx = x1 - x2
-            dy = y1 - y2
-        dx, dy = _rotate(dx, dy, anchor_rotation)
-        # Start at (0, l0), obstruction disc at the origin.
-        ax = np.zeros(k)
-        ay = np.full(k, l0)
-        if model == MODEL_LEVY:
-            bx, by = ax + dx, ay + dy
-        else:
-            bx, by = dx, dy
-        d = segment_point_dist_np(ax, ay, bx, by)
-        misses += int(np.count_nonzero(d > r))
-        done += k
+            dx, dy = _rotate(x1 - x2, y1 - y2, anchor_rotation)
+            d = segment_point_dist_np(0.0, l0, dx, dy)
+            misses += int(np.count_nonzero(d > r))
     return misses
 
 
@@ -661,16 +688,18 @@ def estimate_cosine_diff_tail_mc(rng_stream: np.random.Generator,
     if any(z <= 0.0 for z in zs):
         raise ValueError("thresholds must be positive")
     hits = {z: 0 for z in zs}
+    # |Z1 cos(theta1) - Z2 cos(theta2)| <= Z1 + Z2, so only pairs that
+    # reach the smallest threshold can pass any
+    reach = min(zs) * (1.0 - _REACH_MARGIN)
     done = 0
     while done < trials:
         k = min(_MC_CHUNK, trials - done)
-        th = _TWO_PI * (1.0 - rng_stream.uniform(size=2 * k))
-        z = sample_flight_lengths(rng_stream, law, 2 * k)
-        proj = z * np.cos(th)
-        diff = proj[:k] - proj[k:]
-        for zv in zs:
-            hits[zv] += int(np.count_nonzero(diff > zv))
         done += k
+        th, z = sample_flight_polar(rng_stream, law, 2 * k)
+        for i1, i2 in _reachable_pairs(z, k, reach):
+            diff = z[i1] * np.cos(th[i1]) - z[i2] * np.cos(th[i2])
+            for zv in zs:
+                hits[zv] += int(np.count_nonzero(diff > zv))
     return {zv: _binomial_estimate(h, trials) for zv, h in hits.items()}
 
 

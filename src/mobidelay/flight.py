@@ -20,6 +20,7 @@ __all__ = [
     "FlightLaw",
     "sample_stable_symmetric_np",
     "sample_flight_lengths",
+    "sample_flight_polar",
     "sample_flight_steps",
 ]
 
@@ -74,6 +75,14 @@ def _cms_transform(u, w, alpha):
     return (su / cu ** (1.0 / alpha)) * (cd / w) ** ((1.0 - alpha) / alpha)
 
 
+def _one_minus_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
+    # 1 - U for U uniform on [0, 1), in place; rng.random gives the same
+    # bits as rng.uniform(0.0, 1.0) at a fraction of its cost
+    u = rng.random(size)
+    np.subtract(1.0, u, out=u)
+    return u
+
+
 def sample_stable_symmetric_np(rng: np.random.Generator, alpha: float,
                                scale_s: float, size: int) -> np.ndarray:
     """Symmetric alpha-stable draws of scale scale_s, one array per call.
@@ -98,9 +107,11 @@ def sample_flight_lengths(rng: np.random.Generator, law: FlightLaw,
     """
     with np.errstate(all="ignore"):
         if law.sampler == SAMPLER_TRUNCATED_PARETO:
-            # exact inverse CDF of P{Z > z} = (z_th/z)^alpha, z >= z_th
-            u = 1.0 - rng.uniform(0.0, 1.0, size)  # in (0, 1]
-            z = law.z_th * u ** (-1.0 / law.alpha)
+            # exact inverse CDF of P{Z > z} = (z_th/z)^alpha, z >= z_th,
+            # in place: z = z_th * (1 - U)^(-1/alpha), 1 - U in (0, 1]
+            z = _one_minus_uniform(rng, size)
+            z **= -1.0 / law.alpha
+            z *= law.z_th
         else:
             z = np.abs(sample_stable_symmetric_np(rng, law.alpha, law.scale_s, size))
     # lengths are >= 0 and NaN propagates through max
@@ -109,11 +120,21 @@ def sample_flight_lengths(rng: np.random.Generator, law: FlightLaw,
     return z
 
 
+def sample_flight_polar(rng: np.random.Generator, law: FlightLaw, size: int):
+    """Isotropic flights in polar form, as two (size,) arrays (theta, z).
+
+    Draw order: all angles, uniform on (0, 2*pi], then all lengths.  Every
+    flight draw of the package consumes its stream through here.
+    """
+    theta = _one_minus_uniform(rng, size)
+    theta *= _TWO_PI
+    return theta, sample_flight_lengths(rng, law, size)
+
+
 def sample_flight_steps(rng: np.random.Generator, law: FlightLaw, size: int):
     """Isotropic flight vectors as two (size,) arrays (dx, dy).
 
-    Draw order: all angles, uniform on (0, 2*pi], then all lengths.
+    The polar draw of sample_flight_polar, mapped to Cartesian form.
     """
-    theta = _TWO_PI * (1.0 - rng.uniform(0.0, 1.0, size))
-    z = sample_flight_lengths(rng, law, size)
+    theta, z = sample_flight_polar(rng, law, size)
     return z * np.cos(theta), z * np.sin(theta)

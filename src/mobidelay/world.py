@@ -353,8 +353,11 @@ def _union_chunk(x0, y0, dx, dy, g, count, paths, stop, r):
 
 
 def _band(alpha, beta, top):
-    """Phases phi with 0 <= alpha + beta phi <= top, as (lo, hi); NaN where none."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    """Phases phi with 0 <= alpha + beta phi <= top, as (lo, hi); NaN where none.
+
+    A near-zero slope sends the bounds to +-inf, their limit.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         p = -alpha / beta
         q = (top - alpha) / beta
     inside = (alpha >= 0.0) & (alpha <= top)

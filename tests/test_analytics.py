@@ -2,15 +2,18 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gamma as gamma_fn
 
+import full_mc
 import oracle
+from mobidelay import analytics
 from mobidelay.analytics import (
     BoundReport,
     Estimate,
@@ -40,7 +43,7 @@ from mobidelay.analytics import (
     u_bar_from_ccdf,
 )
 from mobidelay.flight import FlightLaw, sample_flight_lengths
-from mobidelay.geometry import uniform_points_in_disc
+from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
     _pair_slot_contacts,
@@ -252,6 +255,120 @@ def test_h1_matches_conditioned_simulation_levy():
     se_sim = math.sqrt(frac * (1 - frac) / len(pairs))
     est = estimate_H1_mc(trial_stream(12, 14, 0), "levy", law, n, r, l0, 400_000)
     assert abs(frac - (1.0 - est.value)) < 3 * math.hypot(se_sim, est.stderr)
+
+
+# ---------------------------------------------------------------------------
+# the flight-length pre-test of the heavy-flight estimators
+
+N_MC, R_MC = 10_000, 4.0
+L0_GRID = (R_MC * (1.0 + 1e-9), 1.5 * R_MC, 3.0 * R_MC, 2.0 * math.sqrt(N_MC))
+LAWS = {
+    "pareto-0.5": FlightLaw(alpha=0.5),
+    "pareto-1": FlightLaw(alpha=1.0),
+    "pareto-2": FlightLaw(alpha=2.0),
+    "stable-1.5": FlightLaw(alpha=1.5, sampler="stable", tail_c=1.0),
+    "stable-2": FlightLaw(alpha=2.0, sampler="stable", tail_c=1.0),
+}
+
+
+def _both_no_contact(model, law, l0, trials, rotation, seed):
+    args = (model, law, N_MC, R_MC, l0, trials, rotation)
+    got = analytics._no_contact_fraction(trial_stream(seed, 14, 0), *args)
+    want = full_mc.no_contact_misses(trial_stream(seed, 14, 0), *args)
+    return got, want
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_pruned_no_contact_counts_match_full_array(name):
+    # every l0 from just outside r (no pair can be set aside) to the
+    # diameter (almost every pair is)
+    for i, l0 in enumerate(L0_GRID):
+        got, want = _both_no_contact("levy", LAWS[name], l0, 60_000, 0.0, 60 + i)
+        assert got == want
+
+
+@pytest.mark.parametrize("model, rotation, l0", [
+    ("levy", 0.0, 3.0 * R_MC),
+    ("levy", 2.1, 1.5 * R_MC),
+    ("levy", 0.7, 2.0 * math.sqrt(N_MC)),
+    ("iid", 0.0, 3.0 * R_MC),
+])
+def test_pruned_no_contact_counts_match_across_chunks(model, rotation, l0):
+    # one full chunk and a partial one that ends in a partial tile
+    law = LAWS["pareto-1"] if model == "levy" else None
+    trials = analytics._MC_CHUNK + 17
+    got, want = _both_no_contact(model, law, l0, trials, rotation, 70)
+    assert got == want
+    assert 0 < got < trials
+
+
+def test_length_pretest_skips_far_pairs(monkeypatch):
+    # at the diameter almost no pair can reach the disc, so almost none is
+    # turned into a vector and measured
+    measured = []
+    real = analytics.segment_point_dist_np
+
+    def counting(*args):
+        d = real(*args)
+        measured.append(d.size)
+        return d
+
+    monkeypatch.setattr(analytics, "segment_point_dist_np", counting)
+    trials = 200_000
+    estimate_H1_mc(trial_stream(71, 14, 0), "levy", LAWS["pareto-1"], N_MC, R_MC,
+                   2.0 * math.sqrt(N_MC), trials)
+    assert 0 < sum(measured) < 0.05 * trials
+
+
+@settings(max_examples=300, deadline=None)
+@given(l0=st.floats(1e-3, 1e6), r_share=st.floats(1e-6, 1.0 - 1e-6),
+       below=st.floats(0.0, 1e-6), split=st.floats(0.0, 1.0),
+       th1=st.floats(0.0, 2.0 * math.pi), th2=st.floats(0.0, 2.0 * math.pi),
+       aimed=st.booleans(), rotation=st.sampled_from([0.0, 0.7, 2.1]))
+def test_length_pretest_only_sets_aside_misses(l0, r_share, below, split, th1,
+                                               th2, aimed, rotation):
+    # flights whose summed length falls just short of the pre-test's reach,
+    # some of them collinear and aimed straight at the obstruction: the
+    # pre-test sets the pair aside, and the full measurement calls it a miss
+    r = r_share * l0
+    reach = (l0 - r) - analytics._REACH_MARGIN * l0
+    assume(reach > 0.0)
+    total = reach * (1.0 - below)
+    z = np.array([total * split, total * (1.0 - split)])
+    assume(z[0] + z[1] < reach)
+    if aimed:
+        th1, th2 = 1.5 * math.pi, 0.5 * math.pi  # the difference points at 0
+        if rotation:
+            th1 += rotation
+            th2 += rotation
+    assert [i.size for i, _ in analytics._reachable_pairs(z, 1, reach)] == [0]
+    dx = z[0] * np.cos([th1]) - z[1] * np.cos([th2])
+    dy = z[0] * np.sin([th1]) - z[1] * np.sin([th2])
+    dx, dy = analytics._rotate(dx, dy, rotation)
+    ax = np.zeros(1)
+    ay = np.full(1, l0)
+    assert segment_point_dist_np(ax, ay, ax + dx, ay + dy)[0] > r
+
+
+@pytest.mark.parametrize("law", [FlightLaw(alpha=0.5),
+                                 FlightLaw(alpha=0.5, sampler="stable", tail_c=1.0)])
+def test_pruned_estimators_raise_no_numpy_warnings(law):
+    # a RuntimeWarning on the pre-test or the candidate path would reach
+    # the stderr of every bounds run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = [analytics._no_contact_fraction(trial_stream(72, 14, i), "levy",
+                                                  law, N_MC, R_MC, l0, 100_000, 0.0)
+                   for i, l0 in enumerate(L0_GRID)]
+            tails = estimate_cosine_diff_tail_mc(trial_stream(73, 14, 0), law,
+                                                 [0.5, 4.0], 100_000)
+    want = [full_mc.no_contact_misses(trial_stream(72, 14, i), "levy",
+                                      law, N_MC, R_MC, l0, 100_000, 0.0)
+            for i, l0 in enumerate(L0_GRID)]
+    assert got == want
+    hits = full_mc.cosine_diff_hits(trial_stream(73, 14, 0), law, [0.5, 4.0], 100_000)
+    assert {z: e.value for z, e in tails.items()} == {z: h / 100_000 for z, h in hits.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +628,34 @@ def test_cosine_diff_tail_mc_within_constants():
                                         [4.0, 8.0], 1_000_000)
     for z, est in ests.items():
         assert tc.c_l / z - 3 * est.stderr <= est.value <= tc.c_u / z + 3 * est.stderr
+
+
+@pytest.mark.parametrize("law, trials", [
+    (FlightLaw(alpha=0.5), 80_000),
+    (FlightLaw(alpha=1.0), analytics._MC_CHUNK + 17),
+    (FlightLaw(alpha=2.0), 80_000),
+    (FlightLaw(alpha=1.5, sampler="stable", tail_c=1.0), 80_000),
+])
+def test_cosine_diff_tail_counts_match_full_array(law, trials):
+    zs = [8.0, 0.25, 2.0]
+    ests = estimate_cosine_diff_tail_mc(trial_stream(52, 14, 0), law, zs, trials)
+    hits = full_mc.cosine_diff_hits(trial_stream(52, 14, 0), law, zs, trials)
+    assert {z: e.value for z, e in ests.items()} == {z: h / trials for z, h in hits.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(zmin=st.floats(1e-3, 1e6), below=st.floats(0.0, 1e-6),
+       split=st.floats(0.0, 1.0), th1=st.floats(0.0, 2.0 * math.pi),
+       th2=st.floats(0.0, 2.0 * math.pi), aimed=st.booleans())
+def test_cosine_pretest_only_sets_aside_misses(zmin, below, split, th1, th2, aimed):
+    reach = zmin * (1.0 - analytics._REACH_MARGIN)
+    total = reach * (1.0 - below)
+    z = np.array([total * split, total * (1.0 - split)])
+    assume(z[0] + z[1] < reach)
+    if aimed:
+        th1, th2 = 0.0, math.pi  # both projections at full length
+    assert [i.size for i, _ in analytics._reachable_pairs(z, 1, reach)] == [0]
+    assert z[0] * np.cos(th1) - z[1] * np.cos(th2) <= zmin
 
 
 def test_tail_constants_validation():

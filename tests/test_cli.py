@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import full_mc
+from mobidelay import analytics
 from mobidelay.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -137,6 +139,18 @@ def test_bounds_writes_expected_json(tmp_path):
         rows = list(csv.DictReader(fh))
     keys = {row["key"] for row in rows}
     assert "p_out_lower" in keys and "u_bar.1" in keys
+
+
+def test_bounds_levy_files_match_the_full_array_estimator(tmp_path, monkeypatch):
+    # the length pre-test changes what is computed, never what is written
+    argv = ["bounds", "--model", "levy", "--alpha", "1", "--n", "10000",
+            "--r", "4", "--trials", "300000", "--seed", "11", "--format", "both"]
+    assert main(argv + ["--out", str(tmp_path / "pruned")]) == EXIT_OK
+    monkeypatch.setattr(analytics, "_no_contact_fraction", full_mc.no_contact_misses)
+    assert main(argv + ["--out", str(tmp_path / "full")]) == EXIT_OK
+    for name in ("bounds.csv", "bounds.json"):
+        assert ((tmp_path / "pruned" / name).read_bytes()
+                == (tmp_path / "full" / name).read_bytes())
 
 
 def test_validation_failure_exits_1(tmp_path, capsys):

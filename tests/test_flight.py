@@ -11,6 +11,7 @@ from scipy import stats
 from mobidelay.flight import (
     FlightLaw,
     sample_flight_lengths,
+    sample_flight_polar,
     sample_flight_steps,
     sample_stable_symmetric_np,
 )
@@ -161,6 +162,26 @@ def test_alpha_dominance_of_truncated_pareto_ccdf():
 
 # ---------------------------------------------------------------------------
 # flight vectors
+
+
+@pytest.mark.parametrize("law", [
+    FlightLaw(alpha=0.5), FlightLaw(alpha=1.0), FlightLaw(alpha=2.0, z_th=0.3),
+    FlightLaw(alpha=1.5, sampler="stable", tail_c=1.0),
+])
+def test_flight_draw_order_and_bits(law):
+    # all angles, uniform on (0, 2*pi], then all lengths; the Pareto
+    # lengths are z_th * (1 - U)^(-1/alpha); steps are the polar draw in
+    # Cartesian form.  Written out here as plain expressions, bit for bit.
+    theta, z = sample_flight_polar(RNG(40), law, 5000)
+    rng = RNG(40)
+    want_theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 5000))
+    if law.sampler == "truncated_pareto":
+        want_z = law.z_th * (1.0 - rng.uniform(0.0, 1.0, 5000)) ** (-1.0 / law.alpha)
+    else:
+        want_z = np.abs(sample_stable_symmetric_np(rng, law.alpha, law.scale_s, 5000))
+    assert np.array_equal(theta, want_theta) and np.array_equal(z, want_z)
+    dx, dy = sample_flight_steps(RNG(40), law, 5000)
+    assert np.array_equal(dx, z * np.cos(theta)) and np.array_equal(dy, z * np.sin(theta))
 
 
 @pytest.fixture(scope="module")

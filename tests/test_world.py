@@ -2,6 +2,7 @@
 in-slot contact engine for wrapped paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,27 @@ def test_capsule_interval_is_where_the_point_is_within_r():
     assert np.all(dist(0.5 * (lo + hi))[full] <= r[full])
     grid = np.linspace(0.0, 1.0, 2001)[:, None] * dur
     assert np.all(dist(grid).min(axis=0)[~full] > r[~full])
+
+
+def test_band_and_capsule_take_near_zero_slopes_silently():
+    # alpha / beta overflows for a subnormal slope; +-inf is the limit, so
+    # the band is every phase or none, and no RuntimeWarning may escape
+    alpha = np.array([0.5, 0.5, 2.0, 2.0, -1.0])
+    beta = np.array([1e-310, -1e-310, 1e-310, -1e-310, 1e-310])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = world._band(alpha, beta, 1.0)
+        # the smallest speeds whose square stays nonzero, from inside and
+        # from outside the capsule
+        v = np.array([2.3e-162, 1e-160, 2.3e-162, 1e-160])
+        clo, chi = world._capsule(np.array([0.5, 0.5, 3.0, 3.0]),
+                                  np.array([0.1, 0.1, -40.0, -40.0]),
+                                  v, 0.3 * v, 1.0, 0.0, 0.0, 1.0, 0.5, 2.0)
+    assert np.array_equal(lo, [-np.inf, -np.inf, -np.inf, np.inf, np.inf])
+    assert np.array_equal(hi, [np.inf, np.inf, -np.inf, np.inf, np.inf])
+    # inside: all of [0, dur]; outside: empty
+    assert np.array_equal(clo[:2], [0.0, 0.0]) and np.array_equal(chi[:2], [1.0, 1.0])
+    assert not np.any(clo[2:] <= chi[2:])
 
 
 def test_contact_time_lies_on_range_circle():
