@@ -383,16 +383,10 @@ def _no_contact_fraction(rng: np.random.Generator, model: str,
 def estimate_p_hat_mc(rng_stream: np.random.Generator, model: str,
                       law: Optional[FlightLaw], n: int, r: float,
                       trials: int, anchor_rotation: float = 0.0) -> Estimate:
-    """MC estimate of the no-contact probability at initial distance 2*sqrt(n)."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_model(model)
-    two_rt = 2.0 * math.sqrt(n)
-    if not (0.0 < r < two_rt):
-        raise ValueError("r must be in (0, 2*sqrt(n))")
-    misses = _no_contact_fraction(rng_stream, model, law, n, r, two_rt,
-                                  trials, anchor_rotation)
-    return _binomial_estimate(misses, trials)
+    """MC estimate of the no-contact probability at initial distance 2*sqrt(n),
+    i.e. H1 there."""
+    return estimate_H1_mc(rng_stream, model, law, n, r, 2.0 * math.sqrt(n),
+                          trials, anchor_rotation)
 
 
 def estimate_H1_mc(rng_stream: np.random.Generator, model: str,
@@ -402,8 +396,8 @@ def estimate_H1_mc(rng_stream: np.random.Generator, model: str,
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_model(model)
-    if l0 <= r:
-        raise ValueError("require l0 > r")
+    if not (0.0 < r < l0):
+        raise ValueError("require 0 < r < l0")
     if l0 > 2.0 * math.sqrt(n) * (1.0 + 1e-12):
         raise ValueError("require l0 <= 2*sqrt(n)")
     misses = _no_contact_fraction(rng_stream, model, law, n, r, l0,
@@ -783,10 +777,9 @@ def compute_bound_report(model: str, n: int, r: float,
         # so the geometric pair bound is a valid fallback.
         delay_upper = levy_delay_upper(p_hat_up, p_out_up)
 
-    beta_eq = math.log(r) / math.log(n) if r > 0 else None
-    capacity = None
-    if beta_eq is not None and 0.0 <= beta_eq <= 0.25:
-        capacity = capacity_per_node(n, beta_eq)
+    # r > 0 here: p_out_bounds has checked it
+    beta_eq = math.log(r) / math.log(n)
+    capacity = capacity_per_node(n, beta_eq) if 0.0 <= beta_eq <= 0.25 else None
 
     return BoundReport(
         p_out_lower=p_out_lo, p_out_upper=p_out_up,

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+import textwrap
 from dataclasses import dataclass, fields
 from typing import Optional
 
 from .analytics import compute_bound_report, tradeoff_curve
 from .experiments import (
-    SweepPlan,
+    grid_configs,
     neighbor_binomial_gof,
     run_ccdf_sweep,
     run_delay_sweep,
@@ -37,7 +37,8 @@ from .experiments import (
     write_rows_csv,
 )
 from .flight import FlightLaw
-from .world import DEFAULT_SEED, MODEL_IID, MODEL_LEVY, ModelConfig, scheme_delays
+from .world import (DEFAULT_HORIZON_IID, DEFAULT_HORIZON_LEVY, DEFAULT_SEED,
+                    MODEL_IID, MODEL_LEVY, ModelConfig, scheme_delays)
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -57,6 +58,10 @@ _TRIALS_DEFAULT = {
     "gof": 30_000,
     "dominance": 20_000,
 }
+
+# --alpha when none is given: heavy-flight runs, and dominance's pair
+_ALPHA_DEFAULT = 1.0
+_DOMINANCE_ALPHAS = (0.5, 2.0)
 
 # slack added to the model delay exponent in sweep --check
 _SLOPE_SLACK = 0.15
@@ -157,13 +162,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS_NOTE = """\
-defaults: --model iid, --n 100, --beta 0 when neither --r nor --beta is
-given, --seed 0x5EED_CAFE, --workers 1, --out out, --format json;
---trials defaults per subcommand (bounds 100000, meet 20000, delay 2000,
-sweep 1000, gof 30000, dominance 20000); --horizon defaults to the model
-horizon (1000 slots i.i.d., 10000 heavy-flight); --alpha defaults to 1
-for heavy-flight runs and to the pair 0.5,2.0 for dominance."""
+_DEFAULTS_NOTE = textwrap.fill(
+    "defaults: --model iid, --n 100, --beta 0 when neither --r nor --beta is "
+    f"given, --seed 0x{DEFAULT_SEED:_X}, --workers 1, --out out, --format json; "
+    "--trials defaults per subcommand "
+    f"({', '.join(f'{sub} {t}' for sub, t in _TRIALS_DEFAULT.items())}); "
+    "--horizon defaults to the model horizon "
+    f"({DEFAULT_HORIZON_IID} slots i.i.d., {DEFAULT_HORIZON_LEVY} heavy-flight); "
+    f"--alpha defaults to {_ALPHA_DEFAULT:g} for heavy-flight runs and to the "
+    f"pair {_DOMINANCE_ALPHAS[0]},{_DOMINANCE_ALPHAS[1]} for dominance.",
+    width=72, break_on_hyphens=False)
 
 
 def _build_parser() -> _Parser:
@@ -189,9 +197,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--alpha", default=None,
                        help="tail exponent; a comma pair for dominance")
         p.add_argument("--n", default=None,
-                       help="population size; comma-separated grid for sweeps")
+                       help="population size; meet, sweep and dominance "
+                            "take an increasing comma-separated grid")
         p.add_argument("--r", type=float, default=None,
-                       help="transmission range (exclusive with --beta)")
+                       help="transmission range, used as given "
+                            "(exclusive with --beta)")
         p.add_argument("--beta", type=float, default=None,
                        help="range exponent, r = n**beta")
         p.add_argument("--trials", type=int, default=None)
@@ -257,43 +267,22 @@ def parse_args(argv) -> RunConfig:
 def _law_for(config: RunConfig) -> Optional[FlightLaw]:
     if config.model != MODEL_LEVY:
         return None
-    alpha = config.alpha[0] if config.alpha else 1.0
+    alpha = config.alpha[0] if config.alpha else _ALPHA_DEFAULT
     return FlightLaw(alpha=alpha, sampler="truncated_pareto")
 
 
-def _range_beta(config: RunConfig) -> float:
-    """Range exponent for sweep-style runs; --r is converted when it
-    stays inside the sweep family r = n**beta, beta in [0, 1/4]."""
-    if config.beta is not None:
-        return config.beta
-    if config.r is None:
-        return 0.0
+def _configs(config: RunConfig) -> list[ModelConfig]:
+    """One ModelConfig per --n value, with --r or --beta used as given."""
+    beta = 0.0 if config.r is None and config.beta is None else config.beta
+    return grid_configs(config.n, r=config.r, beta=beta, model=config.model,
+                        law=_law_for(config), horizon=config.horizon,
+                        master_seed=config.seed)
+
+
+def _single_config(config: RunConfig) -> ModelConfig:
     if len(config.n) != 1:
-        raise ValueError("--r only applies to a single population; use --beta")
-    n = config.n[0]
-    beta = math.log(config.r) / math.log(n)
-    if not (0.0 <= beta <= 0.25):
-        raise ValueError("r must satisfy 1 <= r <= n**0.25 here; use --beta")
-    return beta
-
-
-def _single_r(config: RunConfig) -> float:
-    if config.r is not None:
-        return config.r
-    beta = config.beta if config.beta is not None else 0.0
-    return float(config.n[0]) ** beta
-
-
-def _plan(config: RunConfig) -> SweepPlan:
-    return SweepPlan(
-        n_grid=config.n,
-        beta=_range_beta(config),
-        model=config.model,
-        law=_law_for(config),
-        trials_per_point=config.effective_trials,
-        horizon=config.horizon,
-        master_seed=config.seed,
-    )
+        raise ValueError(f"{config.subcommand} runs one population; give one --n")
+    return _configs(config)[0]
 
 
 def _emit(config: RunConfig, name: str, rows, summary=None) -> list[str]:
@@ -323,11 +312,10 @@ def _checked(ok: bool, reason: str) -> int:
 
 
 def _run_bounds(config: RunConfig) -> int:
-    n = config.n[0]
-    r = _single_r(config)
+    cfg = _single_config(config)
     report = compute_bound_report(
-        model=config.model, n=n, r=r, law=_law_for(config),
-        trials=config.effective_trials, master_seed=config.seed)
+        model=cfg.model, n=cfg.n, r=cfg.r, law=cfg.law,
+        trials=config.effective_trials, master_seed=cfg.master_seed)
     doc = report.to_obj()
     rows = []
     for key, value in doc.items():
@@ -337,13 +325,14 @@ def _run_bounds(config: RunConfig) -> int:
         else:
             rows.append({"key": key, "value": value})
     written = _emit(config, "bounds", rows, summary=doc)
-    print(f"bounds: n={n} r={r:g} model={config.model} -> "
+    print(f"bounds: n={cfg.n} r={cfg.r:g} model={cfg.model} -> "
           + ", ".join(written))
     return EXIT_OK
 
 
 def _run_meet(config: RunConfig) -> int:
-    rows = run_ccdf_sweep(_plan(config), workers=config.workers)
+    rows = run_ccdf_sweep(_configs(config), config.effective_trials,
+                          workers=config.workers)
     written = _emit(config, "meet", rows)
     print(f"meet: {len(rows)} rows -> " + ", ".join(written))
     if not config.check:
@@ -355,17 +344,14 @@ def _run_meet(config: RunConfig) -> int:
 
 
 def _run_delay(config: RunConfig) -> int:
-    n = config.n[0]
-    cfg = ModelConfig(n=n, r=_single_r(config), model=config.model,
-                      law=_law_for(config), horizon_slots=config.horizon,
-                      master_seed=config.seed)
+    cfg = _single_config(config)
     _, _, delays = scheme_delays(cfg, config.effective_trials,
                                  workers=config.workers)
     stat = summarize_delays(delays)
-    row = {"model": config.model, "n": n, "r": cfg.r, **stat._asdict()}
+    row = {"model": cfg.model, "n": cfg.n, "r": cfg.r, **stat._asdict()}
     censored = stat.censored_fraction
     written = _emit(config, "delay", [row], summary=row)
-    print(f"delay: n={n} mean={stat.mean:.4g} "
+    print(f"delay: n={cfg.n} mean={stat.mean:.4g} "
           f"censored={censored:.4g} -> " + ", ".join(written))
     if not config.check:
         return EXIT_OK
@@ -374,8 +360,12 @@ def _run_delay(config: RunConfig) -> int:
 
 
 def _run_sweep(config: RunConfig) -> int:
-    plan = _plan(config)
-    fit = run_delay_sweep(plan, workers=config.workers)
+    if config.r is not None:
+        raise ValueError("sweep takes --beta, not --r: its --check reads the "
+                         "range exponent")
+    configs = _configs(config)
+    fit = run_delay_sweep(configs, config.effective_trials,
+                          workers=config.workers)
     written = _emit(config, "sweep", fit.point_rows(), summary=fit.summary())
     print(f"sweep: slope={fit.slope:.4g} r2={fit.r_squared:.4g} "
           f"valid={fit.valid} -> " + ", ".join(written))
@@ -383,17 +373,17 @@ def _run_sweep(config: RunConfig) -> int:
         return EXIT_OK
     if not fit.valid:
         return _checked(False, fit.note or "fit invalid")
-    alpha = config.alpha[0] if config.alpha else 1.0
-    eta = 2.0 * plan.beta  # capacity target n**-eta paired with this range
+    alpha = config.alpha[0] if config.alpha else _ALPHA_DEFAULT
+    eta = 2.0 * configs[0].beta  # capacity target n**-eta paired with this range
     (_, exponent), = tradeoff_curve(config.model, alpha, [eta])
     return _checked(fit.slope <= exponent + _SLOPE_SLACK,
                     f"slope {fit.slope:.4g} > {exponent:.4g} + {_SLOPE_SLACK}")
 
 
 def _run_gof(config: RunConfig) -> int:
-    n = config.n[0]
-    r = _single_r(config)
-    counts = sample_neighbor_counts(config.seed, n, r,
+    cfg = _single_config(config)
+    n, r = cfg.n, cfg.r
+    counts = sample_neighbor_counts(cfg.master_seed, n, r,
                                     config.effective_trials)
     p_hat = float(counts.mean() / (n - 2))
     res = neighbor_binomial_gof(counts, n, p_hat, p_from_samples=True)
@@ -411,14 +401,11 @@ def _run_gof(config: RunConfig) -> int:
 
 
 def _run_dominance(config: RunConfig) -> int:
-    alphas = config.alpha if config.alpha else (0.5, 2.0)
+    alphas = config.alpha if config.alpha else _DOMINANCE_ALPHAS
     if len(alphas) != 2:
         raise ValueError("dominance needs exactly two --alpha values")
-    if config.model != MODEL_LEVY:
-        raise ValueError("dominance runs the heavy-flight model; "
-                         "pass --model levy")
-    plan = _plan(config)
-    rows = run_dominance_check(plan, min(alphas), max(alphas),
+    rows = run_dominance_check(_configs(config), config.effective_trials,
+                               min(alphas), max(alphas),
                                workers=config.workers)
     written = _emit(config, "dominance", rows)
     bad = [row for row in rows if not row["dominated"]]

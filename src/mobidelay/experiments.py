@@ -1,10 +1,12 @@
 """Orchestrated experiment sweeps and their statistical summaries.
 
-A sweep walks a population grid at a fixed range exponent, runs the
-simulators from ``world`` under the deterministic stream contract, and
-reduces the samples to tables or a log-log regression.  Nothing here
-draws randomness of its own: every trial stream is derived from the
-plan's master seed, so identical plans produce byte-identical outputs
+``grid_configs`` turns a population grid and one range setting, a
+fixed r or r = n**beta, into one ``ModelConfig`` per grid point.  The
+runners take such configs and a trial count, run the simulators from
+``world`` under the deterministic stream contract, and reduce the
+samples to tables or a log-log regression.  Nothing here draws
+randomness of its own: every trial stream is derived from a config's
+master seed, so identical configs produce byte-identical outputs
 whatever the worker count.
 
 The goodness-of-fit harness places the probe node at the chart center,
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from .analytics import format_real, p_hat_bounds_iid, p_hat_bounds_levy, \
     p_out_bounds, cosine_diff_tail_constants, ccdf_geometric_bound, dumps_stable
 from .flight import FlightLaw
 from .world import (
+    DEFAULT_SEED,
     MODEL_IID,
     MODEL_LEVY,
     SALT_GOF,
@@ -36,7 +39,7 @@ from .world import (
 )
 
 __all__ = [
-    "SweepPlan",
+    "grid_configs",
     "PointStat",
     "ScalingFit",
     "GofResult",
@@ -60,53 +63,25 @@ _GOF_BLOCK = 1024
 _CENSORED_LIMIT = 0.01
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """One experiment: a population grid at range exponent beta.
+def grid_configs(n_grid: Sequence[int], *, r: Optional[float] = None,
+                 beta: Optional[float] = None, model: str,
+                 law: Optional[FlightLaw] = None, horizon: Optional[int] = None,
+                 master_seed: int = DEFAULT_SEED) -> list[ModelConfig]:
+    """One ModelConfig per population of a strictly increasing grid.
 
-    The grid must be strictly increasing; regressions need at least
-    three points but single-point plans are valid for tables.  horizon
-    of None defers to the model default.
+    Grid point i runs on master seed master_seed + i, which keeps the
+    points statistically independent while staying a pure function of
+    the arguments.  ModelConfig validates every other field; horizon of
+    None defers to the model default.
     """
-
-    n_grid: tuple[int, ...]
-    beta: float
-    model: str
-    law: Optional[FlightLaw] = None
-    trials_per_point: int = 1000
-    horizon: Optional[int] = None
-    master_seed: int = 0x5EED_CAFE
-
-    def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
-        if not grid:
-            raise ValueError("n_grid must be nonempty")
-        if any(n < 2 for n in grid):
-            raise ValueError("populations must be at least 2")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be strictly increasing")
-        if not (0.0 <= self.beta <= 0.25):
-            raise ValueError("beta must be in [0, 0.25]")
-        if self.model not in (MODEL_LEVY, MODEL_IID):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.model == MODEL_LEVY and self.law is None:
-            raise ValueError("heavy-flight plans need a FlightLaw")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be positive")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be positive")
-
-    def config_for(self, n: int, point_index: int,
-                   law: Optional[FlightLaw] = None) -> ModelConfig:
-        # Distinct master seeds keep grid points statistically independent
-        # while staying a pure function of the plan.
-        return ModelConfig(
-            n=n, beta=self.beta, model=self.model,
-            law=law if law is not None else self.law,
-            horizon_slots=self.horizon,
-            master_seed=self.master_seed + point_index,
-        )
+    grid = [int(n) for n in n_grid]
+    if not grid:
+        raise ValueError("n_grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("n_grid must be strictly increasing")
+    return [ModelConfig(n=n, r=r, beta=beta, model=model, law=law,
+                        horizon_slots=horizon, master_seed=master_seed + i)
+            for i, n in enumerate(grid)]
 
 
 @dataclass(frozen=True)
@@ -243,28 +218,28 @@ def fit_loglog(points: Sequence[tuple]) -> ScalingFit:
                       slope_stderr=se, points=stats_pts)
 
 
-def run_delay_sweep(plan: SweepPlan, workers: int = 1) -> ScalingFit:
-    """Mean relay-scheme delay across the population grid, fitted log-log.
+def run_delay_sweep(configs: Sequence[ModelConfig], trials: int,
+                    workers: int = 1) -> ScalingFit:
+    """Mean relay-scheme delay across the configs' populations, fitted log-log.
 
     Censored trials are excluded from the mean but counted; a point with
     1% or more censoring invalidates the fit rather than biasing it, and
     the per-point data is returned either way.
     """
-    if len(plan.n_grid) < 3:
+    if len(configs) < 3:
         raise ValueError("regression sweeps need at least 3 grid points")
-    if plan.trials_per_point < 1000:
+    if trials < 1000:
         raise ValueError("regression sweeps need at least 10^3 trials per point")
     pts = []
     bad = []
-    for i, n in enumerate(plan.n_grid):
-        cfg = plan.config_for(n, i)
-        _, _, delays = scheme_delays(cfg, plan.trials_per_point, workers=workers)
+    for cfg in configs:
+        _, _, delays = scheme_delays(cfg, trials, workers=workers)
         stat = summarize_delays(delays)
-        pts.append(PointStat(n=n, r=cfg.r, mean=stat.mean, stderr=stat.stderr,
+        pts.append(PointStat(n=cfg.n, r=cfg.r, mean=stat.mean, stderr=stat.stderr,
                              median=stat.median, trials=stat.trials,
                              censored_fraction=stat.censored_fraction))
         if not stat.censored_ok:
-            bad.append(n)
+            bad.append(cfg.n)
     if bad:
         return ScalingFit(slope=math.nan, intercept=math.nan,
                           r_squared=math.nan, slope_stderr=math.nan,
@@ -272,22 +247,26 @@ def run_delay_sweep(plan: SweepPlan, workers: int = 1) -> ScalingFit:
                           note="censored fraction >= 1% at n in "
                                f"{sorted(bad)}")
     fit = fit_loglog([(p.n, p.mean, p.stderr) for p in pts])
-    return ScalingFit(slope=fit.slope, intercept=fit.intercept,
-                      r_squared=fit.r_squared, slope_stderr=fit.slope_stderr,
-                      points=tuple(pts))
+    return replace(fit, points=tuple(pts))
 
 
-def _model_p_hat_upper(model: str, n: int, r: float,
-                       law: Optional[FlightLaw]) -> float:
-    if model == MODEL_IID:
-        return p_hat_bounds_iid(n, r)[1]
+def _model_p_hat_upper(cfg: ModelConfig) -> float:
+    if cfg.model == MODEL_IID:
+        return p_hat_bounds_iid(cfg.n, cfg.r)[1]
+    law = cfg.law
     tail = cosine_diff_tail_constants(law.alpha, law.tail_c)
-    up = p_hat_bounds_levy(n, r, tail, law.alpha)[1]
+    up = p_hat_bounds_levy(cfg.n, cfg.r, tail, law.alpha)[1]
     return min(max(up, 0.0), 1.0)
 
 
-def run_ccdf_sweep(plan: SweepPlan, tau_max: int = 30,
-                   workers: int = 1) -> list[dict]:
+def _ccdf_point(times: np.ndarray, t: int) -> tuple[float, float]:
+    """Empirical P{T > t} of a meeting-time sample and its standard error."""
+    p = float(np.mean(times > t))
+    return p, math.sqrt(p * (1.0 - p) / times.size)
+
+
+def run_ccdf_sweep(configs: Sequence[ModelConfig], trials: int,
+                   tau_max: int = 30, workers: int = 1) -> list[dict]:
     """Empirical meeting-time CCDF rows against the geometric bound.
 
     One row per (n, tau); the bound column is the geometric form at the
@@ -296,21 +275,17 @@ def run_ccdf_sweep(plan: SweepPlan, tau_max: int = 30,
     if tau_max < 0:
         raise ValueError("tau_max must be nonnegative")
     rows = []
-    for i, n in enumerate(plan.n_grid):
-        cfg = plan.config_for(n, i)
+    for cfg in configs:
         if cfg.horizon_slots <= tau_max:
             raise ValueError("horizon must exceed tau_max")
-        r = cfg.r
-        p_out_up = p_out_bounds(n, r)[1]
-        p_hat_up = _model_p_hat_upper(plan.model, n, r, plan.law)
-        _, tm, _ = pair_meeting_times(cfg, plan.trials_per_point,
-                                      workers=workers)
+        p_out_up = p_out_bounds(cfg.n, cfg.r)[1]
+        p_hat_up = _model_p_hat_upper(cfg)
+        _, tm, _ = pair_meeting_times(cfg, trials, workers=workers)
         censored = float(np.mean(np.isinf(tm)))
         for tau in range(tau_max + 1):
-            p = float(np.mean(tm > tau))
-            se = math.sqrt(p * (1.0 - p) / tm.size)
+            p, se = _ccdf_point(tm, tau)
             rows.append({
-                "model": plan.model, "n": n, "r": r, "tau": tau,
+                "model": cfg.model, "n": cfg.n, "r": cfg.r, "tau": tau,
                 "trials": int(tm.size), "ccdf": p, "stderr": se,
                 "bound": ccdf_geometric_bound(tau, p_hat_up, p_out_up),
                 "censored_fraction": censored,
@@ -318,47 +293,41 @@ def run_ccdf_sweep(plan: SweepPlan, tau_max: int = 30,
     return rows
 
 
-def run_dominance_check(plan: SweepPlan, alpha_low: float, alpha_high: float,
+def run_dominance_check(configs: Sequence[ModelConfig], trials: int,
+                        alpha_low: float, alpha_high: float,
                         t_grid: Optional[Sequence[int]] = None,
                         workers: int = 1) -> list[dict]:
     """Empirical CCDF comparison between two tail exponents.
 
-    Heavier tails (smaller alpha) must not meet later: the low-alpha
-    CCDF is required to sit at or below the high-alpha one within 3
-    combined standard errors at every requested t.  At t=0 nobody has
-    moved, so both columns estimate the same out-of-range probability.
+    Each config runs twice, its flight law set to each exponent on the
+    config's own seed.  Heavier tails (smaller alpha) must not meet
+    later: the low-alpha CCDF is required to sit at or below the
+    high-alpha one within 3 combined standard errors at every requested
+    t.  At t=0 nobody has moved, so both columns estimate the same
+    out-of-range probability.
     """
-    if plan.model != MODEL_LEVY or plan.law is None:
+    if any(cfg.model != MODEL_LEVY for cfg in configs):
         raise ValueError("dominance checks need the heavy-flight model")
-    if plan.law.sampler != "truncated_pareto":
+    if any(cfg.law.sampler != "truncated_pareto" for cfg in configs):
         raise ValueError("dominance checks need the truncated power-law sampler")
     if not (0.0 < alpha_low <= alpha_high <= 2.0):
         raise ValueError("need 0 < alpha_low <= alpha_high <= 2")
     taus = list(t_grid) if t_grid is not None else list(range(0, 51))
     if any(t < 0 for t in taus):
         raise ValueError("t values must be nonnegative")
-    laws = [FlightLaw(alpha=a, scale_s=plan.law.scale_s, z_th=plan.law.z_th,
-                      sampler="truncated_pareto")
-            for a in (alpha_low, alpha_high)]
     rows = []
-    for i, n in enumerate(plan.n_grid):
-        ccdfs = []
-        for law in laws:
-            cfg = plan.config_for(n, i, law=law)
-            if cfg.horizon_slots <= max(taus):
-                raise ValueError("horizon must exceed the largest t")
-            _, tm, _ = pair_meeting_times(cfg, plan.trials_per_point,
-                                          workers=workers)
-            ccdfs.append(tm)
-        lo_t, hi_t = ccdfs
-        r = plan.config_for(n, i).r
+    for cfg in configs:
+        if cfg.horizon_slots <= max(taus):
+            raise ValueError("horizon must exceed the largest t")
+        lo_t, hi_t = [
+            pair_meeting_times(replace(cfg, law=replace(cfg.law, alpha=a, tail_c=None)),
+                               trials, workers=workers)[1]
+            for a in (alpha_low, alpha_high)]
         for t in taus:
-            p_lo = float(np.mean(lo_t > t))
-            p_hi = float(np.mean(hi_t > t))
-            se_lo = math.sqrt(p_lo * (1.0 - p_lo) / lo_t.size)
-            se_hi = math.sqrt(p_hi * (1.0 - p_hi) / hi_t.size)
+            p_lo, se_lo = _ccdf_point(lo_t, t)
+            p_hi, se_hi = _ccdf_point(hi_t, t)
             rows.append({
-                "n": n, "r": r, "t": t,
+                "n": cfg.n, "r": cfg.r, "t": t,
                 "alpha_low": alpha_low, "alpha_high": alpha_high,
                 "ccdf_low": p_lo, "stderr_low": se_lo,
                 "ccdf_high": p_hi, "stderr_high": se_hi,

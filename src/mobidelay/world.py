@@ -72,6 +72,8 @@ from .geometry import _exit_fraction, lens_area, uniform_points_in_disc
 __all__ = [
     "MODEL_LEVY",
     "MODEL_IID",
+    "DEFAULT_HORIZON_IID",
+    "DEFAULT_HORIZON_LEVY",
     "DEFAULT_SEED",
     "STREAM_VERSION",
     "SALT_MEET",
@@ -117,7 +119,9 @@ class ModelConfig:
     """One network instance.
 
     Exactly one of r/beta must be given; beta in [0, 1/4] sets r = n**beta.
-    The heavy-tailed model requires a FlightLaw.
+    r may come with beta only as that resolved value, which is what
+    dataclasses.replace passes on.  The heavy-tailed model requires a
+    FlightLaw.
     """
 
     n: int
@@ -133,12 +137,15 @@ class ModelConfig:
             raise ValueError("n must be a positive integer")
         if self.model not in (MODEL_LEVY, MODEL_IID):
             raise ValueError(f"unknown model {self.model!r}")
-        if (self.r is None) == (self.beta is None):
-            raise ValueError("give exactly one of r or beta")
         if self.beta is not None:
             if not (0.0 <= self.beta <= 0.25):
                 raise ValueError("beta must be in [0, 0.25]")
-            object.__setattr__(self, "r", float(self.n) ** self.beta)
+            r = float(self.n) ** self.beta
+            if self.r not in (None, r):
+                raise ValueError("give exactly one of r or beta")
+            object.__setattr__(self, "r", r)
+        elif self.r is None:
+            raise ValueError("give exactly one of r or beta")
         # 2*sqrt(n) is the disc diameter, the largest meaningful range
         if not (0.0 < self.r <= 2.0 * math.sqrt(self.n)):
             raise ValueError("require 0 < r <= 2*sqrt(n)")
@@ -655,6 +662,8 @@ def _contact_block(args):
 
 def _run_sharded(cfg, trials, salt, workers, m, slotted):
     """_contact_block over fixed blocks of trials, columns concatenated."""
+    if cfg.n < 2:
+        raise ValueError("need n >= 2")
     if trials < 1:
         raise ValueError("trials must be positive")
     blocks = [(cfg.master_seed, salt, b, min(_BLOCK, trials - b * _BLOCK), cfg, m, slotted)
@@ -683,7 +692,5 @@ def pair_meeting_times(cfg: ModelConfig, trials: int, salt: int = SALT_MEET,
 def scheme_delays(cfg: ModelConfig, trials: int, salt: int = SALT_DELAY,
                   workers: int = 1):
     """Batch relay-scheme delay trials; returns (neighbor_counts, dest0, delays)."""
-    if cfg.n < 2:
-        raise ValueError("need n >= 2")
     l0, nc, dl, _ = _run_sharded(cfg, trials, salt, workers, cfg.n, False)
     return nc, l0 <= cfg.r, dl

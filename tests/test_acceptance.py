@@ -32,7 +32,7 @@ from mobidelay.analytics import (
     u_bar_from_ccdf,
 )
 from mobidelay.experiments import (
-    SweepPlan,
+    grid_configs,
     neighbor_binomial_gof,
     run_ccdf_sweep,
     run_delay_sweep,
@@ -90,19 +90,16 @@ def test_criterion_02_iid_no_contact_sandwich():
 
 def test_criterion_03_geometric_ccdf_domination():
     t0 = time.time()
-    beta_iid = math.log(4.0) / math.log(400.0)  # r = 4 at n = 400
-    iid_plan = SweepPlan(n_grid=(400,), beta=beta_iid, model=MODEL_IID,
-                         trials_per_point=10**5, master_seed=DEFAULT_SEED)
+    iid = grid_configs((400,), r=4.0, model=MODEL_IID, master_seed=DEFAULT_SEED)
     law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    levy_plan = SweepPlan(n_grid=(10**4,), beta=0.0, model=MODEL_LEVY,
-                          law=law, trials_per_point=10**5, horizon=40,
-                          master_seed=DEFAULT_SEED)
-    for plan in (iid_plan, levy_plan):
-        rows = run_ccdf_sweep(plan, tau_max=30)
+    levy = grid_configs((10**4,), beta=0.0, model=MODEL_LEVY, law=law,
+                        horizon=40, master_seed=DEFAULT_SEED)
+    for configs in (iid, levy):
+        rows = run_ccdf_sweep(configs, 10**5, tau_max=30)
         for row in rows:
             assert row["ccdf"] <= row["bound"] + 3.0 * row["stderr"], \
-                f"{plan.model} tau={row['tau']}: {row['ccdf']} > {row['bound']}"
-    n = levy_plan.n_grid[0]
+                f"{row['model']} tau={row['tau']}: {row['ccdf']} > {row['bound']}"
+    n = levy[0].n
     tail = cosine_diff_tail_constants(law.alpha, law.tail_c)
     _, _, caveat = p_hat_bounds_levy(n, 1.0, tail, law.alpha)
     _report(3, f"62 rows dominated; heavy-flight run at n={n} "
@@ -174,10 +171,9 @@ def test_criterion_07_iid_delay_scaling_slopes():
     t0 = time.time()
     grid = (250, 500, 1000, 2000, 4000)
     for beta, horizon, cap in ((0.0, 5000, 0.65), (1.0 / 6.0, 2000, 0.15)):
-        plan = SweepPlan(n_grid=grid, beta=beta, model=MODEL_IID,
-                         trials_per_point=10**3, horizon=horizon,
-                         master_seed=DEFAULT_SEED)
-        fit = run_delay_sweep(plan)
+        configs = grid_configs(grid, beta=beta, model=MODEL_IID, horizon=horizon,
+                               master_seed=DEFAULT_SEED)
+        fit = run_delay_sweep(configs, 10**3)
         assert fit.valid, fit.note
         _report(7, f"beta={beta:.4f}: slope {fit.slope:.4f} <= {cap} "
                    f"(r2 {fit.r_squared:.4f})")
@@ -190,15 +186,12 @@ def test_criterion_08_levy_delay_envelope():
     t0 = time.time()
     law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
     exponent = (1.0 + law.alpha) / 2.0 - 0.25
-    plan = SweepPlan(n_grid=(256, 1024, 4096), beta=0.25, model=MODEL_LEVY,
-                     law=law, trials_per_point=10**3,
-                     master_seed=DEFAULT_SEED)
     points = []
-    for i, n in enumerate(plan.n_grid):
-        cfg = plan.config_for(n, i)
-        _, _, delays = scheme_delays(cfg, plan.trials_per_point)
+    for cfg in grid_configs((256, 1024, 4096), beta=0.25, model=MODEL_LEVY,
+                            law=law, master_seed=DEFAULT_SEED):
+        _, _, delays = scheme_delays(cfg, 10**3)
         finite = delays[np.isfinite(delays)]
-        points.append((n, float(finite.mean()),
+        points.append((cfg.n, float(finite.mean()),
                        float(finite.std(ddof=1) / math.sqrt(finite.size)),
                        1.0 - finite.size / delays.size))
     scale_c = points[0][1] / points[0][0] ** exponent
@@ -231,10 +224,9 @@ def test_criterion_09_cosine_difference_tail():
 
 def test_criterion_10_alpha_dominance():
     law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    plan = SweepPlan(n_grid=(400,), beta=math.log(4.0) / math.log(400.0),
-                     model=MODEL_LEVY, law=law, trials_per_point=2 * 10**4,
-                     horizon=60, master_seed=DEFAULT_SEED)
-    rows = run_dominance_check(plan, 0.5, 2.0)
+    configs = grid_configs((400,), r=4.0, model=MODEL_LEVY, law=law,
+                           horizon=60, master_seed=DEFAULT_SEED)
+    rows = run_dominance_check(configs, 2 * 10**4, 0.5, 2.0)
     bad = [row for row in rows if not row["dominated"]]
     gap = max(row["ccdf_high"] - row["ccdf_low"] for row in rows)
     _report(10, f"{len(rows)} grid points, {len(bad)} violations, "
@@ -289,11 +281,11 @@ def test_criterion_11_property_suites(tmp_path):
         assert np.all(ts[both] >= tm[both])
 
     # byte-identical replay, worker-count invariance
-    plan = SweepPlan(n_grid=(64,), beta=0.0, model=MODEL_IID,
-                     trials_per_point=2048, master_seed=DEFAULT_SEED)
+    configs = grid_configs((64,), beta=0.0, model=MODEL_IID,
+                           master_seed=DEFAULT_SEED)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_rows_csv(str(p1), run_ccdf_sweep(plan, tau_max=8))
-    write_rows_csv(str(p2), run_ccdf_sweep(plan, tau_max=8, workers=2))
+    write_rows_csv(str(p1), run_ccdf_sweep(configs, 2048, tau_max=8))
+    write_rows_csv(str(p2), run_ccdf_sweep(configs, 2048, tau_max=8, workers=2))
     assert p1.read_bytes() == p2.read_bytes()
 
     elapsed = time.time() - t0

@@ -199,6 +199,9 @@ def test_h1_domain_errors():
         estimate_H1_mc(RNG(0), "iid", None, 100, 2.0, 30.0, 100)  # beyond diameter
     with pytest.raises(ValueError):
         estimate_H1_mc(RNG(0), "nope", None, 100, 2.0, 5.0, 100)
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="0 < r"):
+            estimate_H1_mc(RNG(0), "iid", None, 100, r, 5.0, 100)
 
 
 def _conditioned_pairs(rng, n, l0, want):

@@ -10,6 +10,7 @@ import pytest
 import full_mc
 from mobidelay import analytics
 from mobidelay.cli import (
+    _TRIALS_DEFAULT,
     EXIT_CHECK,
     EXIT_OK,
     EXIT_USAGE,
@@ -19,7 +20,7 @@ from mobidelay.cli import (
     parse_args,
     run,
 )
-from mobidelay.world import DEFAULT_SEED
+from mobidelay.world import DEFAULT_HORIZON_IID, DEFAULT_HORIZON_LEVY, DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,33 @@ def test_sweep_r_flag_rejected_for_grids():
     assert run(cfg) == EXIT_USAGE
 
 
+def test_meet_uses_r_as_given(tmp_path):
+    out = tmp_path / "o"
+    assert main(["meet", "--n", "100", "--r", "2", "--trials", "200",
+                 "--format", "both", "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "meet.json").read_text())
+    assert {row["r"] for row in rows} == {2.0}
+    with open(out / "meet.csv", newline="") as fh:
+        assert {float(row["r"]) for row in csv.DictReader(fh)} == {2.0}
+
+
+@pytest.mark.parametrize("r", ["5", "0.5"])
+def test_meet_accepts_r_outside_the_exponent_range(tmp_path, r):
+    # r = 5 and r = 0.5 at n = 400 lie outside r = n**beta, beta in
+    # [0, 1/4]; a fixed range needs no exponent, as for delay
+    for sub in ("meet", "delay"):
+        assert main([sub, "--n", "400", "--r", r, "--trials", "200",
+                     "--horizon", "50", "--out", str(tmp_path / sub)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("sub", ["delay", "bounds", "gof"])
+def test_single_population_subcommands_reject_grids(tmp_path, sub, capsys):
+    assert main([sub, "--n", "100,400", "--trials", "0",
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "one --n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # subprocess surface
 
@@ -263,8 +291,13 @@ def test_help_documents_defaults():
         [sys.executable, "-m", "mobidelay.cli", "bounds", "--help"],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "0x5EED_CAFE" in proc.stdout
-    assert "defaults" in proc.stdout
+    text = " ".join(proc.stdout.split())
+    assert "0x5EED_CAFE" in text
+    assert "defaults" in text
+    for sub, trials in _TRIALS_DEFAULT.items():
+        assert f"{sub} {trials}" in text
+    assert f"{DEFAULT_HORIZON_IID} slots i.i.d." in text
+    assert f"{DEFAULT_HORIZON_LEVY} heavy-flight" in text
 
 
 def test_unknown_flag_exits_1():

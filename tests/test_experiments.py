@@ -16,8 +16,8 @@ from scipy import stats
 from mobidelay.experiments import (
     GofResult,
     ScalingFit,
-    SweepPlan,
     fit_loglog,
+    grid_configs,
     neighbor_binomial_gof,
     run_ccdf_sweep,
     run_delay_sweep,
@@ -33,39 +33,38 @@ SEED = 20260817
 
 
 # ---------------------------------------------------------------------------
-# plan validation
+# grid configs
 
 
-def test_plan_rejects_unsorted_grid():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SweepPlan(n_grid=(100, 100), beta=0.0, model="iid")
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SweepPlan(n_grid=(200, 100), beta=0.0, model="iid")
-
-
-def test_plan_rejects_bad_fields():
-    with pytest.raises(ValueError, match="beta"):
-        SweepPlan(n_grid=(100,), beta=0.3, model="iid")
-    with pytest.raises(ValueError, match="model"):
-        SweepPlan(n_grid=(100,), beta=0.0, model="brownian")
-    with pytest.raises(ValueError, match="FlightLaw"):
-        SweepPlan(n_grid=(100,), beta=0.0, model="levy")
+def test_grid_rejects_empty_or_unsorted():
     with pytest.raises(ValueError, match="nonempty"):
-        SweepPlan(n_grid=(), beta=0.0, model="iid")
-    with pytest.raises(ValueError, match="at least 2"):
-        SweepPlan(n_grid=(1, 10), beta=0.0, model="iid")
-    with pytest.raises(ValueError, match="trials"):
-        SweepPlan(n_grid=(100,), beta=0.0, model="iid", trials_per_point=0)
+        grid_configs((), beta=0.0, model="iid")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        grid_configs((100, 100), beta=0.0, model="iid")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        grid_configs((200, 100), beta=0.0, model="iid")
+
+
+def test_grid_leaves_fields_to_model_config():
+    with pytest.raises(ValueError, match="beta"):
+        grid_configs((100,), beta=0.3, model="iid")
+    with pytest.raises(ValueError, match="model"):
+        grid_configs((100,), beta=0.0, model="brownian")
+    with pytest.raises(ValueError, match="FlightLaw"):
+        grid_configs((100,), beta=0.0, model="levy")
     with pytest.raises(ValueError, match="horizon"):
-        SweepPlan(n_grid=(100,), beta=0.0, model="iid", horizon=0)
+        grid_configs((100,), beta=0.0, model="iid", horizon=0)
+    with pytest.raises(ValueError, match="one of r or beta"):
+        grid_configs((100,), model="iid")
 
 
-def test_plan_configs_differ_by_point():
-    plan = SweepPlan(n_grid=(100, 200), beta=0.0, model="iid", master_seed=7)
-    c0 = plan.config_for(100, 0)
-    c1 = plan.config_for(200, 1)
+def test_grid_configs_differ_by_point():
+    c0, c1 = grid_configs((100, 200), beta=0.0, model="iid", master_seed=7)
+    assert (c0.n, c1.n) == (100, 200)
     assert c0.master_seed == 7 and c1.master_seed == 8
     assert c0.r == 1.0 and c1.r == 1.0
+    # a fixed range is used as given, not passed through an exponent
+    assert [c.r for c in grid_configs((100, 400), r=2.0, model="iid")] == [2.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +128,9 @@ def test_fit_loglog_stderr_matches_known_noise():
 
 
 def test_delay_sweep_slope_near_half_power():
-    plan = SweepPlan(n_grid=(64, 256, 1024), beta=0.0, model="iid",
-                     trials_per_point=1000, horizon=3000, master_seed=SEED)
-    fit = run_delay_sweep(plan)
+    configs = grid_configs((64, 256, 1024), beta=0.0, model="iid",
+                           horizon=3000, master_seed=SEED)
+    fit = run_delay_sweep(configs, 1000)
     assert fit.valid
     assert all(p.censored_fraction < 0.01 for p in fit.points)
     assert fit.slope <= 0.70
@@ -141,9 +140,9 @@ def test_delay_sweep_slope_near_half_power():
 
 
 def test_delay_sweep_reports_censoring_instead_of_dropping():
-    plan = SweepPlan(n_grid=(100, 200, 400), beta=0.0, model="iid",
-                     trials_per_point=1000, horizon=1, master_seed=SEED)
-    fit = run_delay_sweep(plan)
+    configs = grid_configs((100, 200, 400), beta=0.0, model="iid",
+                           horizon=1, master_seed=SEED)
+    fit = run_delay_sweep(configs, 1000)
     assert not fit.valid
     assert math.isnan(fit.slope)
     assert "censored" in fit.note
@@ -152,20 +151,18 @@ def test_delay_sweep_reports_censoring_instead_of_dropping():
 
 
 def test_delay_sweep_input_gates():
-    plan = SweepPlan(n_grid=(100, 200), beta=0.0, model="iid",
-                     trials_per_point=1000)
+    configs = grid_configs((100, 200), beta=0.0, model="iid")
     with pytest.raises(ValueError, match="3 grid points"):
-        run_delay_sweep(plan)
-    plan = SweepPlan(n_grid=(100, 200, 400), beta=0.0, model="iid",
-                     trials_per_point=100)
+        run_delay_sweep(configs, 1000)
+    configs = grid_configs((100, 200, 400), beta=0.0, model="iid")
     with pytest.raises(ValueError, match="10\\^3 trials"):
-        run_delay_sweep(plan)
+        run_delay_sweep(configs, 100)
 
 
 def test_delay_sweep_summary_shape():
-    plan = SweepPlan(n_grid=(64, 128, 256), beta=0.0, model="iid",
-                     trials_per_point=1000, horizon=2000, master_seed=SEED)
-    fit = run_delay_sweep(plan)
+    configs = grid_configs((64, 128, 256), beta=0.0, model="iid",
+                           horizon=2000, master_seed=SEED)
+    fit = run_delay_sweep(configs, 1000)
     s = fit.summary()
     assert set(s) == {"slope", "intercept", "r_squared", "slope_stderr",
                       "valid", "note", "points"}
@@ -179,10 +176,8 @@ def test_delay_sweep_summary_shape():
 
 
 def test_ccdf_sweep_iid_dominated_and_monotone():
-    beta = math.log(2.0) / math.log(100.0)  # r = 2 at n = 100
-    plan = SweepPlan(n_grid=(100,), beta=beta, model="iid",
-                     trials_per_point=20000, master_seed=SEED)
-    rows = run_ccdf_sweep(plan, tau_max=12)
+    configs = grid_configs((100,), r=2.0, model="iid", master_seed=SEED)
+    rows = run_ccdf_sweep(configs, 20000, tau_max=12)
     assert len(rows) == 13
     po_lo, po_up = p_out_bounds(100, rows[0]["r"])
     se0 = rows[0]["stderr"]
@@ -198,9 +193,9 @@ def test_ccdf_sweep_iid_dominated_and_monotone():
 
 def test_ccdf_sweep_levy_rows_complete():
     law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    plan = SweepPlan(n_grid=(100,), beta=0.0, model="levy", law=law,
-                     trials_per_point=2000, horizon=40, master_seed=SEED)
-    rows = run_ccdf_sweep(plan, tau_max=8)
+    configs = grid_configs((100,), beta=0.0, model="levy", law=law,
+                           horizon=40, master_seed=SEED)
+    rows = run_ccdf_sweep(configs, 2000, tau_max=8)
     assert len(rows) == 9
     keys = {"model", "n", "r", "tau", "trials", "ccdf", "stderr", "bound",
             "censored_fraction"}
@@ -210,17 +205,15 @@ def test_ccdf_sweep_levy_rows_complete():
 
 
 def test_ccdf_sweep_validates_horizon():
-    plan = SweepPlan(n_grid=(100,), beta=0.0, model="iid",
-                     trials_per_point=100, horizon=10)
+    configs = grid_configs((100,), beta=0.0, model="iid", horizon=10)
     with pytest.raises(ValueError, match="horizon"):
-        run_ccdf_sweep(plan, tau_max=30)
+        run_ccdf_sweep(configs, 100, tau_max=30)
 
 
 def test_ccdf_sweep_worker_invariance():
-    plan = SweepPlan(n_grid=(64,), beta=0.0, model="iid",
-                     trials_per_point=3000, master_seed=SEED)
-    r1 = run_ccdf_sweep(plan, tau_max=5, workers=1)
-    r2 = run_ccdf_sweep(plan, tau_max=5, workers=2)
+    configs = grid_configs((64,), beta=0.0, model="iid", master_seed=SEED)
+    r1 = run_ccdf_sweep(configs, 3000, tau_max=5, workers=1)
+    r2 = run_ccdf_sweep(configs, 3000, tau_max=5, workers=2)
     assert r1 == r2
 
 
@@ -230,9 +223,9 @@ def test_ccdf_sweep_worker_invariance():
 
 def test_dominance_equal_alphas_match_exactly():
     law = FlightLaw(alpha=1.2, sampler="truncated_pareto")
-    plan = SweepPlan(n_grid=(64,), beta=0.0, model="levy", law=law,
-                     trials_per_point=800, horizon=20, master_seed=SEED)
-    rows = run_dominance_check(plan, 1.2, 1.2, t_grid=range(0, 6))
+    configs = grid_configs((64,), beta=0.0, model="levy", law=law,
+                           horizon=20, master_seed=SEED)
+    rows = run_dominance_check(configs, 800, 1.2, 1.2, t_grid=range(0, 6))
     for row in rows:
         assert row["ccdf_low"] == row["ccdf_high"]
         assert row["dominated"]
@@ -240,9 +233,9 @@ def test_dominance_equal_alphas_match_exactly():
 
 def test_dominance_heavier_tail_meets_sooner():
     law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    plan = SweepPlan(n_grid=(100,), beta=0.0, model="levy", law=law,
-                     trials_per_point=1500, horizon=30, master_seed=SEED)
-    rows = run_dominance_check(plan, 0.8, 1.6, t_grid=range(0, 9))
+    configs = grid_configs((100,), beta=0.0, model="levy", law=law,
+                           horizon=30, master_seed=SEED)
+    rows = run_dominance_check(configs, 1500, 0.8, 1.6, t_grid=range(0, 9))
     assert all(row["dominated"] for row in rows)
     # before anyone moves both columns estimate the out-of-range prob
     t0 = rows[0]
@@ -259,19 +252,16 @@ def test_dominance_heavier_tail_meets_sooner():
 
 def test_dominance_input_gates():
     law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    iid_plan = SweepPlan(n_grid=(64,), beta=0.0, model="iid",
-                         trials_per_point=100)
+    iid = grid_configs((64,), beta=0.0, model="iid")
     with pytest.raises(ValueError, match="heavy-flight"):
-        run_dominance_check(iid_plan, 0.5, 2.0)
+        run_dominance_check(iid, 100, 0.5, 2.0)
     stable_law = FlightLaw(alpha=1.0, sampler="stable")
-    plan = SweepPlan(n_grid=(64,), beta=0.0, model="levy", law=stable_law,
-                     trials_per_point=100)
+    stable = grid_configs((64,), beta=0.0, model="levy", law=stable_law)
     with pytest.raises(ValueError, match="truncated"):
-        run_dominance_check(plan, 0.5, 2.0)
-    plan = SweepPlan(n_grid=(64,), beta=0.0, model="levy", law=law,
-                     trials_per_point=100)
+        run_dominance_check(stable, 100, 0.5, 2.0)
+    configs = grid_configs((64,), beta=0.0, model="levy", law=law)
     with pytest.raises(ValueError, match="alpha_low"):
-        run_dominance_check(plan, 1.5, 0.5)
+        run_dominance_check(configs, 100, 1.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +384,14 @@ def test_json_writer(tmp_path):
 
 
 def test_ccdf_sweep_byte_identical_replay(tmp_path):
-    plan = SweepPlan(n_grid=(64,), beta=0.0, model="iid",
-                     trials_per_point=2000, master_seed=SEED)
+    configs = grid_configs((64,), beta=0.0, model="iid", master_seed=SEED)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_rows_csv(str(p1), run_ccdf_sweep(plan, tau_max=6))
-    write_rows_csv(str(p2), run_ccdf_sweep(plan, tau_max=6))
+    write_rows_csv(str(p1), run_ccdf_sweep(configs, 2000, tau_max=6))
+    write_rows_csv(str(p2), run_ccdf_sweep(configs, 2000, tau_max=6))
     assert p1.read_bytes() == p2.read_bytes()
     j1 = tmp_path / "a.json"
-    write_json(str(j1), run_ccdf_sweep(plan, tau_max=6))
+    write_json(str(j1), run_ccdf_sweep(configs, 2000, tau_max=6))
     j2 = tmp_path / "b.json"
-    write_json(str(j2), run_ccdf_sweep(plan, tau_max=6))
+    write_json(str(j2), run_ccdf_sweep(configs, 2000, tau_max=6))
     assert j1.read_bytes() == j2.read_bytes()

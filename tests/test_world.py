@@ -1,6 +1,7 @@
 """Meeting-process and relay-scheme simulation, including the exact
 in-slot contact engine for wrapped paths."""
 
+import dataclasses
 import math
 import warnings
 
@@ -55,6 +56,15 @@ def test_model_config_validation():
         ModelConfig(n=100, r=21.0)              # beyond the diameter
     with pytest.raises(ValueError):
         ModelConfig(n=100, r=2.0, model="levy")  # law required
+
+
+def test_model_config_from_beta_copies():
+    cfg = ModelConfig(n=400, beta=0.1)
+    copy = dataclasses.replace(cfg, master_seed=3)
+    assert (copy.r, copy.beta, copy.master_seed) == (cfg.r, 0.1, 3)
+    # r given with beta must be the resolved n**beta
+    with pytest.raises(ValueError, match="one of r or beta"):
+        dataclasses.replace(cfg, r=2.0)
 
 
 def test_model_config_defaults():
@@ -706,6 +716,8 @@ def test_delay_requires_two_nodes():
     cfg = ModelConfig(n=1, r=0.5, horizon_slots=5)
     with pytest.raises(ValueError):
         scheme_delays(cfg, 1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        pair_meeting_times(cfg, 1)
 
 
 def test_batch_runners_reject_empty_runs():
