@@ -265,6 +265,9 @@ def parse_args(argv) -> RunConfig:
 
 
 def _law_for(config: RunConfig) -> Optional[FlightLaw]:
+    # dominance sets each of its two exponents on the law itself
+    if len(config.alpha) > 1 and config.subcommand != "dominance":
+        raise ValueError(f"{config.subcommand} runs one tail exponent; give one --alpha")
     if config.model != MODEL_LEVY:
         return None
     alpha = config.alpha[0] if config.alpha else _ALPHA_DEFAULT

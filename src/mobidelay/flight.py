@@ -6,7 +6,7 @@ tail_c / z^alpha for z >= z_th, with all mass above z_th) or as |Z*| of a
 symmetric alpha-stable variable with characteristic function
 exp(-|s t|^alpha).  The stable sampler uses the Chambers-Mallows-Stuck
 transformation, which is exact and rejection-free.  Every sampler draws
-a whole array per call.
+a whole array per call; flights come in polar form (angle, length).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "sample_stable_symmetric_np",
     "sample_flight_lengths",
     "sample_flight_polar",
-    "sample_flight_steps",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -130,11 +129,3 @@ def sample_flight_polar(rng: np.random.Generator, law: FlightLaw, size: int):
     theta *= _TWO_PI
     return theta, sample_flight_lengths(rng, law, size)
 
-
-def sample_flight_steps(rng: np.random.Generator, law: FlightLaw, size: int):
-    """Isotropic flight vectors as two (size,) arrays (dx, dy).
-
-    The polar draw of sample_flight_polar, mapped to Cartesian form.
-    """
-    theta, z = sample_flight_polar(rng, law, size)
-    return z * np.cos(theta), z * np.sin(theta)

@@ -7,8 +7,8 @@ so the source is the only carrier.  Only the carriers and the destination
 ever move, so relay delay places only them: the source's neighbours
 other than the destination number Binomial(n - 2, q), with q the share
 of the disc within r of the source, and lie uniformly in that lens, which
-is the law of placing all n nodes.  One block engine runs both, advancing
-all live trials of a block together slot by slot.
+is the law of placing all n nodes.  One lockstep engine runs both,
+advancing all live trials of a group of blocks together slot by slot.
 
 One slot of motion is piecewise linear: antipodal wraps split a node's
 path into sub-segments, and within any time window where both nodes move
@@ -48,26 +48,31 @@ count of every trial, one binomial draw in trial order; then the lens
 carriers of the trials whose destination starts out of range, in
 rejection rounds from the range ball around the source, each round one
 point draw for the carriers still unplaced, in trial order; then, slot
-by slot, one draw for every node of the still-live trials, carriers
-first and then destinations, each in trial order: a uniform point per
-node under teleport, a flight per node (all angles, then all lengths)
-under heavy-flight.  Pair meeting draws no neighbour counts or lens
-carriers, so its streams are those of version 2, which placed all n
-nodes of a relay trial instead; version 1 consumed the stream one trial
-at a time.
+by slot, one draw for every node of the block's still-live trials,
+carriers first and then destinations, each in trial order: a uniform
+point per node under teleport, a flight per node under heavy-flight,
+both in polar form (all angles, then all radii or lengths).  Pair
+meeting draws no neighbour counts or lens carriers, so its streams are
+those of version 2, which placed all n nodes of a relay trial instead;
+version 1 consumed the stream one trial at a time.
+
+A task of the runner advances a group of consecutive blocks in one slot
+loop: each block still draws from its own stream as above, and
+everything after the draws (the map to Cartesian steps, the contact
+engine, the live bookkeeping) is elementwise over the group's pairs.
+So neither the grouping nor the worker count changes a result.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flight import FlightLaw, sample_flight_steps
-from .geometry import _exit_fraction, lens_area, uniform_points_in_disc
+from .flight import FlightLaw, sample_flight_polar
+from .geometry import _exit_fraction, lens_area, uniform_disc_polar, uniform_points_in_disc
 
 __all__ = [
     "MODEL_LEVY",
@@ -112,6 +117,9 @@ _CAP_UNION = 2048
 _WINDOW_BUDGET = 5_000_000
 
 _BLOCK = 1024
+# nodes one group of blocks keeps in flight, 8 pair-meeting blocks: more
+# per group saves numpy call overhead per slot, fewer bounds its memory
+_GROUP_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,7 @@ def _per_trial_min(values, owner, size):
 # pieces the union walk, or windows the periodic search, lays out at once,
 # which bounds their memory however many pairs wrap; a pair with more
 # pieces is walked alone
-_UNION_PIECES = 1 << 15
+_UNION_PIECES = 1 << 13
 
 
 def _union_walk(x0, y0, dx, dy, g, stop, r):
@@ -595,41 +603,62 @@ def _place_trials(rng, cfg, count, m):
     return l0, 1 + (l0 <= r) + k, live, xs[live, 1], ys[live, 1], cx, cy, cpos
 
 
-def _contact_block(args):
-    """One block of first-contact trials, all live trials in lockstep.
+def _contact_group(args):
+    """Consecutive blocks of first-contact trials, all live trials in lockstep.
 
-    Each trial is laid out by _place_trials with m nodes: for m = 2 the
-    source is the only carrier.  Returns (l0, neighbor_count, t_meet,
-    t_slotted) arrays: the source-destination distance, the nodes within
-    r of the source (itself included), the first instant a carrier is
-    within r of the destination, and the first slot end at which one is.
-    Both times are 0 when the destination starts in range and inf when
-    censored.  Otherwise t_slotted is only tracked when slotted is set,
-    and then a trial runs until both fire.
+    Block first + b holds counts[b] trials, each laid out by _place_trials
+    with m nodes from the block's own stream: for m = 2 the source is the
+    only carrier.  On every slot each block with live trials draws for
+    its carriers, then its destinations; the group then runs one contact
+    pass over all its pairs.  Returns (l0, neighbor_count, t_meet,
+    t_slotted) arrays over the group's trials in block order: the
+    source-destination distance, the nodes within r of the source
+    (itself included), the first instant a carrier is within r of the
+    destination, and the first slot end at which one is.  Both times are
+    0 when the destination starts in range and inf when censored.
+    Otherwise t_slotted is only tracked when slotted is set, and then a
+    trial runs until both fire.
     """
-    master_seed, salt, block, count, cfg, m, slotted = args
-    rng = trial_stream(master_seed, salt, block)
+    master_seed, salt, first, counts, cfg, m, slotted = args
+    rngs = [trial_stream(master_seed, salt, first + b) for b in range(len(counts))]
     R = cfg.radius
     r = cfg.r
-    l0, ncount, live, qx, qy, cx, cy, cpos = _place_trials(rng, cfg, count, m)
+    parts = [_place_trials(rng, cfg, count, m) for rng, count in zip(rngs, counts)]
+    l0, ncount, live, qx, qy, cx, cy, cpos = (np.concatenate(col) for col in zip(*parts))
+    # the live trials and the carriers run block by block; each block
+    # with live trials is (stream, live trials, carriers)
+    n_live = [p[2].size for p in parts]
+    n_car = [p[7].size for p in parts]
+    live += np.repeat(np.cumsum(counts) - counts, n_live)
+    cpos += np.repeat(np.cumsum(n_live) - n_live, n_car)
+    blocks = [b for b in zip(rngs, n_live, n_car) if b[1]]
     t_meet = np.where(l0 > r, np.inf, 0.0)
     t_slot = t_meet.copy()
     levy = cfg.model == MODEL_LEVY
+    # a flight under its law, or a relocation uniform over the disc
+    draw, param = (sample_flight_polar, cfg.law) if levy else (uniform_disc_polar, R)
     for k in range(1, cfg.horizon_slots + 1):
         if live.size == 0:
             break
         nc = cx.size
-        # draw order: one batch for [carriers..., destinations...]
+        # each block draws for [its carriers..., its destinations...], in
+        # polar form; the group lays them out as [carriers..., destinations...]
+        draws = [(draw(rng, param, c + n), c) for rng, n, c in blocks]
+        if len(draws) == 1:
+            theta, rho = draws[0][0]
+        else:
+            theta, rho = (np.concatenate([d[i][:c] for d, c in draws]
+                                         + [d[i][c:] for d, c in draws]) for i in (0, 1))
+        sx = rho * np.cos(theta)
+        sy = rho * np.sin(theta)
         if levy:
-            sx, sy = sample_flight_steps(rng, cfg.law, nc + live.size)
             ex = cx + sx[:nc]
             ey = cy + sy[:nc]
             fx = qx + sx[nc:]
             fy = qy + sy[nc:]
         else:
-            px, py = uniform_points_in_disc(rng, R, nc + live.size)
-            ex, fx = px[:nc], px[nc:]
-            ey, fy = py[:nc], py[nc:]
+            ex, fx = sx[:nc], sx[nc:]
+            ey, fy = sy[:nc], sy[nc:]
         hits = _relay_slot_hits_np(cx, cy, ex, ey, qx[cpos], qy[cpos],
                                    fx[cpos], fy[cpos], r)
         if levy:
@@ -657,23 +686,44 @@ def _contact_block(args):
         cx = ex[kept]
         cy = ey[kept]
         cpos = (np.cumsum(keep) - 1)[cpos[kept]]
+        if len(blocks) == 1:
+            blocks = [(blocks[0][0], live.size, cx.size)]
+        else:
+            # each block's survivors, over its run of the arrays
+            streams, n_live, n_car = zip(*blocks)
+            n_live = np.add.reduceat(keep, np.cumsum(n_live) - n_live, dtype=np.int64)
+            n_car = np.add.reduceat(kept, np.cumsum(n_car) - n_car, dtype=np.int64)
+            blocks = [b for b in zip(streams, n_live.tolist(), n_car.tolist()) if b[1]]
     return l0, ncount, t_meet, t_slot
 
 
 def _run_sharded(cfg, trials, salt, workers, m, slotted):
-    """_contact_block over fixed blocks of trials, columns concatenated."""
+    """_contact_group over contiguous groups of fixed blocks, columns concatenated.
+
+    A group holds as many blocks as keep about _GROUP_NODES nodes in
+    flight, counting each trial as its two ends plus the carriers it
+    expects, and there are at least as many groups as workers can take.
+    """
     if cfg.n < 2:
         raise ValueError("need n >= 2")
     if trials < 1:
         raise ValueError("trials must be positive")
-    blocks = [(cfg.master_seed, salt, b, min(_BLOCK, trials - b * _BLOCK), cfg, m, slotted)
-              for b in range((trials + _BLOCK - 1) // _BLOCK)]
-    workers = min(workers, len(blocks))
-    if workers <= 1:
-        parts = [_contact_block(b) for b in blocks]
+    blocks = (trials + _BLOCK - 1) // _BLOCK
+    nodes = 2.0 + (m - 2) * min(1.0, cfg.r * cfg.r / cfg.n)
+    cap = max(1, int(_GROUP_NODES / (_BLOCK * nodes)))
+    groups = max(-(-blocks // cap), min(workers, blocks))
+    cuts = [blocks * g // groups for g in range(groups + 1)]
+    tasks = [(cfg.master_seed, salt, lo,
+              [min(_BLOCK, trials - b * _BLOCK) for b in range(lo, hi)], cfg, m, slotted)
+             for lo, hi in zip(cuts, cuts[1:])]
+    if workers <= 1 or groups == 1:
+        parts = [_contact_group(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_contact_block, blocks))
+        # imported here: the pool pulls in multiprocessing, which a run
+        # without one need not load
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, groups)) as ex:
+            parts = list(ex.map(_contact_group, tasks))
     return [np.concatenate(col) for col in zip(*parts)]
 
 

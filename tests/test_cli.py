@@ -258,6 +258,17 @@ def test_single_population_subcommands_reject_grids(tmp_path, sub, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("sub", ["meet", "delay", "bounds"])
+@pytest.mark.parametrize("model", ["levy", "iid"])
+def test_single_alpha_subcommands_reject_lists(tmp_path, sub, model, capsys):
+    # only dominance takes two exponents; the others would run the first
+    assert main([sub, "--model", model, "--alpha", "0.5,2.0", "--n", "100", "--r", "2",
+                 "--trials", "100", "--horizon", "40",
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "give one --alpha" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # subprocess surface
 
@@ -272,18 +283,29 @@ def test_module_entry_point(tmp_path):
     assert (out / "bounds.json").exists()
 
 
-def test_cli_and_a_meet_run_leave_scipy_unloaded(tmp_path):
-    # scipy.stats is most of the package's import time; only the exact
-    # binomial bound and the goodness-of-fit test load it
+def _modules_after_a_meet_run(tmp_path, prefixes, trials):
     code = ("import sys\n"
             "import mobidelay.cli as cli\n"
-            f"code = cli.main(['meet', '--n', '100', '--r', '2', '--trials', '200',"
+            f"code = cli.main(['meet', '--n', '100', '--r', '2', '--trials', '{trials}',"
             f" '--horizon', '50', '--out', {str(tmp_path / 'o')!r}])\n"
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+            f"print(code, sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_and_a_meet_run_leave_scipy_unloaded(tmp_path):
+    # scipy.stats is most of the package's import time; only the exact
+    # binomial bound and the goodness-of-fit test load it
+    assert _modules_after_a_meet_run(tmp_path, ("scipy",), 200) == "0 []"
+
+
+def test_cli_and_a_one_worker_run_leave_the_pool_unloaded(tmp_path):
+    # the process pool pulls in multiprocessing, logging and socket; a
+    # one-worker run of several block groups never starts it
+    assert _modules_after_a_meet_run(
+        tmp_path, ("concurrent", "multiprocessing"), 20_000) == "0 []"
 
 
 def test_help_documents_defaults():

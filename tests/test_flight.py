@@ -12,7 +12,6 @@ from mobidelay.flight import (
     FlightLaw,
     sample_flight_lengths,
     sample_flight_polar,
-    sample_flight_steps,
     sample_stable_symmetric_np,
 )
 from mobidelay.geometry import uniform_points_in_disc
@@ -48,15 +47,14 @@ def test_flightlaw_truncated_pareto_ties_tail_c_to_z_th():
 
 
 def test_flight_vector_autofill_and_consistency():
-    # each step is z * (cos theta, sin theta), with every angle drawn
-    # before any length; the relay engine's stream depends on that order
+    # every angle is drawn before any length; the engine's streams
+    # depend on that order
     for law in (FlightLaw(alpha=1.0), FlightLaw(alpha=1.5, sampler="stable")):
-        dx, dy = sample_flight_steps(RNG(20), law, 1000)
+        got_theta, got_z = sample_flight_polar(RNG(20), law, 1000)
         rng = RNG(20)
         theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 1000))
         z = sample_flight_lengths(rng, law, 1000)
-        assert np.array_equal(dx, z * np.cos(theta))
-        assert np.array_equal(dy, z * np.sin(theta))
+        assert np.array_equal(got_theta, theta) and np.array_equal(got_z, z)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +168,8 @@ def test_alpha_dominance_of_truncated_pareto_ccdf():
 ])
 def test_flight_draw_order_and_bits(law):
     # all angles, uniform on (0, 2*pi], then all lengths; the Pareto
-    # lengths are z_th * (1 - U)^(-1/alpha); steps are the polar draw in
-    # Cartesian form.  Written out here as plain expressions, bit for bit.
+    # lengths are z_th * (1 - U)^(-1/alpha).  Written out here as plain
+    # expressions, bit for bit.
     theta, z = sample_flight_polar(RNG(40), law, 5000)
     rng = RNG(40)
     want_theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 5000))
@@ -180,15 +178,14 @@ def test_flight_draw_order_and_bits(law):
     else:
         want_z = np.abs(sample_stable_symmetric_np(rng, law.alpha, law.scale_s, 5000))
     assert np.array_equal(theta, want_theta) and np.array_equal(z, want_z)
-    dx, dy = sample_flight_steps(RNG(40), law, 5000)
-    assert np.array_equal(dx, z * np.cos(theta)) and np.array_equal(dy, z * np.sin(theta))
 
 
 @pytest.fixture(scope="module")
 def flight_batch():
     rng = RNG(17)
     law = FlightLaw(alpha=1.0)
-    dx, dy = sample_flight_steps(rng, law, 10**6)
+    theta, z = sample_flight_polar(rng, law, 10**6)
+    dx, dy = z * np.cos(theta), z * np.sin(theta)
     ang = np.arctan2(dy, dx)
     ang = np.where(ang <= 0.0, ang + 2.0 * math.pi, ang)  # onto (0, 2*pi]
     return ang, np.hypot(dx, dy)

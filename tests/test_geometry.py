@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from mobidelay.analytics import estimate_H1_mc
-from mobidelay.geometry import lens_area, segment_point_dist_np, uniform_points_in_disc
+from mobidelay.geometry import (lens_area, segment_point_dist_np, uniform_disc_polar,
+                                uniform_points_in_disc)
 from mobidelay.world import _relay_slot_hits_np
 from oracle import central_angle_phi, wrap_flight
 
@@ -43,10 +44,23 @@ def test_disc_sampling_support():
 
 
 def test_disc_sampling_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        uniform_points_in_disc(RNG(0), 0.0, 1)
-    with pytest.raises(ValueError):
-        uniform_points_in_disc(RNG(0), -2.0, 1)
+    for draw in (uniform_points_in_disc, uniform_disc_polar):
+        with pytest.raises(ValueError):
+            draw(RNG(0), 0.0, 1)
+        with pytest.raises(ValueError):
+            draw(RNG(0), -2.0, 1)
+
+
+@pytest.mark.parametrize("radius,size", [(1.0, 1), (20.0, 1000), (math.pi, 4099)])
+def test_polar_disc_draw_matches_the_uniform_form(radius, size):
+    # the streams of every teleport run rest on these bits: all angles as
+    # rng.uniform(0, 2 pi), then all radii as radius * sqrt(rng.uniform(0, 1))
+    theta, rho = uniform_disc_polar(RNG(8), radius, size)
+    rng = RNG(8)
+    assert np.array_equal(theta, rng.uniform(0.0, 2.0 * math.pi, size))
+    assert np.array_equal(rho, radius * np.sqrt(rng.uniform(0.0, 1.0, size)))
+    xs, ys = uniform_points_in_disc(RNG(8), radius, size)
+    assert np.array_equal(xs, rho * np.cos(theta)) and np.array_equal(ys, rho * np.sin(theta))
 
 
 def test_disc_sampling_moments():

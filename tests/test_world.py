@@ -1,8 +1,10 @@
 """Meeting-process and relay-scheme simulation, including the exact
 in-slot contact engine for wrapped paths."""
 
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -13,7 +15,7 @@ from scipy import stats
 import oracle
 import placement
 from mobidelay import world
-from mobidelay.flight import FlightLaw, sample_flight_steps
+from mobidelay.flight import FlightLaw, sample_flight_polar
 from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
@@ -820,7 +822,8 @@ def test_trajectories_preserve_count_and_continuity():
     cfg = ModelConfig(n=100, r=2.0, model="levy", law=law)
     x0 = np.array([0.0, 3.0, -5.0, 1.0])
     y0 = np.array([0.0, 4.0, 1.0, 2.0])
-    dx, dy = sample_flight_steps(trial_stream(1, 500, 0), law, 3)
+    theta, z = sample_flight_polar(trial_stream(1, 500, 0), law, 3)
+    dx, dy = z * np.cos(theta), z * np.sin(theta)
     # plus one fixed flight that wraps several times
     dx = np.append(dx, 137.0)
     dy = np.append(dy, -55.0)
@@ -874,11 +877,92 @@ def test_single_block_runs_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started for one block")
 
-    monkeypatch.setattr(world, "ProcessPoolExecutor", no_pool)
+    # the runner imports the pool only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     got = pair_meeting_times(cfg, 500, salt=310, workers=2)
     got_delay = scheme_delays(cfg, 500, salt=311, workers=2)
     for w, g in zip((*want, *want_delay), (*got, *got_delay)):
         assert np.array_equal(w, g)
+
+
+def _pair(cfg, trials, salt, slotted, workers):
+    return pair_meeting_times(cfg, trials, salt=salt, workers=workers, slotted=slotted)
+
+
+def _relay(cfg, trials, salt, slotted, workers):
+    return scheme_delays(cfg, trials, salt=salt, workers=workers)
+
+
+# module state a test patches reaches pool workers only when they fork
+_FORKED = multiprocessing.get_start_method() == "fork"
+
+
+@pytest.mark.parametrize("run,cfg,patch,slotted", [
+    (_pair, ModelConfig(n=400, r=4.0), {}, True),
+    (_pair, ModelConfig(n=400, r=4.0), {}, False),
+    # every wrapped pair takes the periodic search past its first wrap
+    (_pair, ModelConfig(n=400, r=4.0, model="levy", law=FlightLaw(alpha=0.5),
+                        horizon_slots=20), {"_CAP_UNION": 0}, True),
+    (_pair, ModelConfig(n=100, r=2.0, model="levy",
+                        law=FlightLaw(alpha=1.2, sampler="stable"), horizon_slots=20), {}, True),
+    (_relay, ModelConfig(n=2, r=0.3, horizon_slots=60), {}, False),
+    (_relay, ModelConfig(n=50_000, r=2.0, horizon_slots=50), {}, False),
+    (_relay, ModelConfig(n=60, r=1.5, model="levy", law=FlightLaw(alpha=0.8),
+                         horizon_slots=20), {}, False),
+], ids=["iid-slotted", "iid", "pareto-0.5-periodic", "stable", "relay-2", "relay-50000",
+        "relay-levy"])
+def test_grouping_and_workers_never_change_a_result(monkeypatch, run, cfg, patch, slotted):
+    # three blocks, the last one short: one block per group must give the
+    # default groups' arrays bit for bit, whatever the worker count
+    for name, value in patch.items():
+        monkeypatch.setattr(world, name, value)
+    trials = 2 * world._BLOCK + 300
+    with monkeypatch.context() as m:
+        m.setattr(world, "_GROUP_NODES", 1)
+        want = run(cfg, trials, 330, slotted, 1)
+    for workers in (1, 2, 3) if _FORKED or not patch else (1,):
+        got = run(cfg, trials, 330, slotted, workers)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)
+
+
+def test_blocks_of_a_group_may_finish_at_different_slots(monkeypatch):
+    # blocks leave the group's slot loop one by one, the first of them with
+    # no live trial at all: the survivors keep their own streams
+    # (this salt's one-trial last block starts in range)
+    cfg = ModelConfig(n=36, r=2.5, horizon_slots=200)
+    trials = 3 * world._BLOCK + 1
+    want = pair_meeting_times(cfg, trials, salt=333, slotted=True)
+    monkeypatch.setattr(world, "_GROUP_NODES", 1)
+    got = pair_meeting_times(cfg, trials, salt=333, slotted=True)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+    tm = want[1]
+    assert np.all(np.isfinite(tm)) and tm[-1] == 0.0
+    last = [np.ceil(tm[b:b + world._BLOCK]).max() for b in range(0, trials, world._BLOCK)]
+    assert len(set(last)) == 4
+
+
+def test_groups_hold_blocks_by_nodes_in_flight(monkeypatch):
+    # a relay trial expecting about 1,000 carriers fills a group alone; a
+    # pair-meeting trial has two nodes, so eight blocks share a group
+    tasks = []
+
+    def record(args):
+        _, _, first, counts, *_ = args
+        tasks.append((first, counts))
+        zeros = np.zeros(sum(counts))
+        return zeros, zeros, zeros, zeros
+
+    monkeypatch.setattr(world, "_contact_group", record)
+    cfg = ModelConfig(n=10**6, r=math.sqrt(1000.0), horizon_slots=10)
+    scheme_delays(cfg, 3 * world._BLOCK)
+    assert tasks == [(b, [world._BLOCK]) for b in range(3)]
+    tasks.clear()
+    pair_meeting_times(cfg, 16 * world._BLOCK + 5)
+    assert [first for first, _ in tasks] == [0, 5, 11]
+    assert [len(counts) for _, counts in tasks] == [5, 6, 6]
+    assert sum(map(sum, (counts for _, counts in tasks))) == 16 * world._BLOCK + 5
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
