@@ -24,18 +24,15 @@ velocity.  The contact engine exploits that structure, so slots are exact
 at any flight length:
 
   * no wrap on either side: one relative segment, tested for every such
-    carrier/destination pair of the block in one vector pass;
-  * modest wrap counts (at most _CAP_UNION between the pair's two paths):
-    the union walk, one vector pass over the merged sub-segment grids of
-    all such pairs of the slot, with every piece taken from the
-    closed-form period-2 cycle;
-  * enormous wrap counts: the union walk up to the faster node's first
-    wrap; past it, the periodic search, one vector pass over all such
-    pairs of the slot.  Each of the slower node's piece classes is within
-    r of each of the faster node's two chords over one closed-form phase
-    interval, where its line crosses the chord's capsule, and only the
-    chord windows inside those intervals are tested, lazily, up to the
-    first hit.
+    carrier/destination pair of the group in one vector pass;
+  * a wrap on either side: the capsule search, one vector pass over all
+    such pairs of the slot.  Before the first wrap of the path that wraps
+    more, the fast path, its node is on its pre-wrap piece, and from then
+    on on one of its two chords; the other node is on one of at most four
+    pieces, each repeated.  A piece is within r of a segment the other node
+    sweeps over one closed-form phase interval, where its line crosses the
+    segment's capsule, and only the windows of that segment inside those
+    intervals are tested, lazily, up to the first hit.
 
 Randomness discipline (STREAM_VERSION 3): the batch runners
 pair_meeting_times and scheme_delays shard trials into fixed 1024-trial
@@ -109,12 +106,12 @@ SALT_DELAY = 12
 SALT_GOF = 13
 SALT_MC = 14
 
-# wrap-count threshold between the union walk and the periodic candidate
-# search
-_CAP_UNION = 2048
-# hard cap on the windows one pair's periodic search may enumerate in a
+# hard cap on the windows one pair's capsule search may enumerate in a
 # slot
 _WINDOW_BUDGET = 5_000_000
+# windows the capsule search tests at once, over all its rows, which
+# bounds their memory however many pairs wrap
+_WINDOW_BATCH = 1 << 13
 
 _BLOCK = 1024
 # nodes one group of blocks keeps in flight, 8 pair-meeting blocks: more
@@ -128,8 +125,8 @@ class ModelConfig:
 
     Exactly one of r/beta must be given; beta in [0, 1/4] sets r = n**beta.
     r may come with beta only as that resolved value, which is what
-    dataclasses.replace passes on.  The heavy-tailed model requires a
-    FlightLaw.
+    dataclasses.replace passes on: so a beta-built config can be copied
+    only with the same n.  The heavy-tailed model requires a FlightLaw.
     """
 
     n: int
@@ -150,7 +147,8 @@ class ModelConfig:
                 raise ValueError("beta must be in [0, 0.25]")
             r = float(self.n) ** self.beta
             if self.r not in (None, r):
-                raise ValueError("give exactly one of r or beta")
+                raise ValueError("give exactly one of r or beta: r must equal n**beta; "
+                                 "build a new ModelConfig to change n")
             object.__setattr__(self, "r", r)
         elif self.r is None:
             raise ValueError("give exactly one of r or beta")
@@ -279,94 +277,6 @@ def _per_trial_min(values, owner, size):
     return out
 
 
-# pieces the union walk, or windows the periodic search, lays out at once,
-# which bounds their memory however many pairs wrap; a pair with more
-# pieces is walked alone
-_UNION_PIECES = 1 << 13
-
-
-def _union_walk(x0, y0, dx, dy, g, stop, r):
-    """Earliest contact of each pair over the merged pieces of its paths.
-
-    Pair k is paths k and K + k of the path arrays and _Wraps g, with
-    K = stop.size; only its motion in [0, stop[k] <= 1] is walked.  The
-    windows are the steps of a merge of the pair's two piece lists by end
-    time; in each, both paths move linearly, so contact is the clamped
-    quadratic of _relay_slot_hits_np, and the pair's contact is the hit of
-    its first window that has one.  Returns the times, inf where none.
-    """
-    K = stop.size
-    with np.errstate(invalid="ignore"):
-        # the last chord that starts before stop
-        last = np.where(g.m_last < 0.0, -1.0, np.minimum(
-            g.m_last, np.trunc((np.tile(stop, 2) - g.t1) / g.dt)))
-    size = last[:K] + last[K:] + 4.0
-    if np.max(size, initial=0.0) > _WINDOW_BUDGET:
-        raise RuntimeError("slot contact search budget exceeded")
-    count = (last + 2.0).astype(np.int64)
-    size = size.astype(np.int64)
-    end = np.cumsum(size)
-    t = np.full(K, np.inf)
-    lo = 0
-    while lo < K:
-        hi = max(lo + 1, int(np.searchsorted(end, end[lo] - size[lo] + _UNION_PIECES, "right")))
-        pairs = np.arange(lo, hi)
-        t[lo:hi] = _union_chunk(x0, y0, dx, dy, g, count,
-                                np.stack((pairs, pairs + K), axis=1).ravel(), stop[lo:hi], r)
-        lo = hi
-    return t
-
-
-def _union_chunk(x0, y0, dx, dy, g, count, paths, stop, r):
-    # paths lists the chunk's pairs pair-major: (first, second) per pair
-    k = stop.size
-    c = count[paths]
-    own = np.repeat(paths, c)
-    m = np.arange(own.size) - np.repeat(np.cumsum(c) - c, c) - 1
-    side = np.repeat(np.arange(2 * k) % 2, c)
-    pair = np.repeat(np.arange(k), c[0::2] + c[1::2])
-    go = _Wraps(*(f[own] for f in g))
-    t0, px, py, vx, vy = _piece(x0[own], y0[own], dx[own], dy[own], go, m)
-    a = np.maximum(t0, 0.0)
-    b = np.minimum(np.where(m < 0, go.t1, t0 + go.dt), stop[pair])
-    keep = b > a
-    side, pair, a, b, t0, px, py, vx, vy = (
-        v[keep] for v in (side, pair, a, b, t0, px, py, vx, vy))
-    # kept pieces stay pair-major, first path before second, in time order
-    n1 = np.bincount(pair[side == 0], minlength=k)
-    n2 = np.bincount(pair[side == 1], minlength=k)
-    start1 = np.cumsum(n1 + n2) - (n1 + n2)
-    # merge step q of a pair ends at its q-th piece end, over the pieces
-    # of both paths current there; after a tie (the slot end, say) one
-    # path has no piece left or the window is empty
-    order = np.lexsort((side, b, pair))
-    sp = pair[order]
-    first = side[order] == 0
-    before1 = np.cumsum(first) - first - (np.cumsum(n1) - n1)[sp]
-    before2 = np.cumsum(~first) - ~first - (np.cumsum(n2) - n2)[sp]
-    step = (before1 < n1[sp]) & (before2 < n2[sp])
-    sp = sp[step]
-    p1 = (start1[sp] + before1[step])
-    p2 = (start1[sp] + n1[sp] + before2[step])
-    lo = np.maximum(a[p1], a[p2])
-    hi = np.minimum(b[p1], b[p2])
-    open_ = hi > lo
-    sp, p1, p2, lo, hi = sp[open_], p1[open_], p2[open_], lo[open_], hi[open_]
-
-    def at(p, t):
-        return px[p] + vx[p] * (t - t0[p]), py[p] + vy[p] * (t - t0[p])
-
-    s = _relay_slot_hits_np(*at(p1, lo), *at(p1, hi), *at(p2, lo), *at(p2, hi), r)
-    hit = np.isfinite(s)
-    sp = sp[hit]
-    th = lo[hit] + s[hit] * (hi[hit] - lo[hit])
-    # steps are in time order within a pair: keep each pair's first hit
-    first_hit = np.diff(sp, prepend=-1) != 0
-    out = np.full(k, np.inf)
-    out[sp[first_hit]] = th[first_hit]
-    return out
-
-
 def _band(alpha, beta, top):
     """Phases phi with 0 <= alpha + beta phi <= top, as (lo, hi); NaN where none.
 
@@ -415,53 +325,59 @@ def _capsule(px, py, vx, vy, dur, cx, cy, wx, wy, r):
     return np.maximum(lo, 0.0), np.minimum(hi, dur)
 
 
-def _periodic_search(x0, y0, dx, dy, g, fast, slow, r):
-    """Earliest contact of each pair from the first wrap of its fast path.
+def _capsule_search(x0, y0, dx, dy, g, fast, slow, r):
+    """Earliest contact of each pair over its whole slot.
 
-    Pair k is paths fast[k] and slow[k] of the path arrays and _Wraps g;
-    the union walk covers the motion before the fast path's first wrap.
-    From then on the fast node is on one of its two chords, so a contact
-    needs the slow node within r of the active chord.  The slow path's
-    pieces fall into four classes, each one piece repeated every two
-    chords: the pre-wrap piece, the even and the odd full chords, and the
-    last piece (or the stand of a frozen path).  For each class and fast
-    chord, a row, the slow node is within r of the chord over one phase
-    interval of its piece (_capsule), and only the fast windows on that
-    chord inside it are tested.  Rows enumerate their windows in time
-    order, each up to its first hit, in batches of at most _UNION_PIECES
-    windows over all rows; a pair's contact is the earliest of its rows'
-    hits.
+    Pair k is paths fast[k] and slow[k] of the path arrays and _Wraps g,
+    the fast path starting at least as many chords as the slow one.  Each
+    row of the search pairs one piece class of one path, the point, with
+    one kind of window of the other, the windows: window -1 is the
+    pre-wrap piece, and chord A or B is every even or every odd chord.
+    Before the fast path's first wrap, the point is its pre-wrap piece and
+    the windows are each kind of the slow path; from then on the fast node
+    is on chord A or B, and the point is one of the slow path's four piece
+    classes, each one piece repeated every two chords: the pre-wrap piece,
+    the even and the odd full chords, and the last piece (or the stand of
+    a frozen path).  A contact needs the point within r of the segment its
+    window sweeps, which holds over one closed-form phase interval of its
+    piece (_capsule); only the windows meeting that interval are tested,
+    each over its whole overlap with the piece.  Rows enumerate their
+    windows in time order, each up to its first hit, in batches of at most
+    _WINDOW_BATCH windows over all rows; a pair's contact is the earliest
+    of its rows' hits.
     Every enumerated window, collapsed ones too, is charged to the pair, so
     a flight that wraps ~1e18 times fails in bounded time.  Returns the
     times, inf where none.
     """
     K = fast.size
     L = g.m_last[slow]
-    # rows pair-major, chord A then B; row class j starts at slow piece
-    # first[j] and repeats every two pieces count[j] times
-    first = np.stack((np.full(K, -1.0), np.zeros(K), np.ones(K), L), axis=1)
-    count = np.stack((np.ones(K), np.floor((L + 1.0) / 2.0), np.floor(L / 2.0), L >= 0.0), axis=1)
-    pair = np.repeat(np.arange(K), 8)
-    par = np.tile(np.repeat([0.0, 1.0], 4), K)
-    mj = np.tile(first, 2).ravel()
-    count = np.tile(count, 2).ravel()
-    keep = count > 0.0
-    pair, par, mj, count = pair[keep], par[keep], mj[keep], count[keep]
+    ones = np.ones(K)
+    # row j of a pair: its point starts at piece mj of path pt and repeats
+    # every two pieces count times, its windows are kind kind of path win
+    classes = (-ones, np.zeros(K), ones, L)
+    counts = (ones, np.floor((L + 1.0) / 2.0), np.floor(L / 2.0), 1.0 * (L >= 0.0))
+    mj, count, pt, win = (np.stack(v, axis=1).ravel() for v in (
+        classes * 2 + (-ones,) * 3, counts * 2 + (ones,) * 3, (slow,) * 8 + (fast,) * 3,
+        (fast,) * 8 + (slow,) * 3))
+    kind = np.tile([0.0] * 4 + [1.0] * 4 + [-1.0, 0.0, 1.0], K)
+    pair = np.repeat(np.arange(K), 11)
+    # a path without chords has no chord windows
+    keep = (count > 0.0) & (g.m_last[win] >= kind)
+    pair, mj, count, pt, win, kind = (v[keep] for v in (pair, mj, count, pt, win, kind))
 
     def piece(paths, m):
         return _piece(x0[paths], y0[paths], dx[paths], dy[paths], _Wraps(*(v[paths] for v in g)), m)
 
-    f = fast[pair]
-    s = slow[pair]
-    t0, px, py, vx, vy = piece(s, mj)
-    dur = np.where(mj < 0.0, np.minimum(g.t1[s], 1.0), np.where(mj == g.m_last[s], 1.0 - t0, g.dt[s]))
-    _, cx, cy, wx, wy = piece(f, par)
-    span = np.where(g.frozen[f], 0.0, g.dt[f])
+    t0, px, py, vx, vy = piece(pt, mj)
+    dur = np.where(mj < 0.0, np.minimum(g.t1[pt], 1.0),
+                   np.where(mj == g.m_last[pt], 1.0 - t0, g.dt[pt]))
+    _, cx, cy, wx, wy = piece(win, kind)
+    span = np.where(kind < 0.0, np.minimum(g.t1[win], 1.0), np.where(g.frozen[win], 0.0, g.dt[win]))
     lo, hi = _capsule(px, py, vx, vy, dur, cx, cy, wx * span, wy * span, r)
     with np.errstate(invalid="ignore"):
-        # repeats that end before the fast path's first wrap have no window
+        # repeats that end before the first chord window have no window
         rep = np.where(count > 1.0, np.maximum(
-            np.floor((g.t1[f] - t0 - hi) / (2.0 * g.dt[s])) - 1.0, 0.0), 0.0)
+            np.floor((g.t1[win] - t0 - hi) / (2.0 * g.dt[pt])) - 1.0, 0.0), 0.0)
     m_at = np.full(pair.size, -np.inf)  # where a row resumes within repeat rep
     t = np.full(K, np.inf)
     spent = np.zeros(K)
@@ -469,24 +385,28 @@ def _periodic_search(x0, y0, dx, dy, g, fast, slow, r):
     batch = 4
     while rows.size:
         # most rows hit within a few windows: batches start small and double
-        quota = max(1, min(batch, _UNION_PIECES // rows.size))
+        quota = max(1, min(batch, _WINDOW_BATCH // rows.size))
         batch *= 2
         # items: the next repeats of each row, at most quota of them
         n_items = np.minimum(count[rows] - rep[rows], quota).astype(np.int64)
         item_row = np.repeat(np.arange(rows.size), n_items)
         it = rows[item_row]
         j = np.arange(it.size) - np.repeat(np.cumsum(n_items) - n_items, n_items)
-        o, spx, spy, svx, svy = piece(s[it], mj[it] + 2.0 * (rep[it] + j))
-        fi = f[it]
-        # hi <= dur, so w_hi is within the slow piece
-        w_lo = np.maximum(o + lo[it], g.t1[fi])
-        w_hi = np.minimum(o + hi[it], 1.0)
-        # the fast windows on the row's chord that meet [w_lo, w_hi], with
-        # two spare either side for rounding in the window index
-        m0 = np.floor((w_lo - g.t1[fi]) / g.dt[fi]) - 2.0
-        m0 += (m0 - par[it]) % 2.0
-        m0 = np.maximum(np.maximum(m0, par[it]), np.where(j == 0, m_at[it], -np.inf))
-        m1 = np.minimum(np.floor((w_hi - g.t1[fi]) / g.dt[fi]) + 2.0, g.m_last[fi])
+        o, spx, spy, svx, svy = piece(pt[it], mj[it] + 2.0 * (rep[it] + j))
+        wp = win[it]
+        kd = kind[it]
+        # hi <= dur, so the interval is within the point's piece
+        w_lo = o + lo[it]
+        w_hi = o + hi[it]
+        # the windows of the row's kind that meet [w_lo, w_hi], with two
+        # spare chords either side for rounding in the window index
+        with np.errstate(invalid="ignore"):
+            m0 = np.floor((w_lo - g.t1[wp]) / g.dt[wp]) - 2.0
+            m0 += (m0 - kd) % 2.0
+            m1 = np.floor((w_hi - g.t1[wp]) / g.dt[wp]) + 2.0
+        pre = kd < 0.0
+        m0 = np.where(pre, -1.0, np.maximum(np.maximum(m0, kd), np.where(j == 0, m_at[it], -np.inf)))
+        m1 = np.where(pre, -1.0, np.minimum(m1, g.m_last[wp]))
         n = np.where(w_hi >= w_lo, np.maximum(np.floor((m1 - m0) / 2.0) + 1.0, 0.0), 0.0)
         # at most quota windows per row, in time order
         before = np.cumsum(n) - n
@@ -494,11 +414,14 @@ def _periodic_search(x0, y0, dx, dy, g, fast, slow, r):
         take = np.minimum(n, np.maximum(quota - before, 0.0)).astype(np.int64)
         wi = np.repeat(np.arange(it.size), take)
         m = m0[wi] + 2.0 * (np.arange(wi.size) - np.repeat(np.cumsum(take) - take, take))
-        fw = fi[wi]
+        fw = wp[wi]
         wa, fx, fy, fvx, fvy = piece(fw, m)
-        a = np.maximum(wa, w_lo[wi])
-        b = np.minimum(np.minimum(wa + g.dt[fw], 1.0), w_hi[wi])
         ow = o[wi]
+        # the window's whole overlap with the point's piece: the capsule
+        # interval may be a single instant, as for a touch at phase 0
+        a = np.maximum(wa, ow)
+        b = np.minimum(np.minimum(np.where(m < 0.0, g.t1[fw], wa + g.dt[fw]),
+                                  ow + dur[it[wi]]), 1.0)
         hit_s = _relay_slot_hits_np(fx + fvx * (a - wa), fy + fvy * (a - wa),
                                     fx + fvx * (b - wa), fy + fvy * (b - wa),
                                     spx[wi] + svx[wi] * (a - ow), spy[wi] + svy[wi] * (a - ow),
@@ -537,25 +460,17 @@ def _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
     """Exact earliest in-slot contact of each pair of paths.
 
     Path 1 of pair k starts at (x1[k], y1[k]) and moves by (d1x[k],
-    d1y[k]), path 2 likewise.  Pairs whose paths wrap at most _CAP_UNION
-    times between them are walked whole by _union_walk; the others are
-    walked up to the first wrap of the path that wraps more, and past it
-    take _periodic_search.  Returns (t, e1x, e1y, e2x, e2y): the contact
-    times, inf where there is none, and the end positions of the paths.
+    d1y[k]), path 2 likewise.  Every pair takes _capsule_search, with the
+    path that starts more chords as its fast path.  Returns (t, e1x, e1y,
+    e2x, e2y): the contact times, inf where there is none, and the end
+    positions of the paths.
     """
     K = x1.size
     x0, y0, dx, dy = (np.concatenate(v) for v in ((x1, x2), (y1, y2), (d1x, d2x), (d1y, d2y)))
     g = _wrap_geometry(x0, y0, dx, dy, R)
-    n1 = g.m_last[:K] + 1.0
-    n2 = g.m_last[K:] + 1.0
-    first_fast = n1 >= n2
-    periodic = n1 + n2 > _CAP_UNION
-    stop = np.where(periodic, np.where(first_fast, g.t1[:K], g.t1[K:]), 1.0)
-    t = _union_walk(x0, y0, dx, dy, g, stop, r)
-    k = np.flatnonzero(periodic & np.isinf(t))
-    if k.size:
-        fast = np.where(first_fast[k], k, K + k)
-        t[k] = _periodic_search(x0, y0, dx, dy, g, fast, np.where(first_fast[k], K + k, k), r)
+    k = np.arange(K)
+    swap = g.m_last[:K] < g.m_last[K:]
+    t = _capsule_search(x0, y0, dx, dy, g, np.where(swap, K + k, k), np.where(swap, k, K + k), r)
     t0, px, py, vx, vy = _piece(x0, y0, dx, dy, g, g.m_last)
     ex = px + vx * (1.0 - t0)
     ey = py + vy * (1.0 - t0)
@@ -649,6 +564,12 @@ def _contact_group(args):
         else:
             theta, rho = (np.concatenate([d[i][:c] for d, c in draws]
                                          + [d[i][c:] for d, c in draws]) for i in (0, 1))
+        if levy:
+            with np.errstate(over="ignore"):
+                if not np.isfinite(rho * rho).all():
+                    # such a flight has no wrap count; the run fails here
+                    # rather than after overflow warnings downstream
+                    raise OverflowError("a flight's wrap count overflows a float")
         sx = rho * np.cos(theta)
         sy = rho * np.sin(theta)
         if levy:

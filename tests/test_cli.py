@@ -283,6 +283,20 @@ def test_module_entry_point(tmp_path):
     assert (out / "bounds.json").exists()
 
 
+@pytest.mark.parametrize("sub", ["meet", "delay"])
+def test_overflowing_flights_fail_with_one_line(tmp_path, sub):
+    # at alpha 0.01 some flight's squared length overflows within the
+    # first slots: the run exits 1 with one error line and no numpy warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobidelay.cli", sub, "--model", "levy", "--alpha", "0.01",
+         "--n", "400", "--r", "2", "--trials", "200", "--horizon", "40",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "overflows a float" in proc.stderr
+
+
 def _modules_after_a_meet_run(tmp_path, prefixes, trials):
     code = ("import sys\n"
             "import mobidelay.cli as cli\n"

@@ -4,7 +4,6 @@ in-slot contact engine for wrapped paths."""
 import concurrent.futures
 import dataclasses
 import math
-import multiprocessing
 import warnings
 
 import numpy as np
@@ -14,6 +13,7 @@ from scipy import stats
 
 import oracle
 import placement
+import union_walk
 from mobidelay import world
 from mobidelay.flight import FlightLaw, sample_flight_polar
 from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
@@ -67,6 +67,10 @@ def test_model_config_from_beta_copies():
     # r given with beta must be the resolved n**beta
     with pytest.raises(ValueError, match="one of r or beta"):
         dataclasses.replace(cfg, r=2.0)
+    # so a copy keeps n: the resolved r of n = 400 is not 800**0.1
+    with pytest.raises(ValueError, match="build a new ModelConfig to change n"):
+        dataclasses.replace(cfg, n=800)
+    assert ModelConfig(n=800, beta=0.1).r == 800 ** 0.1
 
 
 def test_model_config_defaults():
@@ -110,25 +114,22 @@ def _random_slot(rng, R, huge=False):
             float(x2), float(y2), float(z2 * np.cos(a2)), float(z2 * np.sin(a2)))
 
 
-def _walk_and_search(monkeypatch, slot, R, r):
-    # the same pair through the union walk alone (no cap) and through the
-    # periodic search past the faster path's first wrap (cap 0)
-    monkeypatch.setattr(world, "_CAP_UNION", math.inf)
-    walked = _contact(*slot, R, r)
-    monkeypatch.setattr(world, "_CAP_UNION", 0)
-    searched = _contact(*slot, R, r)
-    monkeypatch.undo()
-    return walked, searched
+def _walk_and_search(slot, R, r):
+    # the same pair through the test-only union walk, which enumerates
+    # every piece, and through the engine's capsule search
+    walked = float(union_walk.union_walk(*(np.array([v], dtype=float) for v in slot), R, r)[0])
+    searched = _contact(*slot, R, r)[0]
+    return (None if math.isinf(walked) else walked), searched
 
 
-def test_union_walk_agrees_with_periodic_search(monkeypatch):
+def test_union_walk_agrees_with_periodic_search():
     rng = RNG(101)
     R = 20.0
     hits = 0
     for _ in range(3000):
         slot = _random_slot(rng, R)
         r = float(rng.uniform(0.3, 3.0))
-        (tb, *_), (tc, *_) = _walk_and_search(monkeypatch, slot, R, r)
+        tb, tc = _walk_and_search(slot, R, r)
         assert (tb is None) == (tc is None)
         if tb is not None:
             hits += 1
@@ -136,13 +137,13 @@ def test_union_walk_agrees_with_periodic_search(monkeypatch):
     assert hits > 500  # the comparison actually exercised contacts
 
 
-def test_periodic_search_exact_at_large_wrap_counts(monkeypatch):
+def test_periodic_search_exact_at_large_wrap_counts():
     rng = RNG(102)
     R = 20.0
     for _ in range(120):
         slot = _random_slot(rng, R, huge=True)
         r = float(rng.uniform(0.3, 3.0))
-        (tb, *_), (tc, *_) = _walk_and_search(monkeypatch, slot, R, r)
+        tb, tc = _walk_and_search(slot, R, r)
         assert (tb is None) == (tc is None)
         if tb is not None:
             assert tc == pytest.approx(tb, abs=1e-9)
@@ -154,11 +155,11 @@ def test_periodic_search_stops_at_the_first_hit_of_a_huge_wrap_count(monkeypatch
     # node at (-4, 6.5) is within r = 1 of chord B only, for the whole slot.
     # The first candidate is window 1, entered at x = -8 at t1 + dt, and
     # contact comes at x = -4 - sqrt(0.75).  The ~1e12 windows after it are
-    # never charged: a budget of 3 covers the union walk's 3 pieces before
-    # the first wrap and the search's one window
+    # never charged: a budget of 1 covers the search's one window, and the
+    # fast node's pre-wrap piece never comes within r of the parked node
     R = 10.0
     z = 16e12
-    monkeypatch.setattr(world, "_WINDOW_BUDGET", 3)
+    monkeypatch.setattr(world, "_WINDOW_BUDGET", 1)
     t, *_ = _contact(0.0, 6.0, z, 0.0, -4.0, 6.5, 0.0, 0.0, R, 1.0)
     g = _wrap_geometry(*(np.array([v]) for v in (0.0, 6.0, z, 0.0)), R)
     assert g.m_last[0] + 1.0 >= 1e12  # wraps
@@ -173,10 +174,9 @@ def test_periodic_search_is_independent_of_its_batch_size(monkeypatch):
     R = 20.0
     slots = [_random_slot(rng, R, huge=True) for _ in range(40)]
     cols = [np.array(c, dtype=float) for c in zip(*slots)]
-    monkeypatch.setattr(world, "_CAP_UNION", 0)
     want = _pair_slot_contacts(*cols, R, 2.0)[0]
     assert np.isfinite(want).sum() > 10
-    monkeypatch.setattr(world, "_UNION_PIECES", 3)
+    monkeypatch.setattr(world, "_WINDOW_BATCH", 3)
     assert np.array_equal(_pair_slot_contacts(*cols, R, 2.0)[0], want)
 
 
@@ -371,23 +371,26 @@ def test_pair_slot_contact_matches_oracle_walk():
 
 
 def _check_kernel(monkeypatch, slots, R, r):
-    # the union walk on a batch of pairs against the periodic search past
-    # each pair's first wrap, the oracle walk and the scalar end positions
+    # the capsule search on a batch of pairs against the search on each
+    # pair alone, the union walk, the oracle walk and the scalar end
+    # positions
     cols = [np.array(c, dtype=float) for c in zip(*slots)]
     t, e1x, e1y, e2x, e2y = _pair_slot_contacts(*cols, R, r)
-    monkeypatch.setattr(world, "_UNION_PIECES", 64)  # many small chunks
+    monkeypatch.setattr(world, "_WINDOW_BATCH", 64)  # many small batches
     assert np.array_equal(_pair_slot_contacts(*cols, R, r)[0], t)
-    monkeypatch.setattr(world, "_CAP_UNION", 0)
+    monkeypatch.setattr(union_walk, "UNION_PIECES", 64)  # many small chunks
+    union = union_walk.union_walk(*cols, R, r)
     hits = 0
     for k, slot in enumerate(slots):
         searched = _contact(*slot, R, r)[0]
         rel = oracle.relative_pieces(oracle.wrap_flight(*slot[:4], R),
                                      oracle.wrap_flight(*slot[4:], R))
         walked = oracle.first_contact(rel, r)
-        assert math.isinf(t[k]) == (searched is None) == (walked is None)
+        assert math.isinf(t[k]) == (searched is None) == (walked is None) == math.isinf(union[k])
         if walked is not None:
             hits += 1
             assert t[k] == pytest.approx(searched, abs=1e-9)
+            assert t[k] == pytest.approx(union[k], abs=1e-9)
             assert t[k] == pytest.approx(walked, abs=1e-9)
         for (x, y, dx, dy), ex, ey in ((slot[:4], e1x[k], e1y[k]), (slot[4:], e2x[k], e2y[k])):
             assert (ex, ey) == pytest.approx(SlotPath(x, y, dx, dy, R).end_pos(), abs=1e-12 * R)
@@ -399,9 +402,10 @@ def test_vector_kernel_matches_periodic_search_and_oracle(monkeypatch):
     rng = RNG(113)
     R = 20.0
     slots = [_random_slot(rng, R) for _ in range(600)]
-    # keep the corpus below the cap, so the whole batch takes the walk
+    # keep the corpus to at most 2,048 wraps a pair, where the union walk
+    # is cheap
     slots = [s for s in slots if SlotPath(*s[:4], R).n_wraps
-             + SlotPath(*s[4:], R).n_wraps <= world._CAP_UNION]
+             + SlotPath(*s[4:], R).n_wraps <= 2048]
     assert len(slots) > 500
     assert _check_kernel(monkeypatch, slots, R, 1.5) > 100
 
@@ -449,6 +453,45 @@ def test_vector_kernel_edge_cases():
     # error, not a path that silently leaves the disc
     with np.errstate(over="ignore"), pytest.raises(OverflowError):
         _contact(1.0, 2.0, 1e200, 3e200, 0.0, 0.0, 0.0, 0.0, R, 1.0)
+
+
+def test_contacts_on_slow_chords_before_the_fast_wrap_match_oracle():
+    # the slow node wraps first, near the boundary, and the fast node
+    # later; contacts between the two first wraps are found by the search
+    # rows of the fast pre-wrap piece against the slow node's chords.  A
+    # wrapping path exits within one chord length of its start (t1 <= dt),
+    # so the slow path starts at most two chords before the fast path's
+    # first wrap
+    rng = RNG(116)
+    R = 20.0
+    cases = hits = between = 0
+    for _ in range(3000):
+        th = rng.uniform(0, 2 * np.pi, 2)
+        rho = R * np.array([math.sqrt(rng.uniform(0, 0.5)), 1 - 10 ** rng.uniform(-6, -1)])
+        z = np.array([10 ** rng.uniform(1.5, 3.5), 10 ** rng.uniform(0.5, 3)])
+        a = rng.uniform(0, 2 * np.pi, 2)
+        a[1] = th[1] + rng.uniform(-1.2, 1.2)
+        slot = []
+        for k in range(2):
+            slot += [rho[k] * math.cos(th[k]), rho[k] * math.sin(th[k]),
+                     z[k] * math.cos(a[k]), z[k] * math.sin(a[k])]
+        fast, slow = SlotPath(*slot[:4], R), SlotPath(*slot[4:], R)
+        if not (fast.n_wraps >= slow.n_wraps and slow.t1 < fast.t1 < 1.0):
+            continue
+        cases += 1
+        assert slow.t1 + 2.0 * slow.dt >= fast.t1
+        r = float(rng.uniform(0.3, 3.0))
+        t, *_ = _contact(*slot, R, r)
+        rel = oracle.relative_pieces(oracle.wrap_flight(*slot[:4], R),
+                                     oracle.wrap_flight(*slot[4:], R))
+        want = oracle.first_contact(rel, r)
+        assert (t is None) == (want is None)
+        if t is not None:
+            hits += 1
+            between += slow.t1 < t < fast.t1
+            assert t == pytest.approx(want, abs=1e-9)
+    assert cases > 1500 and hits > 500
+    assert between > 50  # the slow chords before the fast wrap were reached
 
 
 # ---------------------------------------------------------------------------
@@ -893,34 +936,28 @@ def _relay(cfg, trials, salt, slotted, workers):
     return scheme_delays(cfg, trials, salt=salt, workers=workers)
 
 
-# module state a test patches reaches pool workers only when they fork
-_FORKED = multiprocessing.get_start_method() == "fork"
-
-
-@pytest.mark.parametrize("run,cfg,patch,slotted", [
-    (_pair, ModelConfig(n=400, r=4.0), {}, True),
-    (_pair, ModelConfig(n=400, r=4.0), {}, False),
-    # every wrapped pair takes the periodic search past its first wrap
+@pytest.mark.parametrize("run,cfg,slotted", [
+    (_pair, ModelConfig(n=400, r=4.0), True),
+    (_pair, ModelConfig(n=400, r=4.0), False),
+    # most slots have pairs that wrap, many of them thousands of times
     (_pair, ModelConfig(n=400, r=4.0, model="levy", law=FlightLaw(alpha=0.5),
-                        horizon_slots=20), {"_CAP_UNION": 0}, True),
+                        horizon_slots=20), True),
     (_pair, ModelConfig(n=100, r=2.0, model="levy",
-                        law=FlightLaw(alpha=1.2, sampler="stable"), horizon_slots=20), {}, True),
-    (_relay, ModelConfig(n=2, r=0.3, horizon_slots=60), {}, False),
-    (_relay, ModelConfig(n=50_000, r=2.0, horizon_slots=50), {}, False),
+                        law=FlightLaw(alpha=1.2, sampler="stable"), horizon_slots=20), True),
+    (_relay, ModelConfig(n=2, r=0.3, horizon_slots=60), False),
+    (_relay, ModelConfig(n=50_000, r=2.0, horizon_slots=50), False),
     (_relay, ModelConfig(n=60, r=1.5, model="levy", law=FlightLaw(alpha=0.8),
-                         horizon_slots=20), {}, False),
+                         horizon_slots=20), False),
 ], ids=["iid-slotted", "iid", "pareto-0.5-periodic", "stable", "relay-2", "relay-50000",
         "relay-levy"])
-def test_grouping_and_workers_never_change_a_result(monkeypatch, run, cfg, patch, slotted):
+def test_grouping_and_workers_never_change_a_result(monkeypatch, run, cfg, slotted):
     # three blocks, the last one short: one block per group must give the
     # default groups' arrays bit for bit, whatever the worker count
-    for name, value in patch.items():
-        monkeypatch.setattr(world, name, value)
     trials = 2 * world._BLOCK + 300
     with monkeypatch.context() as m:
         m.setattr(world, "_GROUP_NODES", 1)
         want = run(cfg, trials, 330, slotted, 1)
-    for workers in (1, 2, 3) if _FORKED or not patch else (1,):
+    for workers in (1, 2, 3):
         got = run(cfg, trials, 330, slotted, workers)
         for w, g in zip(want, got):
             assert np.array_equal(w, g)
@@ -965,16 +1002,29 @@ def test_groups_hold_blocks_by_nodes_in_flight(monkeypatch):
     assert sum(map(sum, (counts for _, counts in tasks))) == 16 * world._BLOCK + 5
 
 
+def _walked_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
+    # _pair_slot_contacts with the contact times of the union walk for the
+    # pairs that wrap at most 2,048 times, where walking every piece is
+    # cheap; the end positions come from the closed form either way
+    t, *ends = _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r)
+    g1 = _wrap_geometry(x1, y1, d1x, d1y, R)
+    g2 = _wrap_geometry(x2, y2, d2x, d2y, R)
+    few = np.flatnonzero(g1.m_last + g2.m_last + 2.0 <= 2048)
+    cols = (v[few] for v in (x1, y1, d1x, d1y, x2, y2, d2x, d2y))
+    t[few] = union_walk.union_walk(*cols, R, r)
+    return t, *ends
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_union_walk_matches_periodic_search_over_whole_runs(monkeypatch, alpha):
-    # with the cap at 0 every wrapped pair takes the periodic search past
-    # its first wrap; both runs must meet on the same trials, at the same
-    # times up to the search's precision
+    # whole runs with every slot contact from the union walk and from the
+    # capsule search must meet on the same trials, at the same times up to
+    # the search's precision
     cfg = ModelConfig(n=50, r=2.0, model="levy", law=FlightLaw(alpha=alpha),
                       horizon_slots=20)
     runs = []
-    for cap in (world._CAP_UNION, 0):
-        monkeypatch.setattr(world, "_CAP_UNION", cap)
+    for contacts in (_walked_slot_contacts, _pair_slot_contacts):
+        monkeypatch.setattr(world, "_pair_slot_contacts", contacts)
         _, tm, _ = pair_meeting_times(cfg, 1100, salt=312)
         _, _, dl = scheme_delays(cfg, 1100, salt=313)
         runs.append((tm, dl))
