@@ -19,37 +19,30 @@ and decide what to gate on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .flight import FlightLaw, sample_flight_polar
 from .geometry import segment_point_dist_np, uniform_points_in_disc
-from .world import DEFAULT_SEED, MODEL_IID, MODEL_LEVY, SALT_MC, trial_stream
+from .world import MODEL_IID, MODEL_LEVY, SALT_MC, ModelConfig, trial_stream
 
 __all__ = [
     "Estimate",
     "TailConstants",
     "BoundReport",
     "p_out_bounds",
-    "estimate_p_out_mc",
     "p_hat_bounds_levy",
     "p_hat_bounds_iid",
+    "p_hat_bounds",
     "estimate_p_hat_mc",
     "estimate_H1_mc",
     "ccdf_geometric_bound",
-    "u_bar_from_ccdf",
     "u_bar_bound",
     "iid_delay_bound",
-    "binomial_chernoff_tail",
-    "chernoff_tail_relaxed",
     "capacity_per_node",
-    "capacity_ratio",
-    "cell_occupancy_prob",
-    "asin_envelope",
     "cosine_diff_tail_constants",
-    "estimate_cosine_diff_tail_mc",
     "tradeoff_curve",
     "levy_delay_upper",
     "compute_bound_report",
@@ -59,11 +52,11 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# Infinite sums over slot counts stop once a summand drops below this or
-# the index reaches the tail cut; the remainder is closed off with a
-# geometric continuation of the last observed ratio.
-_SUMMAND_FLOOR = 1e-12
-_DEFAULT_TAIL_CUT = 100_000
+# The teleport delay bound counts relays against k = ceil(gamma r^2); the
+# bound needs gamma in (0, 1/3).
+_GAMMA = 0.1
+# copy counts m of the reported minimum-of-m bounds
+_U_BAR_MS = range(1, 11)
 
 _MC_CHUNK = 1 << 20
 # Heavy-flight estimators evaluate a chunk of pairs in tiles of this many,
@@ -159,9 +152,6 @@ class BoundReport:
             "n_th_note": self.n_th_note,
         }
 
-    def to_json(self) -> str:
-        return dumps_stable(self.to_obj())
-
 
 def _estimate_obj(est: Optional[Estimate]):
     if est is None:
@@ -245,25 +235,6 @@ def p_out_bounds(n: int, r: float) -> tuple[float, float]:
     return 1.0 - r * r / n, 1.0 - r * r / (3.0 * n)
 
 
-def estimate_p_out_mc(rng_stream: np.random.Generator, n: int, r: float,
-                      trials: int) -> Estimate:
-    """MC fraction of uniform disc pairs at distance greater than r."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if n < 1 or r < 0.0:
-        raise ValueError("need n >= 1 and r >= 0")
-    radius = math.sqrt(n)
-    hits = 0
-    done = 0
-    while done < trials:
-        k = min(_MC_CHUNK, trials - done)
-        x1, y1 = uniform_points_in_disc(rng_stream, radius, k)
-        x2, y2 = uniform_points_in_disc(rng_stream, radius, k)
-        hits += int(np.count_nonzero(np.hypot(x1 - x2, y1 - y2) > r))
-        done += k
-    return _binomial_estimate(hits, trials)
-
-
 def _binomial_estimate(hits: int, trials: int) -> Estimate:
     p = hits / trials
     return Estimate(p, math.sqrt(p * (1.0 - p) / trials), trials)
@@ -311,13 +282,19 @@ def p_hat_bounds_iid(n: int, r: float) -> tuple[float, float]:
     return lower, upper
 
 
-def _rotate(dx: np.ndarray, dy: np.ndarray, angle: float):
-    # Counter-rotating the isotropic sample is the same as rotating the
-    # obstruction anchor by +angle.
-    if angle == 0.0:
-        return dx, dy
-    c, s = math.cos(angle), math.sin(angle)
-    return c * dx + s * dy, -s * dx + c * dy
+def p_hat_bounds(cfg: ModelConfig) -> tuple[float, float, str]:
+    """The no-contact sandwich of the config's model, clamped into [0, 1].
+
+    Returns (lower, upper, note); the note says for which populations
+    the pair holds.  Raw values below 0 are vacuous and come back as 0.
+    """
+    if cfg.model == MODEL_LEVY:
+        tail = cosine_diff_tail_constants(cfg.law.alpha, cfg.law.tail_c)
+        lower, upper, note = p_hat_bounds_levy(cfg.n, cfg.r, tail, cfg.law.alpha)
+    else:
+        lower, upper = p_hat_bounds_iid(cfg.n, cfg.r)
+        note = "no-contact bounds valid for all n"
+    return min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0), note
 
 
 def _reachable_pairs(z: np.ndarray, k: int, reach: float):
@@ -339,7 +316,7 @@ def _reachable_pairs(z: np.ndarray, k: int, reach: float):
 
 def _no_contact_fraction(rng: np.random.Generator, model: str,
                          law: Optional[FlightLaw], n: int, r: float,
-                         l0: float, trials: int, anchor_rotation: float) -> int:
+                         l0: float, trials: int) -> int:
     """Count samples whose one-slot relative path misses the r-disc.
 
     The start sits at distance l0 from the obstruction.  Heavy-flight
@@ -367,31 +344,30 @@ def _no_contact_fraction(rng: np.random.Generator, model: str,
             misses += k  # less the measured pairs that come within r
             for i1, i2 in _reachable_pairs(z, k, reach):
                 t1, t2, z1, z2 = theta[i1], theta[i2], z[i1], z[i2]
-                dx, dy = _rotate(z1 * np.cos(t1) - z2 * np.cos(t2),
-                                 z1 * np.sin(t1) - z2 * np.sin(t2), anchor_rotation)
+                dx = z1 * np.cos(t1) - z2 * np.cos(t2)
+                dy = z1 * np.sin(t1) - z2 * np.sin(t2)
                 d = segment_point_dist_np(0.0, l0, dx, l0 + dy)
                 misses -= d.size - int(np.count_nonzero(d > r))
         else:
             x1, y1 = uniform_points_in_disc(rng, radius, k)
             x2, y2 = uniform_points_in_disc(rng, radius, k)
-            dx, dy = _rotate(x1 - x2, y1 - y2, anchor_rotation)
-            d = segment_point_dist_np(0.0, l0, dx, dy)
+            d = segment_point_dist_np(0.0, l0, x1 - x2, y1 - y2)
             misses += int(np.count_nonzero(d > r))
     return misses
 
 
 def estimate_p_hat_mc(rng_stream: np.random.Generator, model: str,
                       law: Optional[FlightLaw], n: int, r: float,
-                      trials: int, anchor_rotation: float = 0.0) -> Estimate:
+                      trials: int) -> Estimate:
     """MC estimate of the no-contact probability at initial distance 2*sqrt(n),
     i.e. H1 there."""
     return estimate_H1_mc(rng_stream, model, law, n, r, 2.0 * math.sqrt(n),
-                          trials, anchor_rotation)
+                          trials)
 
 
 def estimate_H1_mc(rng_stream: np.random.Generator, model: str,
                    law: Optional[FlightLaw], n: int, r: float, l0: float,
-                   trials: int, anchor_rotation: float = 0.0) -> Estimate:
+                   trials: int) -> Estimate:
     """MC estimate of the first-slot no-contact probability at distance l0."""
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -400,8 +376,7 @@ def estimate_H1_mc(rng_stream: np.random.Generator, model: str,
         raise ValueError("require 0 < r < l0")
     if l0 > 2.0 * math.sqrt(n) * (1.0 + 1e-12):
         raise ValueError("require l0 <= 2*sqrt(n)")
-    misses = _no_contact_fraction(rng_stream, model, law, n, r, l0,
-                                  trials, anchor_rotation)
+    misses = _no_contact_fraction(rng_stream, model, law, n, r, l0, trials)
     return _binomial_estimate(misses, trials)
 
 
@@ -427,54 +402,6 @@ def _check_prob(name: str, v: float):
         raise ValueError(f"{name} must be in [0, 1]")
 
 
-def u_bar_from_ccdf(ccdf, m: int, tail_cut: int = _DEFAULT_TAIL_CUT) -> float:
-    """Sum of the m-th powers of a CCDF over all slot counts.
-
-    ccdf is either a callable tau -> P{T > tau} or a sequence indexed by
-    tau.  The sum runs until the summand falls below 1e-12 or tail_cut is
-    reached, then a geometric continuation of the last ratio closes the
-    remainder, which makes the result exact for geometric inputs.
-    """
-    if m < 1 or int(m) != m:
-        raise ValueError("m must be a positive integer")
-    if tail_cut < 1:
-        raise ValueError("tail_cut must be positive")
-    m = int(m)
-    if callable(ccdf):
-        get = ccdf
-        limit = tail_cut
-    else:
-        seq = list(ccdf)
-        if not seq:
-            raise ValueError("ccdf sequence must be nonempty")
-        get = seq.__getitem__
-        limit = min(tail_cut, len(seq) - 1)
-
-    total = 0.0
-    prev = None
-    last = None
-    for tau in range(limit + 1):
-        v = float(get(tau))
-        if not (-1e-12 <= v <= 1.0 + 1e-12):
-            raise ValueError("ccdf values must be in [0, 1]")
-        if last is not None and v > last + 1e-12:
-            raise ValueError("ccdf must be nonincreasing")
-        term = v ** m
-        total += term
-        prev, last = last, v
-        if term < _SUMMAND_FLOOR:
-            break
-    # Close the sum with a geometric continuation of the final ratio;
-    # for a truly geometric CCDF this reproduces the infinite sum exactly.
-    if last is None or last <= 0.0 or prev is None or prev <= 0.0:
-        return total
-    ratio = last / prev
-    if ratio >= 1.0 - 1e-15:
-        return math.inf if last ** m >= _SUMMAND_FLOOR else total
-    rm = ratio ** m
-    return total + (last ** m) * rm / (1.0 - rm)
-
-
 def u_bar_bound(m: int, p_hat: float, p_out: float) -> float:
     """Bound on the expected minimum of m discretized meeting times.
 
@@ -498,77 +425,33 @@ def levy_delay_upper(p_hat: float, p_out: float) -> float:
     return p_out / (1.0 - p_hat)
 
 
-def binomial_chernoff_tail(n_trials: int, p: float, x: float) -> float:
-    """Chernoff bound on the lower binomial tail P{B <= x} for x <= n*p."""
-    if n_trials < 1 or int(n_trials) != n_trials:
-        raise ValueError("n_trials must be a positive integer")
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must be in (0, 1]")
-    mu = n_trials * p
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x > mu:
-        raise ValueError("x must not exceed n_trials * p")
-    return math.exp(-((mu - x) ** 2) / (2.0 * mu))
-
-
-def chernoff_tail_relaxed(n: int, r: float, gamma: float) -> float:
-    """Algebraic relaxation of the neighbor-count Chernoff tail.
-
-    2 * (3n / (n - 2 - 3*gamma*n))**2 / r**2, the form obtained by
-    exp(-x) <= 1/x; needs n strictly above 2/(1 - 3*gamma).
-    """
-    _check_gamma(gamma)
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    d = n - 2.0 - 3.0 * gamma * n
-    if d <= 0.0:
-        raise ValueError("n must exceed 2 / (1 - 3*gamma)")
-    return 2.0 * (3.0 * n / d) ** 2 / (r * r)
-
-
-def _check_gamma(gamma: float):
-    if not (0.0 < gamma < 1.0 / 3.0):
-        raise ValueError("gamma must be in (0, 1/3)")
-
-
-def iid_delay_bound(n: int, r: float, p_hat: float, p_out: float,
-                    gamma: float = 0.1,
-                    u_bar_fn: Optional[Callable[[int], float]] = None,
-                    tail: str = "exact") -> float:
+def iid_delay_bound(n: int, r: float, p_hat: float, p_out: float) -> float:
     """Three-term bound on the mean relay-scheme delay, teleport model.
 
-    p_out + p_out * U(1) * P{B <= ceil(gamma r^2) - 2} + p_out * U(k)
-    with k = ceil(gamma r^2) and B binomial over the n-2 candidate relays
-    with in-range probability 1 - p_out.  tail selects the exact binomial
-    CDF or the Chernoff surrogate for the middle factor.
+    p_out + p_out * U(1) * P{B <= k - 2} + p_out * U(k) with
+    k = ceil(gamma r^2), gamma = 0.1, U the closed-form u_bar_bound, and
+    B binomial over the n-2 candidate relays with in-range probability
+    1 - p_out.
     """
-    _check_gamma(gamma)
-    if n * (1.0 - 3.0 * gamma) < 2.0:
-        raise ValueError("need n >= 2 / (1 - 3*gamma)")
+    if n * (1.0 - 3.0 * _GAMMA) < 2.0:
+        raise ValueError(f"need n >= 2 / (1 - 3*gamma) with gamma = {_GAMMA}")
     if r <= 0.0:
         raise ValueError("r must be positive")
     _check_prob("p_out", p_out)
     if not (0.0 <= p_hat < 1.0):
         raise ValueError("p_hat must be in [0, 1)")
-    if tail not in ("exact", "chernoff"):
-        raise ValueError("tail must be 'exact' or 'chernoff'")
-    if u_bar_fn is None:
-        u_bar_fn = lambda mm: u_bar_bound(mm, p_hat, p_out)
-    k = math.ceil(gamma * r * r)
+    k = math.ceil(_GAMMA * r * r)
     x = k - 2
     p_in = 1.0 - p_out
     if x < 0 or p_in == 0.0:
         few_neighbors = 1.0 if x >= 0 else 0.0
-    elif tail == "exact":
+    else:
         # imported here: scipy.stats dominates the package's import time
         from scipy.stats import binom
         few_neighbors = float(binom.cdf(x, n - 2, p_in))
-    else:
-        few_neighbors = binomial_chernoff_tail(n - 2, p_in, x)
     return (p_out
-            + p_out * u_bar_fn(1) * few_neighbors
-            + p_out * u_bar_fn(k))
+            + p_out * u_bar_bound(1, p_hat, p_out) * few_neighbors
+            + p_out * u_bar_bound(k, p_hat, p_out))
 
 
 # ---------------------------------------------------------------------------
@@ -600,36 +483,8 @@ def capacity_per_node(n: int, beta: float) -> float:
     return scale * (1.0 - pn) - pn1
 
 
-def capacity_ratio(n: int, beta: float) -> float:
-    """Throughput normalized by its n**(-2 beta) scale; tends to 1 - 2/e at beta 0."""
-    _check_capacity_args(n, beta)
-    q = n ** (2.0 * beta - 1.0)
-    pn, pn1 = _occupancy_terms(n, q)
-    # n**(2 beta) == q * n
-    return (1.0 - pn) - q * n * pn1
-
-
-def cell_occupancy_prob(n: int, cell_area: float) -> float:
-    """Probability a fixed cell of the given area holds two or more of n
-    uniform nodes, over a region of total area n."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (0.0 < cell_area <= n):
-        raise ValueError("cell_area must be in (0, n]")
-    q = cell_area / n
-    pn, pn1 = _occupancy_terms(n, q)
-    return 1.0 - pn - n * q * pn1
-
-
 # ---------------------------------------------------------------------------
 # tail constants of the cosine-projected flight difference
-
-def asin_envelope(x: float) -> tuple[float, float]:
-    """The linear envelope x <= asin(x) <= (pi/2) x on [0, 1]."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must be in [0, 1]")
-    return x, 0.5 * math.pi * x
-
 
 def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     # Classic recursive Simpson with Richardson correction.  The
@@ -672,31 +527,6 @@ def cosine_diff_tail_constants(alpha: float, c: float) -> TailConstants:
     return TailConstants(c_l=c_l, c_u=c_u, cos_integral=integral)
 
 
-def estimate_cosine_diff_tail_mc(rng_stream: np.random.Generator,
-                                 law: FlightLaw, z_values: Sequence[float],
-                                 trials: int) -> dict[float, Estimate]:
-    """MC upper-tail of Z1 cos(theta1) - Z2 cos(theta2) at each threshold."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    zs = [float(z) for z in z_values]
-    if any(z <= 0.0 for z in zs):
-        raise ValueError("thresholds must be positive")
-    hits = {z: 0 for z in zs}
-    # |Z1 cos(theta1) - Z2 cos(theta2)| <= Z1 + Z2, so only pairs that
-    # reach the smallest threshold can pass any
-    reach = min(zs) * (1.0 - _REACH_MARGIN)
-    done = 0
-    while done < trials:
-        k = min(_MC_CHUNK, trials - done)
-        done += k
-        th, z = sample_flight_polar(rng_stream, law, 2 * k)
-        for i1, i2 in _reachable_pairs(z, k, reach):
-            diff = z[i1] * np.cos(th[i1]) - z[i2] * np.cos(th[i2])
-            for zv in zs:
-                hits[zv] += int(np.count_nonzero(diff > zv))
-    return {zv: _binomial_estimate(h, trials) for zv, h in hits.items()}
-
-
 # ---------------------------------------------------------------------------
 # tradeoff curve and report assembly
 
@@ -726,52 +556,33 @@ def tradeoff_curve(model: str, alpha_opt: Optional[float],
     return curve
 
 
-def compute_bound_report(model: str, n: int, r: float,
-                         law: Optional[FlightLaw] = None,
-                         trials: int = 100_000,
-                         master_seed: int = DEFAULT_SEED,
-                         gamma: float = 0.1,
-                         u_bar_ms: Sequence[int] = tuple(range(1, 11)),
-                         h1_grid: Optional[Sequence[float]] = None) -> BoundReport:
+def compute_bound_report(cfg: ModelConfig, trials: int) -> BoundReport:
     """Evaluate every bound this module knows for one configuration.
 
     trials = 0 skips the Monte Carlo entries.  The delay bound uses the
-    dominating (p_hat upper, p_out upper) pair, as does u_bar; h1
-    defaults to the grid {1.5r, 3r, 2 sqrt(n)} clipped to its domain.
+    dominating (p_hat upper, p_out upper) pair, as does u_bar; h1 is
+    estimated on the grid {1.5r, 3r, 2 sqrt(n)} clipped to its domain.
     """
-    _check_model(model)
+    n, r = cfg.n, cfg.r
     if n < 2:
         raise ValueError("n must be at least 2")
     p_out_lo, p_out_up = p_out_bounds(n, r)
-    if model == MODEL_LEVY:
-        if law is None:
-            raise ValueError("heavy-flight report needs a FlightLaw")
-        tail = cosine_diff_tail_constants(law.alpha, law.tail_c)
-        raw_lo, raw_up, note = p_hat_bounds_levy(n, r, tail, law.alpha)
-    else:
-        raw_lo, raw_up = p_hat_bounds_iid(n, r)
-        note = "no-contact bounds valid for all n"
-    p_hat_lo = min(max(raw_lo, 0.0), 1.0)
-    p_hat_up = min(max(raw_up, 0.0), 1.0)
+    p_hat_lo, p_hat_up, note = p_hat_bounds(cfg)
 
     p_hat_mc = None
     h1_mc = None
     if trials > 0:
-        p_hat_mc = estimate_p_hat_mc(trial_stream(master_seed, SALT_MC, 0),
-                                     model, law, n, r, trials)
+        p_hat_mc = estimate_p_hat_mc(trial_stream(cfg.master_seed, SALT_MC, 0),
+                                     cfg.model, cfg.law, n, r, trials)
         two_rt = 2.0 * math.sqrt(n)
-        if h1_grid is None:
-            h1_grid = [l0 for l0 in (1.5 * r, 3.0 * r, two_rt)
-                       if r < l0 <= two_rt]
-        h1_mc = {}
-        for i, l0 in enumerate(h1_grid):
-            h1_mc[float(l0)] = estimate_H1_mc(
-                trial_stream(master_seed, SALT_MC, 1 + i),
-                model, law, n, r, float(l0), trials)
+        h1_grid = [l0 for l0 in (1.5 * r, 3.0 * r, two_rt) if r < l0 <= two_rt]
+        h1_mc = {l0: estimate_H1_mc(trial_stream(cfg.master_seed, SALT_MC, 1 + i),
+                                    cfg.model, cfg.law, n, r, l0, trials)
+                 for i, l0 in enumerate(h1_grid)}
 
-    u_bar = {int(m): u_bar_bound(int(m), p_hat_up, p_out_up) for m in u_bar_ms}
-    if model == MODEL_IID and n * (1.0 - 3.0 * gamma) >= 2.0:
-        delay_upper = iid_delay_bound(n, r, p_hat_up, p_out_up, gamma)
+    u_bar = {m: u_bar_bound(m, p_hat_up, p_out_up) for m in _U_BAR_MS}
+    if cfg.model == MODEL_IID and n * (1.0 - 3.0 * _GAMMA) >= 2.0:
+        delay_upper = iid_delay_bound(n, r, p_hat_up, p_out_up)
     else:
         # Pathwise the scheme is never slower than the bare pair meeting,
         # so the geometric pair bound is a valid fallback.

@@ -8,7 +8,8 @@ neighbor-count binomial goodness of fit (gof), and the tail-exponent
 CCDF comparison (dominance).
 
 Option precedence is flags over config file over built-in defaults; the
-config file is a flat JSON object keyed by the RunConfig field names.
+config file is a flat JSON object keyed by the RunConfig field names,
+each value of its field's JSON type.
 Exit codes: 0 on success, 1 on a usage or validation problem or a run
 that cannot finish (contact-search budget exceeded, arithmetic
 overflow), 2 when a --check assertion fails.
@@ -71,6 +72,14 @@ class UsageError(ValueError):
     """Bad flags or config file; maps to exit code 1."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved invocation; round-trips through a flat dict."""
@@ -94,11 +103,29 @@ class RunConfig:
             raise UsageError(f"unknown subcommand {self.subcommand!r}")
         if self.model not in (MODEL_LEVY, MODEL_IID):
             raise UsageError(f"--model must be one of {MODEL_LEVY}, {MODEL_IID}")
+        # a config file may hold any JSON value: check each field's type
+        # before its range, and take no bool for a number
+        if not (isinstance(self.alpha, (list, tuple)) and all(map(_is_number, self.alpha))):
+            raise UsageError("alpha must be a list of numbers")
+        if not (isinstance(self.n, (list, tuple)) and all(map(_is_int, self.n))):
+            raise UsageError("n must be a list of integers")
+        for name in ("r", "beta"):
+            value = getattr(self, name)
+            if value is not None and not _is_number(value):
+                raise UsageError(f"{name} must be a number")
+        for name in ("trials", "horizon", "seed", "workers"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name in ("trials", "horizon"))):
+                raise UsageError(f"{name} must be an integer")
+        if not isinstance(self.out_dir, str):
+            raise UsageError("out_dir must be a string")
+        if not isinstance(self.check, bool):
+            raise UsageError("check must be true or false")
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         for a in self.alpha:
             if not (0.0 < a <= 2.0):
                 raise UsageError("alpha must be in (0, 2]")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        object.__setattr__(self, "n", tuple(self.n))
         if not self.n or any(v < 2 for v in self.n):
             raise UsageError("--n values must be integers >= 2")
         if self.r is not None and self.beta is not None:
@@ -111,6 +138,8 @@ class RunConfig:
             raise UsageError("--trials must be nonnegative")
         if self.horizon is not None and self.horizon < 1:
             raise UsageError("--horizon must be positive")
+        if self.seed < 0:
+            raise UsageError("--seed must be nonnegative")
         if self.workers < 1:
             raise UsageError("--workers must be positive")
         if self.fmt not in FORMATS:
@@ -129,11 +158,7 @@ class RunConfig:
         bad = set(data) - known
         if bad:
             raise UsageError(f"unknown config key {sorted(bad)[0]!r}")
-        kwargs = dict(data)
-        for key in ("alpha", "n"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
     @property
     def effective_trials(self) -> int:
@@ -237,13 +262,8 @@ def parse_args(argv) -> RunConfig:
             raise UsageError(f"--config: not valid JSON ({exc})")
         if not isinstance(file_conf, dict):
             raise UsageError("--config must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        for key, value in file_conf.items():
-            if key == "subcommand":
-                continue  # the positional argument decides
-            if key not in known:
-                raise UsageError(f"unknown config key {key!r}")
-            merged[key] = value
+        # the positional argument decides the subcommand
+        merged = {k: v for k, v in file_conf.items() if k != "subcommand"}
     if ns.alpha is not None:
         merged["alpha"] = _parse_floats(ns.alpha, "--alpha")
     if ns.n is not None:
@@ -316,9 +336,7 @@ def _checked(ok: bool, reason: str) -> int:
 
 def _run_bounds(config: RunConfig) -> int:
     cfg = _single_config(config)
-    report = compute_bound_report(
-        model=cfg.model, n=cfg.n, r=cfg.r, law=cfg.law,
-        trials=config.effective_trials, master_seed=cfg.master_seed)
+    report = compute_bound_report(cfg, config.effective_trials)
     doc = report.to_obj()
     rows = []
     for key, value in doc.items():

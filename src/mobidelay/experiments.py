@@ -24,12 +24,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .analytics import format_real, p_hat_bounds_iid, p_hat_bounds_levy, \
-    p_out_bounds, cosine_diff_tail_constants, ccdf_geometric_bound, dumps_stable
+from .analytics import format_real, p_hat_bounds, p_out_bounds, \
+    ccdf_geometric_bound, dumps_stable
 from .flight import FlightLaw
 from .world import (
     DEFAULT_SEED,
-    MODEL_IID,
     MODEL_LEVY,
     SALT_GOF,
     ModelConfig,
@@ -250,15 +249,6 @@ def run_delay_sweep(configs: Sequence[ModelConfig], trials: int,
     return replace(fit, points=tuple(pts))
 
 
-def _model_p_hat_upper(cfg: ModelConfig) -> float:
-    if cfg.model == MODEL_IID:
-        return p_hat_bounds_iid(cfg.n, cfg.r)[1]
-    law = cfg.law
-    tail = cosine_diff_tail_constants(law.alpha, law.tail_c)
-    up = p_hat_bounds_levy(cfg.n, cfg.r, tail, law.alpha)[1]
-    return min(max(up, 0.0), 1.0)
-
-
 def _ccdf_point(times: np.ndarray, t: int) -> tuple[float, float]:
     """Empirical P{T > t} of a meeting-time sample and its standard error."""
     p = float(np.mean(times > t))
@@ -279,7 +269,7 @@ def run_ccdf_sweep(configs: Sequence[ModelConfig], trials: int,
         if cfg.horizon_slots <= tau_max:
             raise ValueError("horizon must exceed tau_max")
         p_out_up = p_out_bounds(cfg.n, cfg.r)[1]
-        p_hat_up = _model_p_hat_upper(cfg)
+        p_hat_up = p_hat_bounds(cfg)[1]
         _, tm, _ = pair_meeting_times(cfg, trials, workers=workers)
         censored = float(np.mean(np.isinf(tm)))
         for tau in range(tau_max + 1):

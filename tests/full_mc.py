@@ -1,14 +1,17 @@
 """Full-array Monte Carlo estimators: the references for the pruned ones.
 
 ``mobidelay.analytics`` sets aside heavy-flight pairs whose summed
-flight length cannot reach the obstruction (or the smallest threshold)
-and measures only the others, tile by tile.  The functions here are the
+flight length cannot reach the obstruction, and the tail estimator of
+``lemmas`` those that cannot reach the smallest threshold; both measure
+only the others, tile by tile.  The functions here are the
 estimators as they were before that pre-test: every pair of a chunk is
 turned into a vector and measured at once.  They consume the stream in
 the same order, so their counts must match the package's bit for bit.
 
 ``no_contact_misses`` has the signature of
-``analytics._no_contact_fraction`` and can stand in for it.
+``analytics._no_contact_fraction`` and can stand in for it.  Its
+keyword ``anchor_rotation`` turns the obstruction about the start, which
+leaves an isotropic estimate unchanged in distribution.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from mobidelay.analytics import _MC_CHUNK, _rotate
+from mobidelay.analytics import _MC_CHUNK
 from mobidelay.flight import sample_flight_lengths
 from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
 
@@ -30,7 +33,16 @@ def _flights(rng, law, size):
     return th, sample_flight_lengths(rng, law, size)
 
 
-def no_contact_misses(rng, model, law, n, r, l0, trials, anchor_rotation):
+def _rotate(dx, dy, angle):
+    # Counter-rotating the isotropic sample is the same as rotating the
+    # obstruction anchor by +angle.
+    if angle == 0.0:
+        return dx, dy
+    c, s = math.cos(angle), math.sin(angle)
+    return c * dx + s * dy, -s * dx + c * dy
+
+
+def no_contact_misses(rng, model, law, n, r, l0, trials, *, anchor_rotation=0.0):
     """Count samples whose one-slot relative path misses the r-disc."""
     radius = math.sqrt(n)
     misses = 0

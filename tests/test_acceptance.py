@@ -16,20 +16,22 @@ from itertools import product
 import numpy as np
 from scipy import stats
 
-from mobidelay.analytics import (
+from lemmas import (
     asin_envelope,
     binomial_chernoff_tail,
-    capacity_per_node,
     cell_occupancy_prob,
-    cosine_diff_tail_constants,
     estimate_cosine_diff_tail_mc,
+    estimate_p_out_mc,
+    u_bar_from_ccdf,
+)
+from mobidelay.analytics import (
+    capacity_per_node,
+    cosine_diff_tail_constants,
     estimate_H1_mc,
     estimate_p_hat_mc,
-    estimate_p_out_mc,
     p_hat_bounds_iid,
     p_hat_bounds_levy,
     p_out_bounds,
-    u_bar_from_ccdf,
 )
 from mobidelay.experiments import (
     grid_configs,

@@ -13,34 +13,37 @@ from scipy.special import gamma as gamma_fn
 
 import full_mc
 import oracle
+from lemmas import (
+    asin_envelope,
+    binomial_chernoff_tail,
+    capacity_ratio,
+    cell_occupancy_prob,
+    chernoff_tail_relaxed,
+    estimate_cosine_diff_tail_mc,
+    estimate_p_out_mc,
+    u_bar_from_ccdf,
+)
 from mobidelay import analytics
 from mobidelay.analytics import (
     BoundReport,
     Estimate,
     TailConstants,
-    asin_envelope,
-    binomial_chernoff_tail,
     capacity_per_node,
-    capacity_ratio,
     ccdf_geometric_bound,
-    cell_occupancy_prob,
-    chernoff_tail_relaxed,
     compute_bound_report,
     cosine_diff_tail_constants,
     dumps_stable,
     estimate_H1_mc,
-    estimate_cosine_diff_tail_mc,
     estimate_p_hat_mc,
-    estimate_p_out_mc,
     format_real,
     iid_delay_bound,
     levy_delay_upper,
+    p_hat_bounds,
     p_hat_bounds_iid,
     p_hat_bounds_levy,
     p_out_bounds,
     tradeoff_curve,
     u_bar_bound,
-    u_bar_from_ccdf,
 )
 from mobidelay.flight import FlightLaw, sample_flight_lengths
 from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
@@ -136,6 +139,21 @@ def test_bound_pairs_ordered_on_grid():
                 assert lo <= up
 
 
+def test_p_hat_bounds_clamps_either_model():
+    law = FlightLaw(alpha=1.0)
+    tail = cosine_diff_tail_constants(1.0, law.tail_c)
+    clamp = lambda v: min(max(v, 0.0), 1.0)
+    for n, r in ((100, 2.0), (100, 19.0), (10_000, 4.0)):
+        lo, up = p_hat_bounds_iid(n, r)
+        assert p_hat_bounds(ModelConfig(n=n, r=r)) == (
+            clamp(lo), clamp(up), "no-contact bounds valid for all n")
+        lo, up, note = p_hat_bounds_levy(n, r, tail, 1.0)
+        assert p_hat_bounds(ModelConfig(n=n, r=r, model="levy", law=law)) == (
+            clamp(lo), clamp(up), note)
+    # a vacuous raw lower bound comes back as 0
+    assert p_hat_bounds(ModelConfig(n=100, r=19.0))[0] == 0.0
+
+
 def test_p_hat_mc_iid_inside_bounds():
     n, r = 100, 2.0
     est = estimate_p_hat_mc(trial_stream(5, 14, 0), "iid", None, n, r, 400_000)
@@ -163,11 +181,18 @@ def test_p_hat_mc_trivial_r():
 
 
 def test_p_hat_mc_rotation_invariance():
+    # the reference estimator with the obstruction turned about the start
     n, r, trials = 100, 2.0, 300_000
-    base = estimate_p_hat_mc(trial_stream(7, 14, 0), "iid", None, n, r, trials)
+    l0 = 2.0 * math.sqrt(n)
+
+    def estimate(index, rot):
+        misses = full_mc.no_contact_misses(trial_stream(7, 14, index), "iid", None,
+                                           n, r, l0, trials, anchor_rotation=rot)
+        return analytics._binomial_estimate(misses, trials)
+
+    base = estimate(0, 0.0)
     for rot in (0.5 * math.pi, 2.1):
-        turned = estimate_p_hat_mc(trial_stream(7, 14, 1), "iid", None, n, r,
-                                   trials, anchor_rotation=rot)
+        turned = estimate(1, rot)
         se = math.hypot(base.stderr, turned.stderr)
         assert abs(base.value - turned.value) < 3 * se
 
@@ -274,8 +299,8 @@ LAWS = {
 }
 
 
-def _both_no_contact(model, law, l0, trials, rotation, seed):
-    args = (model, law, N_MC, R_MC, l0, trials, rotation)
+def _both_no_contact(model, law, l0, trials, seed):
+    args = (model, law, N_MC, R_MC, l0, trials)
     got = analytics._no_contact_fraction(trial_stream(seed, 14, 0), *args)
     want = full_mc.no_contact_misses(trial_stream(seed, 14, 0), *args)
     return got, want
@@ -286,21 +311,21 @@ def test_pruned_no_contact_counts_match_full_array(name):
     # every l0 from just outside r (no pair can be set aside) to the
     # diameter (almost every pair is)
     for i, l0 in enumerate(L0_GRID):
-        got, want = _both_no_contact("levy", LAWS[name], l0, 60_000, 0.0, 60 + i)
+        got, want = _both_no_contact("levy", LAWS[name], l0, 60_000, 60 + i)
         assert got == want
 
 
-@pytest.mark.parametrize("model, rotation, l0", [
-    ("levy", 0.0, 3.0 * R_MC),
-    ("levy", 2.1, 1.5 * R_MC),
-    ("levy", 0.7, 2.0 * math.sqrt(N_MC)),
-    ("iid", 0.0, 3.0 * R_MC),
+@pytest.mark.parametrize("model, l0", [
+    ("levy", 3.0 * R_MC),
+    ("levy", 1.5 * R_MC),
+    ("levy", 2.0 * math.sqrt(N_MC)),
+    ("iid", 3.0 * R_MC),
 ])
-def test_pruned_no_contact_counts_match_across_chunks(model, rotation, l0):
+def test_pruned_no_contact_counts_match_across_chunks(model, l0):
     # one full chunk and a partial one that ends in a partial tile
     law = LAWS["pareto-1"] if model == "levy" else None
     trials = analytics._MC_CHUNK + 17
-    got, want = _both_no_contact(model, law, l0, trials, rotation, 70)
+    got, want = _both_no_contact(model, law, l0, trials, 70)
     assert got == want
     assert 0 < got < trials
 
@@ -347,7 +372,7 @@ def test_length_pretest_only_sets_aside_misses(l0, r_share, below, split, th1,
     assert [i.size for i, _ in analytics._reachable_pairs(z, 1, reach)] == [0]
     dx = z[0] * np.cos([th1]) - z[1] * np.cos([th2])
     dy = z[0] * np.sin([th1]) - z[1] * np.sin([th2])
-    dx, dy = analytics._rotate(dx, dy, rotation)
+    dx, dy = full_mc._rotate(dx, dy, rotation)
     ax = np.zeros(1)
     ay = np.full(1, l0)
     assert segment_point_dist_np(ax, ay, ax + dx, ay + dy)[0] > r
@@ -362,12 +387,12 @@ def test_pruned_estimators_raise_no_numpy_warnings(law):
         warnings.simplefilter("error")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             got = [analytics._no_contact_fraction(trial_stream(72, 14, i), "levy",
-                                                  law, N_MC, R_MC, l0, 100_000, 0.0)
+                                                  law, N_MC, R_MC, l0, 100_000)
                    for i, l0 in enumerate(L0_GRID)]
             tails = estimate_cosine_diff_tail_mc(trial_stream(73, 14, 0), law,
                                                  [0.5, 4.0], 100_000)
     want = [full_mc.no_contact_misses(trial_stream(72, 14, i), "levy",
-                                      law, N_MC, R_MC, l0, 100_000, 0.0)
+                                      law, N_MC, R_MC, l0, 100_000)
             for i, l0 in enumerate(L0_GRID)]
     assert got == want
     hits = full_mc.cosine_diff_hits(trial_stream(73, 14, 0), law, [0.5, 4.0], 100_000)
@@ -504,15 +529,8 @@ def test_iid_delay_bound_variants():
     n, r = 10_000, 10.0
     p_out = p_out_bounds(n, r)[1]
     p_hat = p_hat_bounds_iid(n, r)[1]
-    exact = iid_delay_bound(n, r, p_hat, p_out, gamma=0.1, tail="exact")
-    cher = iid_delay_bound(n, r, p_hat, p_out, gamma=0.1, tail="chernoff")
-    assert exact <= cher
     with pytest.raises(ValueError):
-        iid_delay_bound(n, r, p_hat, p_out, gamma=0.34)
-    with pytest.raises(ValueError):
-        iid_delay_bound(n, r, p_hat, p_out, gamma=0.0)
-    with pytest.raises(ValueError):
-        iid_delay_bound(2, r, p_hat, p_out, gamma=0.3)  # n below 2/(1-3 gamma)
+        iid_delay_bound(2, r, p_hat, p_out)  # n below 2/(1-3 gamma)
     # vanishing out-of-range probability: everything is delivered at once
     assert iid_delay_bound(n, r, p_hat, 0.0) == 0.0
 
@@ -718,7 +736,7 @@ def test_dumps_stable_shapes():
 
 
 def test_bound_report_iid():
-    rep = compute_bound_report("iid", 100, 2.0, trials=50_000, master_seed=7)
+    rep = compute_bound_report(ModelConfig(n=100, r=2.0, master_seed=7), 50_000)
     assert rep.p_out_lower == pytest.approx(0.96)
     assert rep.p_hat_lower <= rep.p_hat_mc.value <= rep.p_hat_upper
     assert set(rep.u_bar) == set(range(1, 11))
@@ -727,7 +745,7 @@ def test_bound_report_iid():
     assert rep.delay_upper > 0
     assert rep.capacity_lambda == pytest.approx(
         capacity_per_node(100, math.log(2.0) / math.log(100.0)), rel=1e-15)
-    obj = json.loads(rep.to_json())
+    obj = json.loads(dumps_stable(rep.to_obj()))
     assert obj["p_out_lower"] == 0.96
     assert list(obj)[0] == "p_out_lower"
     # h1 grid keys are the defaults, clipped to the domain
@@ -736,15 +754,15 @@ def test_bound_report_iid():
 
 def test_bound_report_levy_and_gaps():
     law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    rep = compute_bound_report("levy", 10_000, 1.0, law=law, trials=0)
+    rep = compute_bound_report(ModelConfig(n=10_000, r=1.0, model="levy", law=law), 0)
     assert rep.p_hat_mc is None and rep.h1_mc is None
     assert 0.0 <= rep.p_hat_lower <= rep.p_hat_upper <= 1.0
     assert "threshold" in rep.n_th_note
     # r = n^beta with beta > 1/4 has no capacity formula
-    rep2 = compute_bound_report("iid", 100, 4.0, trials=0)
+    rep2 = compute_bound_report(ModelConfig(n=100, r=4.0), 0)
     assert rep2.capacity_lambda is None
     with pytest.raises(ValueError):
-        compute_bound_report("levy", 100, 2.0, law=None, trials=0)
+        compute_bound_report(ModelConfig(n=100, r=2.0, model="levy"), 0)
 
 
 def test_estimate_and_report_validation():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -122,6 +123,32 @@ def test_config_file_errors(tmp_path):
         parse_args(["bounds", "--config", str(conf)])
     with pytest.raises(UsageError, match="--config"):
         parse_args(["bounds", "--config", str(tmp_path / "missing.json")])
+
+
+@pytest.mark.parametrize("conf, key", [
+    ({"trials": 50, "horizon": 40.5}, "horizon"),
+    ({"trials": 50.5}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"trials": 50, "check": "no"}, "check"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"n": [100.7]}, "n"),
+    ({"n": 100}, "n"),
+    ({"r": True}, "r"),
+    ({"beta": "0.1"}, "beta"),
+    ({"alpha": [1, "2"]}, "alpha"),
+    ({"workers": None}, "workers"),
+    ({"out_dir": 5}, "out_dir"),
+])
+def test_config_file_values_must_have_their_type(tmp_path, monkeypatch, capsys,
+                                                 conf, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf.json").write_text(json.dumps(conf))
+    assert main(["meet", "--config", "conf.json"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{key}\b", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
 
 
 # ---------------------------------------------------------------------------
