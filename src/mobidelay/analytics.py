@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .flight import FlightLaw, sample_flight_polar
+from .flight import sample_flight_polar
 from .geometry import segment_point_dist_np, uniform_points_in_disc
 from .world import MODEL_IID, MODEL_LEVY, SALT_MC, ModelConfig, trial_stream
 
@@ -36,7 +36,6 @@ __all__ = [
     "p_hat_bounds_levy",
     "p_hat_bounds_iid",
     "p_hat_bounds",
-    "estimate_p_hat_mc",
     "estimate_H1_mc",
     "ccdf_geometric_bound",
     "u_bar_bound",
@@ -243,19 +242,18 @@ def _binomial_estimate(hits: int, trials: int) -> Estimate:
 # ---------------------------------------------------------------------------
 # per-slot no-contact probability at the worst initial distance
 
-def p_hat_bounds_levy(n: int, r: float, tail: TailConstants,
-                      alpha: float) -> tuple[float, float, str]:
+def p_hat_bounds_levy(n: int, r: float, alpha: float) -> tuple[float, float, str]:
     """Closed-form sandwich for the heavy-flight no-contact probability.
 
+    The tail constants are those of Pareto flights of exponent alpha.
     Values are the raw formulas and may be vacuous (below 0) for small n;
     the returned caveat records that validity needs the population to
     exceed an unspecified threshold.
     """
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError("alpha must be in (0, 2]")
     two_rt = 2.0 * math.sqrt(n)
     if not (0.0 < r < two_rt):
         raise ValueError("r must be in (0, 2*sqrt(n))")
+    tail = cosine_diff_tail_constants(alpha)
     a = math.asin(r / two_rt)
     upper = 1.0 - (2.0 * tail.c_l / math.pi) * (two_rt + r) ** (-alpha) * a
     lower = 1.0 - (2.0 ** (alpha / 2.0 + 2.0) * tail.c_u / math.pi) \
@@ -289,8 +287,7 @@ def p_hat_bounds(cfg: ModelConfig) -> tuple[float, float, str]:
     the pair holds.  Raw values below 0 are vacuous and come back as 0.
     """
     if cfg.model == MODEL_LEVY:
-        tail = cosine_diff_tail_constants(cfg.law.alpha, cfg.law.tail_c)
-        lower, upper, note = p_hat_bounds_levy(cfg.n, cfg.r, tail, cfg.law.alpha)
+        lower, upper, note = p_hat_bounds_levy(cfg.n, cfg.r, cfg.alpha)
     else:
         lower, upper = p_hat_bounds_iid(cfg.n, cfg.r)
         note = "no-contact bounds valid for all n"
@@ -314,8 +311,7 @@ def _reachable_pairs(z: np.ndarray, k: int, reach: float):
             yield i, i + k
 
 
-def _no_contact_fraction(rng: np.random.Generator, model: str,
-                         law: Optional[FlightLaw], n: int, r: float,
+def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
                          l0: float, trials: int) -> int:
     """Count samples whose one-slot relative path misses the r-disc.
 
@@ -329,7 +325,7 @@ def _no_contact_fraction(rng: np.random.Generator, model: str,
     measurement gives.  Teleport model: the segment from the start to a
     fresh uniform-pair difference.
     """
-    radius = math.sqrt(n)
+    r = cfg.r
     reach = (l0 - r) - _REACH_MARGIN * l0
     misses = 0
     done = 0
@@ -337,10 +333,8 @@ def _no_contact_fraction(rng: np.random.Generator, model: str,
         k = min(_MC_CHUNK, trials - done)
         done += k
         # the start sits at (0, l0), the obstruction disc at the origin
-        if model == MODEL_LEVY:
-            if law is None:
-                raise ValueError("heavy-flight model needs a FlightLaw")
-            theta, z = sample_flight_polar(rng, law, 2 * k)
+        if cfg.model == MODEL_LEVY:
+            theta, z = sample_flight_polar(rng, cfg.alpha, 2 * k)
             misses += k  # less the measured pairs that come within r
             for i1, i2 in _reachable_pairs(z, k, reach):
                 t1, t2, z1, z2 = theta[i1], theta[i2], z[i1], z[i2]
@@ -349,40 +343,28 @@ def _no_contact_fraction(rng: np.random.Generator, model: str,
                 d = segment_point_dist_np(0.0, l0, dx, l0 + dy)
                 misses -= d.size - int(np.count_nonzero(d > r))
         else:
-            x1, y1 = uniform_points_in_disc(rng, radius, k)
-            x2, y2 = uniform_points_in_disc(rng, radius, k)
+            x1, y1 = uniform_points_in_disc(rng, cfg.radius, k)
+            x2, y2 = uniform_points_in_disc(rng, cfg.radius, k)
             d = segment_point_dist_np(0.0, l0, x1 - x2, y1 - y2)
             misses += int(np.count_nonzero(d > r))
     return misses
 
 
-def estimate_p_hat_mc(rng_stream: np.random.Generator, model: str,
-                      law: Optional[FlightLaw], n: int, r: float,
-                      trials: int) -> Estimate:
-    """MC estimate of the no-contact probability at initial distance 2*sqrt(n),
-    i.e. H1 there."""
-    return estimate_H1_mc(rng_stream, model, law, n, r, 2.0 * math.sqrt(n),
-                          trials)
+def estimate_H1_mc(rng_stream: np.random.Generator, cfg: ModelConfig,
+                   l0: float, trials: int) -> Estimate:
+    """MC estimate of the first-slot no-contact probability at distance l0.
 
-
-def estimate_H1_mc(rng_stream: np.random.Generator, model: str,
-                   law: Optional[FlightLaw], n: int, r: float, l0: float,
-                   trials: int) -> Estimate:
-    """MC estimate of the first-slot no-contact probability at distance l0."""
+    At l0 = 2*sqrt(n), the disc diameter, this is the no-contact
+    probability p_hat itself.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
-    _check_model(model)
-    if not (0.0 < r < l0):
+    if not cfg.r < l0:
         raise ValueError("require 0 < r < l0")
-    if l0 > 2.0 * math.sqrt(n) * (1.0 + 1e-12):
+    if l0 > 2.0 * cfg.radius * (1.0 + 1e-12):
         raise ValueError("require l0 <= 2*sqrt(n)")
-    misses = _no_contact_fraction(rng_stream, model, law, n, r, l0, trials)
+    misses = _no_contact_fraction(rng_stream, cfg, l0, trials)
     return _binomial_estimate(misses, trials)
-
-
-def _check_model(model: str):
-    if model not in (MODEL_LEVY, MODEL_IID):
-        raise ValueError(f"unknown model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,21 +491,20 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return recurse(a, fa, b, fb, m, fm, whole, tol, 60)
 
 
-def cosine_diff_tail_constants(alpha: float, c: float) -> TailConstants:
-    """Tail coefficients from the power-law flight coefficient c.
+def cosine_diff_tail_constants(alpha: float) -> TailConstants:
+    """Tail coefficients of the Pareto flights of tail exponent alpha.
 
-    c_l = (c / 2 pi) * I and c_u = (2**(1+alpha) c / pi) * I where I is
-    the integral of cos**alpha over a quarter period, computed to 1e-10
-    relative accuracy.
+    c_l = I / 2 pi and c_u = (2**(1+alpha) / pi) * I where I is the
+    integral of cos**alpha over a quarter period, computed to 1e-10
+    relative accuracy.  The flights' own tail constant, P{Z > 1} = 1,
+    is the unit factor in front of each.
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must be in (0, 2]")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
     integral = _adaptive_simpson(lambda t: math.cos(t) ** alpha,
                                  0.0, 0.5 * math.pi, 1e-12)
-    c_l = c / _TWO_PI * integral
-    c_u = 2.0 ** (1.0 + alpha) * c / math.pi * integral
+    c_l = 1.0 / _TWO_PI * integral
+    c_u = 2.0 ** (1.0 + alpha) / math.pi * integral
     return TailConstants(c_l=c_l, c_u=c_u, cos_integral=integral)
 
 
@@ -538,7 +519,8 @@ def tradeoff_curve(model: str, alpha_opt: Optional[float],
     n**exponent.  Heavy-flight model: min((1 + alpha)/2 - beta, 1); the
     teleport model: max(0, 1/2 - 3 beta); both with beta = eta / 2.
     """
-    _check_model(model)
+    if model not in (MODEL_LEVY, MODEL_IID):
+        raise ValueError(f"unknown model {model!r}")
     if model == MODEL_LEVY:
         if alpha_opt is None or not (0.0 < alpha_opt <= 2.0):
             raise ValueError("heavy-flight curve needs alpha in (0, 2]")
@@ -572,12 +554,12 @@ def compute_bound_report(cfg: ModelConfig, trials: int) -> BoundReport:
     p_hat_mc = None
     h1_mc = None
     if trials > 0:
-        p_hat_mc = estimate_p_hat_mc(trial_stream(cfg.master_seed, SALT_MC, 0),
-                                     cfg.model, cfg.law, n, r, trials)
         two_rt = 2.0 * math.sqrt(n)
+        p_hat_mc = estimate_H1_mc(trial_stream(cfg.master_seed, SALT_MC, 0),
+                                  cfg, two_rt, trials)
         h1_grid = [l0 for l0 in (1.5 * r, 3.0 * r, two_rt) if r < l0 <= two_rt]
         h1_mc = {l0: estimate_H1_mc(trial_stream(cfg.master_seed, SALT_MC, 1 + i),
-                                    cfg.model, cfg.law, n, r, l0, trials)
+                                    cfg, l0, trials)
                  for i, l0 in enumerate(h1_grid)}
 
     u_bar = {m: u_bar_bound(m, p_hat_up, p_out_up) for m in _U_BAR_MS}

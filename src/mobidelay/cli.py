@@ -37,7 +37,6 @@ from .experiments import (
     write_json,
     write_rows_csv,
 )
-from .flight import FlightLaw
 from .world import (DEFAULT_HORIZON_IID, DEFAULT_HORIZON_LEVY, DEFAULT_SEED,
                     MODEL_IID, MODEL_LEVY, ModelConfig, scheme_delays)
 
@@ -284,21 +283,20 @@ def parse_args(argv) -> RunConfig:
 # dispatch helpers
 
 
-def _law_for(config: RunConfig) -> Optional[FlightLaw]:
-    # dominance sets each of its two exponents on the law itself
+def _alpha_for(config: RunConfig) -> Optional[float]:
+    # dominance sets each of its two exponents on the config itself
     if len(config.alpha) > 1 and config.subcommand != "dominance":
         raise ValueError(f"{config.subcommand} runs one tail exponent; give one --alpha")
     if config.model != MODEL_LEVY:
         return None
-    alpha = config.alpha[0] if config.alpha else _ALPHA_DEFAULT
-    return FlightLaw(alpha=alpha, sampler="truncated_pareto")
+    return config.alpha[0] if config.alpha else _ALPHA_DEFAULT
 
 
 def _configs(config: RunConfig) -> list[ModelConfig]:
     """One ModelConfig per --n value, with --r or --beta used as given."""
     beta = 0.0 if config.r is None and config.beta is None else config.beta
     return grid_configs(config.n, r=config.r, beta=beta, model=config.model,
-                        law=_law_for(config), horizon=config.horizon,
+                        alpha=_alpha_for(config), horizon=config.horizon,
                         master_seed=config.seed)
 
 
@@ -406,11 +404,10 @@ def _run_gof(config: RunConfig) -> int:
     n, r = cfg.n, cfg.r
     counts = sample_neighbor_counts(cfg.master_seed, n, r,
                                     config.effective_trials)
-    p_hat = float(counts.mean() / (n - 2))
-    res = neighbor_binomial_gof(counts, n, p_hat, p_from_samples=True)
+    res = neighbor_binomial_gof(counts, n)
     row = {
         "n": n, "r": r, "placements": config.effective_trials,
-        "samples": int(counts.size), "p_hat": p_hat,
+        "samples": int(counts.size), "p_hat": res.p,
         "chi2": res.chi2, "dof": res.dof, "passed": res.passed,
     }
     written = _emit(config, "gof", [row], summary=row)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .analytics import format_real, p_hat_bounds, p_out_bounds, \
     ccdf_geometric_bound, dumps_stable
-from .flight import FlightLaw
 from .world import (
     DEFAULT_SEED,
     MODEL_LEVY,
@@ -57,6 +56,8 @@ __all__ = [
 # Placements per goodness-of-fit block; fixed so chunking never shows up
 # in the sampled counts.
 _GOF_BLOCK = 1024
+# the goodness-of-fit pools cells until each expects at least this many
+_MIN_EXPECTED = 5.0
 
 # a delay sample censoring this fraction or more is not summarised reliably
 _CENSORED_LIMIT = 0.01
@@ -64,7 +65,7 @@ _CENSORED_LIMIT = 0.01
 
 def grid_configs(n_grid: Sequence[int], *, r: Optional[float] = None,
                  beta: Optional[float] = None, model: str,
-                 law: Optional[FlightLaw] = None, horizon: Optional[int] = None,
+                 alpha: Optional[float] = None, horizon: Optional[int] = None,
                  master_seed: int = DEFAULT_SEED) -> list[ModelConfig]:
     """One ModelConfig per population of a strictly increasing grid.
 
@@ -78,7 +79,7 @@ def grid_configs(n_grid: Sequence[int], *, r: Optional[float] = None,
         raise ValueError("n_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
-    return [ModelConfig(n=n, r=r, beta=beta, model=model, law=law,
+    return [ModelConfig(n=n, r=r, beta=beta, model=model, alpha=alpha,
                         horizon_slots=horizon, master_seed=master_seed + i)
             for i, n in enumerate(grid)]
 
@@ -140,6 +141,7 @@ class ScalingFit:
 
 
 class GofResult(NamedTuple):
+    p: float
     chi2: float
     dof: int
     passed: bool
@@ -289,7 +291,7 @@ def run_dominance_check(configs: Sequence[ModelConfig], trials: int,
                         workers: int = 1) -> list[dict]:
     """Empirical CCDF comparison between two tail exponents.
 
-    Each config runs twice, its flight law set to each exponent on the
+    Each config runs twice, its alpha set to each exponent on the
     config's own seed.  Heavier tails (smaller alpha) must not meet
     later: the low-alpha CCDF is required to sit at or below the
     high-alpha one within 3 combined standard errors at every requested
@@ -298,8 +300,6 @@ def run_dominance_check(configs: Sequence[ModelConfig], trials: int,
     """
     if any(cfg.model != MODEL_LEVY for cfg in configs):
         raise ValueError("dominance checks need the heavy-flight model")
-    if any(cfg.law.sampler != "truncated_pareto" for cfg in configs):
-        raise ValueError("dominance checks need the truncated power-law sampler")
     if not (0.0 < alpha_low <= alpha_high <= 2.0):
         raise ValueError("need 0 < alpha_low <= alpha_high <= 2")
     taus = list(t_grid) if t_grid is not None else list(range(0, 51))
@@ -310,8 +310,7 @@ def run_dominance_check(configs: Sequence[ModelConfig], trials: int,
         if cfg.horizon_slots <= max(taus):
             raise ValueError("horizon must exceed the largest t")
         lo_t, hi_t = [
-            pair_meeting_times(replace(cfg, law=replace(cfg.law, alpha=a, tail_c=None)),
-                               trials, workers=workers)[1]
+            pair_meeting_times(replace(cfg, alpha=a), trials, workers=workers)[1]
             for a in (alpha_low, alpha_high)]
         for t in taus:
             p_lo, se_lo = _ccdf_point(lo_t, t)
@@ -338,12 +337,14 @@ def sample_neighbor_counts(master_seed: int, n: int, r: float,
     The probe sits at the chart center; n-1 further nodes are uniform on
     the disc of area pi*n.  Placements whose designated destination lands
     within r are rejected, and the returned counts run over the other
-    n-2 nodes, so fewer than `placements` samples come back.
+    n-2 nodes, so fewer than `placements` samples come back.  At
+    r >= sqrt(n) every destination starts in range, so such r is rejected.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if not (0.0 < r <= math.sqrt(n)):
-        raise ValueError("r must be in (0, sqrt(n)]")
+    if not (0.0 < r < math.sqrt(n)):
+        raise ValueError("r must be in (0, sqrt(n)): at r >= sqrt(n) every "
+                         "destination starts in range")
     if placements < 1:
         raise ValueError("placements must be positive")
     thr = r * r / n  # squared-radius fraction below which a node is in range
@@ -359,14 +360,14 @@ def sample_neighbor_counts(master_seed: int, n: int, r: float,
     return np.concatenate(out).astype(np.int64)
 
 
-def _pool_expected(obs: np.ndarray, exp: np.ndarray, min_exp: float = 5.0):
-    """Merge adjacent cells until each pooled expectation reaches min_exp."""
+def _pool_expected(obs: np.ndarray, exp: np.ndarray):
+    """Merge adjacent cells until each pooled expectation reaches _MIN_EXPECTED."""
     po, pe = [], []
     co = ce = 0.0
     for o, e in zip(obs, exp):
         co += o
         ce += e
-        if ce >= min_exp:
+        if ce >= _MIN_EXPECTED:
             po.append(co)
             pe.append(ce)
             co = ce = 0.0
@@ -376,14 +377,13 @@ def _pool_expected(obs: np.ndarray, exp: np.ndarray, min_exp: float = 5.0):
     return np.asarray(po), np.asarray(pe)
 
 
-def neighbor_binomial_gof(samples: Sequence[int], n: int, p_out_c: float,
-                          p_from_samples: bool = True) -> GofResult:
+def neighbor_binomial_gof(samples: Sequence[int], n: int) -> GofResult:
     """Chi-square of observed neighbor counts against the binomial law.
 
-    p_out_c is the in-range probability parameterizing Binomial(n-2, p);
-    when it was estimated from these same samples one further degree of
-    freedom is spent.  Cells are pooled so every expectation is at least
-    5.  Passing means not rejected at the 1% level.
+    The in-range probability p of Binomial(n-2, p) is estimated from the
+    samples, which spends one further degree of freedom.  Cells are
+    pooled so every expectation is at least 5.  Passing means not
+    rejected at the 1% level.
     """
     # imported here: scipy.stats dominates the package's import time
     from scipy import stats
@@ -391,21 +391,20 @@ def neighbor_binomial_gof(samples: Sequence[int], n: int, p_out_c: float,
     counts = np.asarray(samples, dtype=np.int64)
     if counts.size < 10_000:
         raise ValueError("need at least 10^4 samples")
-    if not (0.0 < p_out_c < 1.0):
-        raise ValueError("p_out_c must be in (0, 1)")
     m = n - 2
     if m < 1 or counts.max() > m or counts.min() < 0:
         raise ValueError("counts must lie in [0, n-2]")
+    p = float(counts.mean() / m)
     support = np.arange(0, m + 1)
-    expected = stats.binom.pmf(support, m, p_out_c) * counts.size
+    expected = stats.binom.pmf(support, m, p) * counts.size
     observed = np.bincount(counts, minlength=m + 1).astype(float)
     obs_p, exp_p = _pool_expected(observed, expected)
-    if len(exp_p) < (3 if p_from_samples else 2):
+    if len(exp_p) < 3:
         raise ValueError("too few cells after pooling")
     chi2 = float(np.sum((obs_p - exp_p) ** 2 / exp_p))
-    dof = len(exp_p) - 1 - (1 if p_from_samples else 0)
+    dof = len(exp_p) - 2
     crit = float(stats.chi2.isf(0.01, dof))
-    return GofResult(chi2=chi2, dof=dof, passed=chi2 < crit)
+    return GofResult(p=p, chi2=chi2, dof=dof, passed=chi2 < crit)
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,12 @@ rejection rounds from the range ball around the source, each round one
 point draw for the carriers still unplaced, in trial order; then, slot
 by slot, one draw for every node of the block's still-live trials,
 carriers first and then destinations, each in trial order: a uniform
-point per node under teleport, a flight per node under heavy-flight,
-both in polar form (all angles, then all radii or lengths).  Pair
-meeting draws no neighbour counts or lens carriers, so its streams are
-those of version 2, which placed all n nodes of a relay trial instead;
-version 1 consumed the stream one trial at a time.
+point per node under teleport, a Pareto flight of the config's alpha
+per node under heavy-flight, both in polar form (all angles, then all
+radii or lengths).  Pair meeting draws no neighbour counts or lens
+carriers, so its streams are those of version 2, which placed all n
+nodes of a relay trial instead; version 1 consumed the stream one trial
+at a time.
 
 A task of the runner advances a group of consecutive blocks in one slot
 loop: each block still draws from its own stream as above, and
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flight import FlightLaw, sample_flight_polar
+from .flight import sample_flight_polar
 from .geometry import _exit_fraction, lens_area, uniform_disc_polar, uniform_points_in_disc
 
 __all__ = [
@@ -126,14 +127,16 @@ class ModelConfig:
     Exactly one of r/beta must be given; beta in [0, 1/4] sets r = n**beta.
     r may come with beta only as that resolved value, which is what
     dataclasses.replace passes on: so a beta-built config can be copied
-    only with the same n.  The heavy-tailed model requires a FlightLaw.
+    only with the same n.  The heavy-tailed model requires alpha, the
+    tail exponent of its Pareto flight lengths, in (0, 2]; the teleport
+    model takes none.
     """
 
     n: int
     r: float | None = None
     beta: float | None = None
     model: str = MODEL_IID
-    law: FlightLaw | None = None
+    alpha: float | None = None
     horizon_slots: int | None = None
     master_seed: int = DEFAULT_SEED
 
@@ -155,8 +158,12 @@ class ModelConfig:
         # 2*sqrt(n) is the disc diameter, the largest meaningful range
         if not (0.0 < self.r <= 2.0 * math.sqrt(self.n)):
             raise ValueError("require 0 < r <= 2*sqrt(n)")
-        if self.model == MODEL_LEVY and self.law is None:
-            raise ValueError("heavy-tailed model requires a FlightLaw")
+        if self.model == MODEL_LEVY:
+            # written so that NaN fails
+            if self.alpha is None or not (0.0 < self.alpha <= 2.0):
+                raise ValueError("heavy-tailed model requires alpha in (0, 2]")
+        elif self.alpha is not None:
+            raise ValueError("the teleport model takes no alpha")
         if self.horizon_slots is None:
             object.__setattr__(
                 self, "horizon_slots",
@@ -550,8 +557,8 @@ def _contact_group(args):
     t_meet = np.where(l0 > r, np.inf, 0.0)
     t_slot = t_meet.copy()
     levy = cfg.model == MODEL_LEVY
-    # a flight under its law, or a relocation uniform over the disc
-    draw, param = (sample_flight_polar, cfg.law) if levy else (uniform_disc_polar, R)
+    # a Pareto flight, or a relocation uniform over the disc
+    draw, param = (sample_flight_polar, cfg.alpha) if levy else (uniform_disc_polar, R)
     for k in range(1, cfg.horizon_slots + 1):
         if live.size == 0:
             break

@@ -27,10 +27,10 @@ from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
 TWO_PI = 2.0 * math.pi
 
 
-def _flights(rng, law, size):
+def _flights(rng, alpha, size):
     # all angles, then all lengths, written out as the package once did
     th = TWO_PI * (1.0 - rng.uniform(0.0, 1.0, size))
-    return th, sample_flight_lengths(rng, law, size)
+    return th, sample_flight_lengths(rng, alpha, size)
 
 
 def _rotate(dx, dy, angle):
@@ -42,17 +42,16 @@ def _rotate(dx, dy, angle):
     return c * dx + s * dy, -s * dx + c * dy
 
 
-def no_contact_misses(rng, model, law, n, r, l0, trials, *, anchor_rotation=0.0):
+def no_contact_misses(rng, cfg, l0, trials, *, anchor_rotation=0.0):
     """Count samples whose one-slot relative path misses the r-disc."""
-    radius = math.sqrt(n)
+    radius = math.sqrt(cfg.n)
+    r = cfg.r
     misses = 0
     done = 0
     while done < trials:
         k = min(_MC_CHUNK, trials - done)
-        if model == "levy":
-            if law is None:
-                raise ValueError("heavy-flight model needs a FlightLaw")
-            th, z = _flights(rng, law, 2 * k)
+        if cfg.model == "levy":
+            th, z = _flights(rng, cfg.alpha, 2 * k)
             vx, vy = z * np.cos(th), z * np.sin(th)
             dx = vx[:k] - vx[k:]
             dy = vy[:k] - vy[k:]
@@ -65,7 +64,7 @@ def no_contact_misses(rng, model, law, n, r, l0, trials, *, anchor_rotation=0.0)
         # start at (0, l0), obstruction disc at the origin
         ax = np.zeros(k)
         ay = np.full(k, l0)
-        if model == "levy":
+        if cfg.model == "levy":
             bx, by = ax + dx, ay + dy
         else:
             bx, by = dx, dy
@@ -75,13 +74,13 @@ def no_contact_misses(rng, model, law, n, r, l0, trials, *, anchor_rotation=0.0)
     return misses
 
 
-def cosine_diff_hits(rng, law, z_values, trials):
+def cosine_diff_hits(rng, alpha, z_values, trials):
     """Count samples with Z1 cos(theta1) - Z2 cos(theta2) > z, per z."""
     hits = {float(z): 0 for z in z_values}
     done = 0
     while done < trials:
         k = min(_MC_CHUNK, trials - done)
-        th, z = _flights(rng, law, 2 * k)
+        th, z = _flights(rng, alpha, 2 * k)
         proj = z * np.cos(th)
         diff = proj[:k] - proj[k:]
         for zv in hits:

@@ -19,7 +19,7 @@ import numpy as np
 from mobidelay.analytics import (_MC_CHUNK, _REACH_MARGIN, Estimate,
                                  _binomial_estimate, _check_capacity_args,
                                  _occupancy_terms, _reachable_pairs)
-from mobidelay.flight import FlightLaw, sample_flight_polar
+from mobidelay.flight import sample_flight_polar
 from mobidelay.geometry import uniform_points_in_disc
 
 # Infinite sums over slot counts stop once a summand drops below this or
@@ -171,7 +171,7 @@ def asin_envelope(x: float) -> tuple[float, float]:
 
 
 def estimate_cosine_diff_tail_mc(rng_stream: np.random.Generator,
-                                 law: FlightLaw, z_values: Sequence[float],
+                                 alpha: float, z_values: Sequence[float],
                                  trials: int) -> dict[float, Estimate]:
     """MC upper-tail of Z1 cos(theta1) - Z2 cos(theta2) at each threshold."""
     if trials < 1:
@@ -187,7 +187,7 @@ def estimate_cosine_diff_tail_mc(rng_stream: np.random.Generator,
     while done < trials:
         k = min(_MC_CHUNK, trials - done)
         done += k
-        th, z = sample_flight_polar(rng_stream, law, 2 * k)
+        th, z = sample_flight_polar(rng_stream, alpha, 2 * k)
         for i1, i2 in _reachable_pairs(z, k, reach):
             diff = z[i1] * np.cos(th[i1]) - z[i2] * np.cos(th[i2])
             for zv in zs:

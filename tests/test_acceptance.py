@@ -28,7 +28,6 @@ from mobidelay.analytics import (
     capacity_per_node,
     cosine_diff_tail_constants,
     estimate_H1_mc,
-    estimate_p_hat_mc,
     p_hat_bounds_iid,
     p_hat_bounds_levy,
     p_out_bounds,
@@ -42,7 +41,6 @@ from mobidelay.experiments import (
     sample_neighbor_counts,
     write_rows_csv,
 )
-from mobidelay.flight import FlightLaw
 from mobidelay.world import (
     DEFAULT_SEED,
     MODEL_IID,
@@ -80,7 +78,8 @@ def test_criterion_01_out_of_range_sandwich():
 def test_criterion_02_iid_no_contact_sandwich():
     t0 = time.time()
     for i, (n, r) in enumerate(((100, 2.0), (400, 4.0))):
-        est = estimate_p_hat_mc(_stream(10 + i), MODEL_IID, None, n, r, 10**6)
+        est = estimate_H1_mc(_stream(10 + i), ModelConfig(n=n, r=r),
+                             2.0 * math.sqrt(n), 10**6)
         lo, up = p_hat_bounds_iid(n, r)
         assert lo - 3 * est.stderr <= est.value <= up + 3 * est.stderr, \
             f"n={n}: {est.value} outside [{lo}, {up}] + 3 sigma"
@@ -93,8 +92,8 @@ def test_criterion_02_iid_no_contact_sandwich():
 def test_criterion_03_geometric_ccdf_domination():
     t0 = time.time()
     iid = grid_configs((400,), r=4.0, model=MODEL_IID, master_seed=DEFAULT_SEED)
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    levy = grid_configs((10**4,), beta=0.0, model=MODEL_LEVY, law=law,
+    alpha = 1.0
+    levy = grid_configs((10**4,), beta=0.0, model=MODEL_LEVY, alpha=alpha,
                         horizon=40, master_seed=DEFAULT_SEED)
     for configs in (iid, levy):
         rows = run_ccdf_sweep(configs, 10**5, tau_max=30)
@@ -102,8 +101,7 @@ def test_criterion_03_geometric_ccdf_domination():
             assert row["ccdf"] <= row["bound"] + 3.0 * row["stderr"], \
                 f"{row['model']} tau={row['tau']}: {row['ccdf']} > {row['bound']}"
     n = levy[0].n
-    tail = cosine_diff_tail_constants(law.alpha, law.tail_c)
-    _, _, caveat = p_hat_bounds_levy(n, 1.0, tail, law.alpha)
+    _, _, caveat = p_hat_bounds_levy(n, 1.0, alpha)
     _report(3, f"62 rows dominated; heavy-flight run at n={n} "
                f"honors the bound's validity note: {caveat}")
     elapsed = time.time() - t0
@@ -135,8 +133,7 @@ def test_criterion_04_expected_ceil_meeting_bound():
 def test_criterion_05_binomial_neighbor_gof():
     n, r = 500, 5.0
     counts = sample_neighbor_counts(DEFAULT_SEED, n, r, 10**5)
-    p_hat = float(counts.mean() / (n - 2))
-    res = neighbor_binomial_gof(counts, n, p_hat, p_from_samples=True)
+    res = neighbor_binomial_gof(counts, n)
     _report(5, f"chi2 {res.chi2:.2f} on {res.dof} dof "
                f"({counts.size} conditioned placements), "
                f"{'pass' if res.passed else 'reject'} at 1%")
@@ -186,11 +183,11 @@ def test_criterion_07_iid_delay_scaling_slopes():
 
 def test_criterion_08_levy_delay_envelope():
     t0 = time.time()
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    exponent = (1.0 + law.alpha) / 2.0 - 0.25
+    alpha = 1.0
+    exponent = (1.0 + alpha) / 2.0 - 0.25
     points = []
     for cfg in grid_configs((256, 1024, 4096), beta=0.25, model=MODEL_LEVY,
-                            law=law, master_seed=DEFAULT_SEED):
+                            alpha=alpha, master_seed=DEFAULT_SEED):
         _, _, delays = scheme_delays(cfg, 10**3)
         finite = delays[np.isfinite(delays)]
         points.append((cfg.n, float(finite.mean()),
@@ -211,9 +208,8 @@ def test_criterion_08_levy_delay_envelope():
 
 def test_criterion_09_cosine_difference_tail():
     for j, alpha in enumerate((1.0, 2.0)):
-        law = FlightLaw(alpha=alpha, z_th=1.0, sampler="truncated_pareto")
-        tail = cosine_diff_tail_constants(alpha, law.tail_c)
-        ests = estimate_cosine_diff_tail_mc(_stream(30 + j), law,
+        tail = cosine_diff_tail_constants(alpha)
+        ests = estimate_cosine_diff_tail_mc(_stream(30 + j), alpha,
                                             (4.0, 8.0), 10**7)
         for z, est in ests.items():
             lo = tail.c_l / z ** alpha
@@ -225,8 +221,7 @@ def test_criterion_09_cosine_difference_tail():
 
 
 def test_criterion_10_alpha_dominance():
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    configs = grid_configs((400,), r=4.0, model=MODEL_LEVY, law=law,
+    configs = grid_configs((400,), r=4.0, model=MODEL_LEVY, alpha=1.0,
                            horizon=60, master_seed=DEFAULT_SEED)
     rows = run_dominance_check(configs, 2 * 10**4, 0.5, 2.0)
     bad = [row for row in rows if not row["dominated"]]
@@ -248,7 +243,7 @@ def test_criterion_11_property_suites(tmp_path):
     # one-slot no-contact probability rises with initial separation
     n, r = 100, 2.0
     grid = [1.5 * r, 3.0 * r, 2.0 * math.sqrt(n)]
-    ests = [estimate_H1_mc(_stream(40), MODEL_IID, None, n, r, l0, 3 * 10**5)
+    ests = [estimate_H1_mc(_stream(40), ModelConfig(n=n, r=r), l0, 3 * 10**5)
             for l0 in grid]
     for near, far in zip(ests, ests[1:]):
         slack = 3.0 * math.hypot(near.stderr, far.stderr)
@@ -274,7 +269,7 @@ def test_criterion_11_property_suites(tmp_path):
         ModelConfig(n=100, r=2.0, model=MODEL_IID, horizon_slots=200,
                     master_seed=DEFAULT_SEED),
         ModelConfig(n=100, r=2.0, model=MODEL_LEVY,
-                    law=FlightLaw(alpha=1.5, sampler="truncated_pareto"),
+                    alpha=1.5,
                     horizon_slots=150, master_seed=DEFAULT_SEED),
     ):
         _, tm, ts = pair_meeting_times(cfg, 10**4, slotted=True)

@@ -34,7 +34,6 @@ from mobidelay.analytics import (
     cosine_diff_tail_constants,
     dumps_stable,
     estimate_H1_mc,
-    estimate_p_hat_mc,
     format_real,
     iid_delay_bound,
     levy_delay_upper,
@@ -45,7 +44,7 @@ from mobidelay.analytics import (
     tradeoff_curve,
     u_bar_bound,
 )
-from mobidelay.flight import FlightLaw, sample_flight_lengths
+from mobidelay.flight import sample_flight_lengths
 from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
@@ -57,6 +56,11 @@ from mobidelay.world import (
 
 RNG = lambda seed: np.random.default_rng(seed)
 TWO_PI = 2.0 * math.pi
+
+
+def _cfg(n, r, alpha=None):
+    # heavy-flight when given a tail exponent, teleport otherwise
+    return ModelConfig(n=n, r=r, model="iid" if alpha is None else "levy", alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +116,8 @@ def test_p_hat_bounds_iid_frozen_values():
 
 
 def test_p_hat_bounds_levy_formula():
-    tail = cosine_diff_tail_constants(1.0, 1.0)
-    lo, up, caveat = p_hat_bounds_levy(10_000, 1.0, tail, 1.0)
+    tail = cosine_diff_tail_constants(1.0)
+    lo, up, caveat = p_hat_bounds_levy(10_000, 1.0, 1.0)
     manual_up = 1.0 - (2.0 * tail.c_l / math.pi) * (1.0 / 201.0) * math.asin(1.0 / 200.0)
     manual_lo = 1.0 - (2.0 ** 2.5 * tail.c_u / math.pi) * (1.0 / 199.0) * math.asin(1.0 / 200.0)
     assert up == pytest.approx(manual_up, rel=1e-15)
@@ -121,7 +125,7 @@ def test_p_hat_bounds_levy_formula():
     assert lo < up
     assert "n >= 10^4" in caveat
     with pytest.raises(ValueError):
-        p_hat_bounds_levy(100, 21.0, tail, 1.0)
+        p_hat_bounds_levy(100, 21.0, 1.0)
 
 
 def test_bound_pairs_ordered_on_grid():
@@ -134,29 +138,38 @@ def test_bound_pairs_ordered_on_grid():
             lo, up = p_hat_bounds_iid(n, r)
             assert lo <= up
             for alpha in (0.5, 1.0, 1.5, 2.0):
-                tail = cosine_diff_tail_constants(alpha, 1.0)
-                lo, up, _ = p_hat_bounds_levy(n, r, tail, alpha)
+                lo, up, _ = p_hat_bounds_levy(n, r, alpha)
                 assert lo <= up
 
 
 def test_p_hat_bounds_clamps_either_model():
-    law = FlightLaw(alpha=1.0)
-    tail = cosine_diff_tail_constants(1.0, law.tail_c)
     clamp = lambda v: min(max(v, 0.0), 1.0)
     for n, r in ((100, 2.0), (100, 19.0), (10_000, 4.0)):
         lo, up = p_hat_bounds_iid(n, r)
         assert p_hat_bounds(ModelConfig(n=n, r=r)) == (
             clamp(lo), clamp(up), "no-contact bounds valid for all n")
-        lo, up, note = p_hat_bounds_levy(n, r, tail, 1.0)
-        assert p_hat_bounds(ModelConfig(n=n, r=r, model="levy", law=law)) == (
+        lo, up, note = p_hat_bounds_levy(n, r, 1.0)
+        assert p_hat_bounds(_cfg(n, r, 1.0)) == (
             clamp(lo), clamp(up), note)
     # a vacuous raw lower bound comes back as 0
     assert p_hat_bounds(ModelConfig(n=100, r=19.0))[0] == 0.0
 
 
+@pytest.mark.parametrize("alpha, lower, upper", [
+    (0.5, "0x1.fece25e780b88p-1", "0x1.ffe9b7b58523cp-1"),
+    (1.0, "0x1.ffe155ab14b51p-1", "0x1.fffeb2aaa14aap-1"),
+    (2.0, "0x1.ffffa706764f5p-1", "0x1.fffffeb777a09p-1"),
+], ids=["alpha-0.5", "alpha-1", "alpha-2"])
+def test_p_hat_bounds_levy_bits_pinned(alpha, lower, upper):
+    # bounds reports print these bits; a reordering of the tail-constant
+    # arithmetic that moves them changes every heavy-flight report
+    lo, up, _ = p_hat_bounds(_cfg(10_000, 4.0, alpha))
+    assert (lo.hex(), up.hex()) == (lower, upper)
+
+
 def test_p_hat_mc_iid_inside_bounds():
     n, r = 100, 2.0
-    est = estimate_p_hat_mc(trial_stream(5, 14, 0), "iid", None, n, r, 400_000)
+    est = estimate_H1_mc(trial_stream(5, 14, 0), _cfg(n, r), 2.0 * math.sqrt(n), 400_000)
     lo, up = p_hat_bounds_iid(n, r)
     assert lo - 3 * est.stderr <= est.value <= up + 3 * est.stderr
 
@@ -164,19 +177,17 @@ def test_p_hat_mc_iid_inside_bounds():
 def test_p_hat_mc_levy_inside_bounds_large_n():
     # the heavy-flight sandwich is only claimed for large populations;
     # the check runs at the two sizes the caveat allows
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    tail = cosine_diff_tail_constants(1.0, law.tail_c)
     for idx, n in enumerate((10_000, 40_000)):
         r = 1.0
-        est = estimate_p_hat_mc(trial_stream(6, 14, idx), "levy", law, n, r,
-                                1_000_000)
-        lo, up, _ = p_hat_bounds_levy(n, r, tail, 1.0)
+        est = estimate_H1_mc(trial_stream(6, 14, idx), _cfg(n, r, 1.0),
+                             2.0 * math.sqrt(n), 1_000_000)
+        lo, up, _ = p_hat_bounds_levy(n, r, 1.0)
         assert lo - 3 * est.stderr <= est.value <= up + 3 * est.stderr
 
 
 def test_p_hat_mc_trivial_r():
     # a vanishing obstruction is almost surely missed
-    est = estimate_p_hat_mc(RNG(2), "iid", None, 100, 1e-9, 20_000)
+    est = estimate_H1_mc(RNG(2), _cfg(100, 1e-9), 2.0 * math.sqrt(100), 20_000)
     assert est.value == 1.0
 
 
@@ -186,8 +197,8 @@ def test_p_hat_mc_rotation_invariance():
     l0 = 2.0 * math.sqrt(n)
 
     def estimate(index, rot):
-        misses = full_mc.no_contact_misses(trial_stream(7, 14, index), "iid", None,
-                                           n, r, l0, trials, anchor_rotation=rot)
+        misses = full_mc.no_contact_misses(trial_stream(7, 14, index), _cfg(n, r),
+                                           l0, trials, anchor_rotation=rot)
         return analytics._binomial_estimate(misses, trials)
 
     base = estimate(0, 0.0)
@@ -200,10 +211,9 @@ def test_p_hat_mc_rotation_invariance():
 def test_h1_monotone_in_initial_distance():
     n, r, trials = 400, 2.0, 150_000
     two_rt = 2.0 * math.sqrt(n)
-    law = FlightLaw(alpha=1.5, sampler="truncated_pareto")
-    for model, lw in (("iid", None), ("levy", law)):
+    for cfg in (_cfg(n, r), _cfg(n, r, 1.5)):
         grid = [1.5 * r, 3.0 * r, two_rt]
-        ests = [estimate_H1_mc(trial_stream(8, 14, i), model, lw, n, r, l0, trials)
+        ests = [estimate_H1_mc(trial_stream(8, 14, i), cfg, l0, trials)
                 for i, l0 in enumerate(grid)]
         for a, b in zip(ests, ests[1:]):
             assert a.value <= b.value + 3 * math.hypot(a.stderr, b.stderr)
@@ -212,21 +222,21 @@ def test_h1_monotone_in_initial_distance():
 def test_h1_at_max_distance_is_p_hat():
     n, r, trials = 100, 2.0, 300_000
     two_rt = 2.0 * math.sqrt(n)
-    h1 = estimate_H1_mc(trial_stream(9, 14, 0), "iid", None, n, r, two_rt, trials)
-    ph = estimate_p_hat_mc(trial_stream(9, 14, 1), "iid", None, n, r, trials)
+    h1 = estimate_H1_mc(trial_stream(9, 14, 0), _cfg(n, r), two_rt, trials)
+    ph = estimate_H1_mc(trial_stream(9, 14, 1), _cfg(n, r), 2.0 * math.sqrt(n), trials)
     assert abs(h1.value - ph.value) < 3 * math.hypot(h1.stderr, ph.stderr)
 
 
 def test_h1_domain_errors():
     with pytest.raises(ValueError):
-        estimate_H1_mc(RNG(0), "iid", None, 100, 2.0, 2.0, 100)  # l0 <= r
+        estimate_H1_mc(RNG(0), _cfg(100, 2.0), 2.0, 100)  # l0 <= r
     with pytest.raises(ValueError):
-        estimate_H1_mc(RNG(0), "iid", None, 100, 2.0, 30.0, 100)  # beyond diameter
+        estimate_H1_mc(RNG(0), _cfg(100, 2.0), 30.0, 100)  # beyond diameter
     with pytest.raises(ValueError):
-        estimate_H1_mc(RNG(0), "nope", None, 100, 2.0, 5.0, 100)
+        estimate_H1_mc(RNG(0), ModelConfig(n=100, r=2.0, model="nope"), 5.0, 100)
     for r in (0.0, -1.0):
         with pytest.raises(ValueError, match="0 < r"):
-            estimate_H1_mc(RNG(0), "iid", None, 100, r, 5.0, 100)
+            estimate_H1_mc(RNG(0), _cfg(100, r), 5.0, 100)
 
 
 def _conditioned_pairs(rng, n, l0, want):
@@ -257,7 +267,7 @@ def test_h1_matches_conditioned_simulation_iid():
         hits += hit is not None
     frac = hits / len(pairs)
     se_sim = math.sqrt(frac * (1 - frac) / len(pairs))
-    est = estimate_H1_mc(trial_stream(11, 14, 0), "iid", None, n, r, l0, 400_000)
+    est = estimate_H1_mc(trial_stream(11, 14, 0), _cfg(n, r), l0, 400_000)
     assert abs(frac - (1.0 - est.value)) < 3 * math.hypot(se_sim, est.stderr)
 
 
@@ -265,14 +275,13 @@ def test_h1_matches_conditioned_simulation_levy():
     # parameters keep boundary wraps rare so the one-segment idealization
     # and the wrapped simulation agree to MC accuracy
     n, r, l0 = 10_000, 2.0, 6.0
-    law = FlightLaw(alpha=1.9, sampler="truncated_pareto")
     rng = RNG(12)
     pairs = _conditioned_pairs(rng, n, l0, 3_000)
     R = math.sqrt(n)
     steps = []
     for _ in pairs:
         th = TWO_PI * (1.0 - rng.uniform(size=2))
-        z = sample_flight_lengths(rng, law, 2)
+        z = sample_flight_lengths(rng, 1.9, 2)
         steps.append((z[0] * math.cos(th[0]), z[0] * math.sin(th[0]),
                       z[1] * math.cos(th[1]), z[1] * math.sin(th[1])))
     x1, y1, x2, y2 = np.array(pairs, dtype=float).T
@@ -281,7 +290,7 @@ def test_h1_matches_conditioned_simulation_levy():
     hits = int(np.isfinite(t).sum())
     frac = hits / len(pairs)
     se_sim = math.sqrt(frac * (1 - frac) / len(pairs))
-    est = estimate_H1_mc(trial_stream(12, 14, 0), "levy", law, n, r, l0, 400_000)
+    est = estimate_H1_mc(trial_stream(12, 14, 0), _cfg(n, r, 1.9), l0, 400_000)
     assert abs(frac - (1.0 - est.value)) < 3 * math.hypot(se_sim, est.stderr)
 
 
@@ -290,17 +299,11 @@ def test_h1_matches_conditioned_simulation_levy():
 
 N_MC, R_MC = 10_000, 4.0
 L0_GRID = (R_MC * (1.0 + 1e-9), 1.5 * R_MC, 3.0 * R_MC, 2.0 * math.sqrt(N_MC))
-LAWS = {
-    "pareto-0.5": FlightLaw(alpha=0.5),
-    "pareto-1": FlightLaw(alpha=1.0),
-    "pareto-2": FlightLaw(alpha=2.0),
-    "stable-1.5": FlightLaw(alpha=1.5, sampler="stable", tail_c=1.0),
-    "stable-2": FlightLaw(alpha=2.0, sampler="stable", tail_c=1.0),
-}
+LAWS = {"pareto-0.5": 0.5, "pareto-1": 1.0, "pareto-2": 2.0}
 
 
-def _both_no_contact(model, law, l0, trials, seed):
-    args = (model, law, N_MC, R_MC, l0, trials)
+def _both_no_contact(alpha, l0, trials, seed):
+    args = (_cfg(N_MC, R_MC, alpha), l0, trials)
     got = analytics._no_contact_fraction(trial_stream(seed, 14, 0), *args)
     want = full_mc.no_contact_misses(trial_stream(seed, 14, 0), *args)
     return got, want
@@ -311,7 +314,7 @@ def test_pruned_no_contact_counts_match_full_array(name):
     # every l0 from just outside r (no pair can be set aside) to the
     # diameter (almost every pair is)
     for i, l0 in enumerate(L0_GRID):
-        got, want = _both_no_contact("levy", LAWS[name], l0, 60_000, 60 + i)
+        got, want = _both_no_contact(LAWS[name], l0, 60_000, 60 + i)
         assert got == want
 
 
@@ -323,9 +326,9 @@ def test_pruned_no_contact_counts_match_full_array(name):
 ])
 def test_pruned_no_contact_counts_match_across_chunks(model, l0):
     # one full chunk and a partial one that ends in a partial tile
-    law = LAWS["pareto-1"] if model == "levy" else None
+    alpha = LAWS["pareto-1"] if model == "levy" else None
     trials = analytics._MC_CHUNK + 17
-    got, want = _both_no_contact(model, law, l0, trials, 70)
+    got, want = _both_no_contact(alpha, l0, trials, 70)
     assert got == want
     assert 0 < got < trials
 
@@ -343,7 +346,7 @@ def test_length_pretest_skips_far_pairs(monkeypatch):
 
     monkeypatch.setattr(analytics, "segment_point_dist_np", counting)
     trials = 200_000
-    estimate_H1_mc(trial_stream(71, 14, 0), "levy", LAWS["pareto-1"], N_MC, R_MC,
+    estimate_H1_mc(trial_stream(71, 14, 0), _cfg(N_MC, R_MC, LAWS["pareto-1"]),
                    2.0 * math.sqrt(N_MC), trials)
     assert 0 < sum(measured) < 0.05 * trials
 
@@ -378,24 +381,23 @@ def test_length_pretest_only_sets_aside_misses(l0, r_share, below, split, th1,
     assert segment_point_dist_np(ax, ay, ax + dx, ay + dy)[0] > r
 
 
-@pytest.mark.parametrize("law", [FlightLaw(alpha=0.5),
-                                 FlightLaw(alpha=0.5, sampler="stable", tail_c=1.0)])
-def test_pruned_estimators_raise_no_numpy_warnings(law):
+@pytest.mark.parametrize("alpha", [0.5], ids=["law0"])
+def test_pruned_estimators_raise_no_numpy_warnings(alpha):
     # a RuntimeWarning on the pre-test or the candidate path would reach
     # the stderr of every bounds run
+    cfg = _cfg(N_MC, R_MC, alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = [analytics._no_contact_fraction(trial_stream(72, 14, i), "levy",
-                                                  law, N_MC, R_MC, l0, 100_000)
+            got = [analytics._no_contact_fraction(trial_stream(72, 14, i), cfg,
+                                                  l0, 100_000)
                    for i, l0 in enumerate(L0_GRID)]
-            tails = estimate_cosine_diff_tail_mc(trial_stream(73, 14, 0), law,
+            tails = estimate_cosine_diff_tail_mc(trial_stream(73, 14, 0), alpha,
                                                  [0.5, 4.0], 100_000)
-    want = [full_mc.no_contact_misses(trial_stream(72, 14, i), "levy",
-                                      law, N_MC, R_MC, l0, 100_000)
+    want = [full_mc.no_contact_misses(trial_stream(72, 14, i), cfg, l0, 100_000)
             for i, l0 in enumerate(L0_GRID)]
     assert got == want
-    hits = full_mc.cosine_diff_hits(trial_stream(73, 14, 0), law, [0.5, 4.0], 100_000)
+    hits = full_mc.cosine_diff_hits(trial_stream(73, 14, 0), alpha, [0.5, 4.0], 100_000)
     assert {z: e.value for z, e in tails.items()} == {z: h / 100_000 for z, h in hits.items()}
 
 
@@ -619,7 +621,7 @@ def test_asin_envelope_property(x):
 
 def test_cosine_integral_against_gamma_closed_form():
     for alpha in (0.25, 0.5, 1.0, 1.3, 1.5, 2.0):
-        tc = cosine_diff_tail_constants(alpha, 1.0)
+        tc = cosine_diff_tail_constants(alpha)
         exact = math.sqrt(math.pi) / 2.0 * gamma_fn((alpha + 1) / 2.0) \
             / gamma_fn(alpha / 2.0 + 1.0)
         assert tc.cos_integral == pytest.approx(exact, rel=1e-10)
@@ -629,38 +631,33 @@ def test_cosine_integral_against_gamma_closed_form():
 
 
 def test_cosine_tail_constants_frozen():
-    tc = cosine_diff_tail_constants(1.0, 1.0)
+    tc = cosine_diff_tail_constants(1.0)
     assert tc.cos_integral == pytest.approx(1.0, rel=1e-12)
     assert tc.c_l == pytest.approx(1.0 / TWO_PI, rel=1e-12)
     assert tc.c_u == pytest.approx(4.0 / math.pi, rel=1e-12)
-    tc = cosine_diff_tail_constants(2.0, 1.0)
+    tc = cosine_diff_tail_constants(2.0)
     assert tc.cos_integral == pytest.approx(math.pi / 4.0, rel=1e-12)
     assert tc.c_l == pytest.approx(0.125, rel=1e-12)
     assert tc.c_u == pytest.approx(2.0, rel=1e-12)
-    # the coefficient scales both constants linearly
-    tc3 = cosine_diff_tail_constants(2.0, 3.0)
-    assert tc3.c_l == pytest.approx(0.375, rel=1e-12)
 
 
 def test_cosine_diff_tail_mc_within_constants():
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    tc = cosine_diff_tail_constants(1.0, law.tail_c)
-    ests = estimate_cosine_diff_tail_mc(trial_stream(51, 14, 0), law,
+    tc = cosine_diff_tail_constants(1.0)
+    ests = estimate_cosine_diff_tail_mc(trial_stream(51, 14, 0), 1.0,
                                         [4.0, 8.0], 1_000_000)
     for z, est in ests.items():
         assert tc.c_l / z - 3 * est.stderr <= est.value <= tc.c_u / z + 3 * est.stderr
 
 
-@pytest.mark.parametrize("law, trials", [
-    (FlightLaw(alpha=0.5), 80_000),
-    (FlightLaw(alpha=1.0), analytics._MC_CHUNK + 17),
-    (FlightLaw(alpha=2.0), 80_000),
-    (FlightLaw(alpha=1.5, sampler="stable", tail_c=1.0), 80_000),
-])
-def test_cosine_diff_tail_counts_match_full_array(law, trials):
+@pytest.mark.parametrize("alpha, trials", [
+    (0.5, 80_000),
+    (1.0, analytics._MC_CHUNK + 17),
+    (2.0, 80_000),
+], ids=["law0-80000", "law1-1048593", "law2-80000"])
+def test_cosine_diff_tail_counts_match_full_array(alpha, trials):
     zs = [8.0, 0.25, 2.0]
-    ests = estimate_cosine_diff_tail_mc(trial_stream(52, 14, 0), law, zs, trials)
-    hits = full_mc.cosine_diff_hits(trial_stream(52, 14, 0), law, zs, trials)
+    ests = estimate_cosine_diff_tail_mc(trial_stream(52, 14, 0), alpha, zs, trials)
+    hits = full_mc.cosine_diff_hits(trial_stream(52, 14, 0), alpha, zs, trials)
     assert {z: e.value for z, e in ests.items()} == {z: h / trials for z, h in hits.items()}
 
 
@@ -683,9 +680,7 @@ def test_tail_constants_validation():
     with pytest.raises(ValueError):
         TailConstants(c_l=1.0, c_u=0.5, cos_integral=1.0)
     with pytest.raises(ValueError):
-        cosine_diff_tail_constants(2.5, 1.0)
-    with pytest.raises(ValueError):
-        cosine_diff_tail_constants(1.0, 0.0)
+        cosine_diff_tail_constants(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +748,7 @@ def test_bound_report_iid():
 
 
 def test_bound_report_levy_and_gaps():
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    rep = compute_bound_report(ModelConfig(n=10_000, r=1.0, model="levy", law=law), 0)
+    rep = compute_bound_report(_cfg(10_000, 1.0, 1.0), 0)
     assert rep.p_hat_mc is None and rep.h1_mc is None
     assert 0.0 <= rep.p_hat_lower <= rep.p_hat_upper <= 1.0
     assert "threshold" in rep.n_th_note

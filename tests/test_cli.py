@@ -213,6 +213,20 @@ def test_gof_check_passes(tmp_path):
     assert row["dof"] >= 1
 
 
+@pytest.mark.parametrize("n, r", [("4", "2"), ("3", "1.7320508075688772")])
+def test_gof_at_r_sqrt_n_fails_with_one_line(tmp_path, n, r):
+    # at r = sqrt(n) every destination starts in range, so no placement
+    # could be kept: the run is refused up front, with no numpy warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobidelay.cli", "gof", "--n", n, "--r", r,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_sweep_check_iid_slope(tmp_path):
     code = main(["sweep", "--n", "64,128,256", "--beta", "0",
                  "--trials", "1000", "--horizon", "2000",
@@ -275,6 +289,15 @@ def test_meet_accepts_r_outside_the_exponent_range(tmp_path, r):
     for sub in ("meet", "delay"):
         assert main([sub, "--n", "400", "--r", r, "--trials", "200",
                      "--horizon", "50", "--out", str(tmp_path / sub)]) == EXIT_OK
+
+
+def test_teleport_runs_ignore_alpha(tmp_path):
+    # the teleport model has no flights, so --alpha leaves its run as is
+    base = ["meet", "--n", "100", "--r", "2", "--trials", "300", "--horizon", "50"]
+    assert main(base + ["--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(base + ["--alpha", "1", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert ((tmp_path / "a" / "meet.json").read_bytes()
+            == (tmp_path / "b" / "meet.json").read_bytes())
 
 
 @pytest.mark.parametrize("sub", ["delay", "bounds", "gof"])

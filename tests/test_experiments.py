@@ -27,7 +27,6 @@ from mobidelay.experiments import (
     write_rows_csv,
 )
 from mobidelay.analytics import p_out_bounds
-from mobidelay.flight import FlightLaw
 
 SEED = 20260817
 
@@ -50,7 +49,7 @@ def test_grid_leaves_fields_to_model_config():
         grid_configs((100,), beta=0.3, model="iid")
     with pytest.raises(ValueError, match="model"):
         grid_configs((100,), beta=0.0, model="brownian")
-    with pytest.raises(ValueError, match="FlightLaw"):
+    with pytest.raises(ValueError, match="alpha"):
         grid_configs((100,), beta=0.0, model="levy")
     with pytest.raises(ValueError, match="horizon"):
         grid_configs((100,), beta=0.0, model="iid", horizon=0)
@@ -192,8 +191,7 @@ def test_ccdf_sweep_iid_dominated_and_monotone():
 
 
 def test_ccdf_sweep_levy_rows_complete():
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    configs = grid_configs((100,), beta=0.0, model="levy", law=law,
+    configs = grid_configs((100,), beta=0.0, model="levy", alpha=1.0,
                            horizon=40, master_seed=SEED)
     rows = run_ccdf_sweep(configs, 2000, tau_max=8)
     assert len(rows) == 9
@@ -222,8 +220,7 @@ def test_ccdf_sweep_worker_invariance():
 
 
 def test_dominance_equal_alphas_match_exactly():
-    law = FlightLaw(alpha=1.2, sampler="truncated_pareto")
-    configs = grid_configs((64,), beta=0.0, model="levy", law=law,
+    configs = grid_configs((64,), beta=0.0, model="levy", alpha=1.2,
                            horizon=20, master_seed=SEED)
     rows = run_dominance_check(configs, 800, 1.2, 1.2, t_grid=range(0, 6))
     for row in rows:
@@ -232,8 +229,7 @@ def test_dominance_equal_alphas_match_exactly():
 
 
 def test_dominance_heavier_tail_meets_sooner():
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
-    configs = grid_configs((100,), beta=0.0, model="levy", law=law,
+    configs = grid_configs((100,), beta=0.0, model="levy", alpha=1.0,
                            horizon=30, master_seed=SEED)
     rows = run_dominance_check(configs, 1500, 0.8, 1.6, t_grid=range(0, 9))
     assert all(row["dominated"] for row in rows)
@@ -251,15 +247,10 @@ def test_dominance_heavier_tail_meets_sooner():
 
 
 def test_dominance_input_gates():
-    law = FlightLaw(alpha=1.0, sampler="truncated_pareto")
     iid = grid_configs((64,), beta=0.0, model="iid")
     with pytest.raises(ValueError, match="heavy-flight"):
         run_dominance_check(iid, 100, 0.5, 2.0)
-    stable_law = FlightLaw(alpha=1.0, sampler="stable")
-    stable = grid_configs((64,), beta=0.0, model="levy", law=stable_law)
-    with pytest.raises(ValueError, match="truncated"):
-        run_dominance_check(stable, 100, 0.5, 2.0)
-    configs = grid_configs((64,), beta=0.0, model="levy", law=law)
+    configs = grid_configs((64,), beta=0.0, model="levy", alpha=1.0)
     with pytest.raises(ValueError, match="alpha_low"):
         run_dominance_check(configs, 100, 1.5, 0.5)
 
@@ -289,9 +280,9 @@ def test_neighbor_counts_mean_matches_binomial():
 
 def test_gof_passes_on_world_samples():
     counts = sample_neighbor_counts(0x5EED_CAFE, 500, 5.0, 30000)
-    p_hat = counts.mean() / 498.0
-    res = neighbor_binomial_gof(counts, 500, p_hat, p_from_samples=True)
+    res = neighbor_binomial_gof(counts, 500)
     assert isinstance(res, GofResult)
+    assert res.p == counts.mean() / 498.0
     assert res.passed
     assert res.dof >= 1
 
@@ -301,8 +292,7 @@ def test_gof_world_pass_rate_near_nominal():
     passes = 0
     for seed in range(30):
         counts = sample_neighbor_counts(seed, 500, 5.0, 30000)
-        p_hat = counts.mean() / 498.0
-        passes += neighbor_binomial_gof(counts, 500, p_hat).passed
+        passes += neighbor_binomial_gof(counts, 500).passed
     assert passes >= 28
 
 
@@ -312,8 +302,7 @@ def test_gof_passes_on_synthetic_null():
     passes = 0
     for _ in range(40):
         draws = rng.binomial(498, 0.05, size=20000)
-        p_hat = draws.mean() / 498.0
-        if neighbor_binomial_gof(draws, 500, p_hat).passed:
+        if neighbor_binomial_gof(draws, 500).passed:
             passes += 1
     assert passes >= 36
 
@@ -324,20 +313,16 @@ def test_gof_rejects_wrong_law():
     lo = rng.binomial(498, 0.03, size=10000)
     hi = rng.binomial(498, 0.07, size=10000)
     draws = np.concatenate([lo, hi])
-    p_hat = draws.mean() / 498.0
-    res = neighbor_binomial_gof(draws, 500, p_hat)
+    res = neighbor_binomial_gof(draws, 500)
     assert not res.passed
 
 
 def test_gof_input_gates():
     with pytest.raises(ValueError, match="10\\^4"):
-        neighbor_binomial_gof([1, 2, 3], 500, 0.05)
-    samples = np.ones(20000, dtype=int)
-    with pytest.raises(ValueError, match="p_out_c"):
-        neighbor_binomial_gof(samples, 500, 0.0)
+        neighbor_binomial_gof([1, 2, 3], 500)
     bad = np.full(20000, 499)
     with pytest.raises(ValueError, match="counts"):
-        neighbor_binomial_gof(bad, 500, 0.05)
+        neighbor_binomial_gof(bad, 500)
 
 
 def test_sample_neighbor_counts_gates():
@@ -345,6 +330,9 @@ def test_sample_neighbor_counts_gates():
         sample_neighbor_counts(SEED, 2, 1.0, 100)
     with pytest.raises(ValueError, match="r must"):
         sample_neighbor_counts(SEED, 100, 11.0, 100)
+    # at r = sqrt(n) every destination starts in range
+    with pytest.raises(ValueError, match="every destination starts in range"):
+        sample_neighbor_counts(SEED, 100, 10.0, 100)
     with pytest.raises(ValueError, match="placements"):
         sample_neighbor_counts(SEED, 100, 1.0, 0)
 

@@ -1,4 +1,4 @@
-"""Flight-length laws, flight vectors, relocation, and in-slot motion."""
+"""Pareto flight lengths, flight vectors, relocation, and in-slot motion."""
 
 import math
 import warnings
@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from mobidelay.flight import (
-    FlightLaw,
-    sample_flight_lengths,
-    sample_flight_polar,
-    sample_stable_symmetric_np,
-)
+from mobidelay.flight import sample_flight_lengths, sample_flight_polar
 from mobidelay.geometry import uniform_points_in_disc
 from slot_path import SlotPath
 
@@ -21,77 +16,17 @@ RNG = lambda seed: np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
-# FlightLaw invariants and the flight-vector draw
-
-
-def test_flightlaw_validation():
-    FlightLaw(alpha=2.0)
-    FlightLaw(alpha=0.5, sampler="stable")
-    with pytest.raises(ValueError):
-        FlightLaw(alpha=0.0)
-    with pytest.raises(ValueError):
-        FlightLaw(alpha=2.1)
-    with pytest.raises(ValueError):
-        FlightLaw(alpha=1.0, scale_s=0.0)
-    with pytest.raises(ValueError):
-        FlightLaw(alpha=1.0, z_th=-1.0)
-    with pytest.raises(ValueError):
-        FlightLaw(alpha=1.0, sampler="gaussian")
-
-
-def test_flightlaw_truncated_pareto_ties_tail_c_to_z_th():
-    law = FlightLaw(alpha=1.5, z_th=2.0)
-    assert law.tail_c == pytest.approx(2.0**1.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        FlightLaw(alpha=1.5, z_th=2.0, tail_c=1.0)
+# the flight-vector draw
 
 
 def test_flight_vector_autofill_and_consistency():
     # every angle is drawn before any length; the engine's streams
     # depend on that order
-    for law in (FlightLaw(alpha=1.0), FlightLaw(alpha=1.5, sampler="stable")):
-        got_theta, got_z = sample_flight_polar(RNG(20), law, 1000)
-        rng = RNG(20)
-        theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 1000))
-        z = sample_flight_lengths(rng, law, 1000)
-        assert np.array_equal(got_theta, theta) and np.array_equal(got_z, z)
-
-
-# ---------------------------------------------------------------------------
-# symmetric stable sampler
-
-
-def test_stable_alpha2_is_gaussian_with_variance_2s2():
-    rng = RNG(11)
-    n = 10**6
-    s = 1.3
-    x = sample_stable_symmetric_np(rng, 2.0, s, n)
-    var = x.var(ddof=1)
-    want = 2.0 * s * s
-    se = want * math.sqrt(2.0 / n)
-    assert abs(var - want) <= 3.0 * se
-    kurt = stats.kurtosis(x, fisher=False)
-    assert abs(kurt - 3.0) <= 3.0 * math.sqrt(24.0 / n)
-
-
-def test_stable_alpha1_cauchy_median_and_quartile():
-    rng = RNG(12)
-    n = 10**6
-    x = sample_stable_symmetric_np(rng, 1.0, 1.0, n)
-    med_frac = float(np.mean(x > 0.0))
-    se_half = math.sqrt(0.25 / n)
-    assert abs(med_frac - 0.5) <= 3.0 * se_half
-    # standard Cauchy has P{X > 1} = 1/4
-    q = float(np.mean(x > 1.0))
-    se_q = math.sqrt(0.25 * 0.75 / n)
-    assert abs(q - 0.25) <= 3.0 * se_q
-
-
-def test_stable_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        sample_stable_symmetric_np(RNG(0), 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        sample_stable_symmetric_np(RNG(0), 2.5, 1.0, 1)
+    got_theta, got_z = sample_flight_polar(RNG(20), 1.0, 1000)
+    rng = RNG(20)
+    theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 1000))
+    z = sample_flight_lengths(rng, 1.0, 1000)
+    assert np.array_equal(got_theta, theta) and np.array_equal(got_z, z)
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +35,9 @@ def test_stable_rejects_bad_alpha():
 
 def test_truncated_pareto_tail_and_support():
     rng = RNG(13)
-    law = FlightLaw(alpha=1.0)
     n = 10**6
-    z = sample_flight_lengths(rng, law, n)
-    assert z.min() >= law.z_th
+    z = sample_flight_lengths(rng, 1.0, n)
+    assert z.min() >= 1.0
     got = float(np.mean(z > 10.0))
     se = math.sqrt(0.1 * 0.9 / n)
     assert abs(got - 0.1) <= 3.0 * se
@@ -111,9 +45,8 @@ def test_truncated_pareto_tail_and_support():
 
 def test_truncated_pareto_mean_alpha2():
     rng = RNG(14)
-    law = FlightLaw(alpha=2.0)
     n = 10**6
-    z = sample_flight_lengths(rng, law, n)
+    z = sample_flight_lengths(rng, 2.0, n)
     mean = z.mean()
     se = z.std(ddof=1) / math.sqrt(n)
     assert abs(mean - 2.0) <= 3.0 * se
@@ -121,36 +54,23 @@ def test_truncated_pareto_mean_alpha2():
 
 def test_truncated_pareto_ks_exact_ccdf():
     rng = RNG(15)
-    law = FlightLaw(alpha=1.5, z_th=2.0)
     n = 10**6
-    z = sample_flight_lengths(rng, law, n)
-    res = stats.kstest(z, lambda v: 1.0 - (law.z_th / v) ** law.alpha)
+    z = sample_flight_lengths(rng, 1.5, n)
+    res = stats.kstest(z, lambda v: 1.0 - (1.0 / v) ** 1.5)
     assert res.pvalue > 0.01
 
 
 def test_overflowing_length_raises_without_warning():
     # at alpha 0.01 u ** -100 is inf for u below ~8e-4; such a draw must
     # fail loudly instead of reaching the contact tests as inf
-    law = FlightLaw(alpha=0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="alpha=0.01"):
-            sample_flight_lengths(RNG(17), law, 100_000)
-
-
-def test_stable_length_is_abs_of_stable():
-    rng = RNG(16)
-    law = FlightLaw(alpha=2.0, sampler="stable", tail_c=1.0)
-    z = sample_flight_lengths(rng, law, 50_000)
-    assert z.min() >= 0.0
-    # |N(0, 2s^2)| has mean 2s/sqrt(pi)
-    want = 2.0 / math.sqrt(math.pi)
-    se = z.std(ddof=1) / math.sqrt(z.size)
-    assert abs(z.mean() - want) <= 3.0 * se
+            sample_flight_lengths(RNG(17), 0.01, 100_000)
 
 
 def test_alpha_dominance_of_truncated_pareto_ccdf():
-    # heavier tail (smaller alpha) dominates pointwise for z >= z_th
+    # heavier tail (smaller alpha) dominates pointwise for z >= 1
     grid = np.logspace(0.0, 3.0, 50)
     for a1, a2 in ((0.5, 1.0), (1.0, 2.0), (0.8, 1.9)):
         ccdf1 = grid**-a1
@@ -162,29 +82,22 @@ def test_alpha_dominance_of_truncated_pareto_ccdf():
 # flight vectors
 
 
-@pytest.mark.parametrize("law", [
-    FlightLaw(alpha=0.5), FlightLaw(alpha=1.0), FlightLaw(alpha=2.0, z_th=0.3),
-    FlightLaw(alpha=1.5, sampler="stable", tail_c=1.0),
-])
-def test_flight_draw_order_and_bits(law):
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0], ids=["law0", "law1", "law2"])
+def test_flight_draw_order_and_bits(alpha):
     # all angles, uniform on (0, 2*pi], then all lengths; the Pareto
-    # lengths are z_th * (1 - U)^(-1/alpha).  Written out here as plain
+    # lengths are (1 - U)^(-1/alpha).  Written out here as plain
     # expressions, bit for bit.
-    theta, z = sample_flight_polar(RNG(40), law, 5000)
+    theta, z = sample_flight_polar(RNG(40), alpha, 5000)
     rng = RNG(40)
     want_theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 5000))
-    if law.sampler == "truncated_pareto":
-        want_z = law.z_th * (1.0 - rng.uniform(0.0, 1.0, 5000)) ** (-1.0 / law.alpha)
-    else:
-        want_z = np.abs(sample_stable_symmetric_np(rng, law.alpha, law.scale_s, 5000))
+    want_z = (1.0 - rng.uniform(0.0, 1.0, 5000)) ** (-1.0 / alpha)
     assert np.array_equal(theta, want_theta) and np.array_equal(z, want_z)
 
 
 @pytest.fixture(scope="module")
 def flight_batch():
     rng = RNG(17)
-    law = FlightLaw(alpha=1.0)
-    theta, z = sample_flight_polar(rng, law, 10**6)
+    theta, z = sample_flight_polar(rng, 1.0, 10**6)
     dx, dy = z * np.cos(theta), z * np.sin(theta)
     ang = np.arctan2(dy, dx)
     ang = np.where(ang <= 0.0, ang + 2.0 * math.pi, ang)  # onto (0, 2*pi]

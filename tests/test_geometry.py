@@ -12,7 +12,7 @@ from scipy import stats
 from mobidelay.analytics import estimate_H1_mc
 from mobidelay.geometry import (lens_area, segment_point_dist_np, uniform_disc_polar,
                                 uniform_points_in_disc)
-from mobidelay.world import _relay_slot_hits_np
+from mobidelay.world import ModelConfig, _relay_slot_hits_np
 from oracle import central_angle_phi, wrap_flight
 
 RNG = lambda seed: np.random.default_rng(seed)
@@ -210,7 +210,7 @@ def test_in_S_rejects_bad_l0():
     # the set is undefined for l0 <= r; its Monte Carlo estimator refuses it
     for l0 in (1.0, 0.5):
         with pytest.raises(ValueError):
-            estimate_H1_mc(RNG(0), "iid", None, 100, 1.0, l0, 10)
+            estimate_H1_mc(RNG(0), ModelConfig(n=100, r=1.0), l0, 10)
 
 
 def test_in_S_tangent_angle_fraction():

@@ -15,7 +15,7 @@ import oracle
 import placement
 import union_walk
 from mobidelay import world
-from mobidelay.flight import FlightLaw, sample_flight_polar
+from mobidelay.flight import sample_flight_polar
 from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
@@ -56,8 +56,12 @@ def test_model_config_validation():
         ModelConfig(n=100, r=0.0)
     with pytest.raises(ValueError):
         ModelConfig(n=100, r=21.0)              # beyond the diameter
-    with pytest.raises(ValueError):
-        ModelConfig(n=100, r=2.0, model="levy")  # law required
+    # heavy-flight needs alpha in (0, 2]; the teleport model takes none
+    for alpha in (None, 0.0, 2.5, math.nan):
+        with pytest.raises(ValueError, match=r"alpha in \(0, 2\]"):
+            ModelConfig(n=100, r=2.0, model="levy", alpha=alpha)
+    with pytest.raises(ValueError, match="teleport model takes no alpha"):
+        ModelConfig(n=100, r=2.0, alpha=1.0)
 
 
 def test_model_config_from_beta_copies():
@@ -71,12 +75,18 @@ def test_model_config_from_beta_copies():
     with pytest.raises(ValueError, match="build a new ModelConfig to change n"):
         dataclasses.replace(cfg, n=800)
     assert ModelConfig(n=800, beta=0.1).r == 800 ** 0.1
+    # dominance copies a beta-built config once per exponent
+    levy = ModelConfig(n=400, beta=0.1, model="levy", alpha=1.0)
+    copy = dataclasses.replace(levy, alpha=0.5)
+    assert (copy.r, copy.beta, copy.alpha) == (levy.r, 0.1, 0.5)
+    with pytest.raises(ValueError, match="alpha"):
+        dataclasses.replace(levy, alpha=0.0)
 
 
 def test_model_config_defaults():
     iid = ModelConfig(n=100, r=2.0)
     assert iid.horizon_slots == 1000
-    levy = ModelConfig(n=100, r=2.0, model="levy", law=FlightLaw(alpha=1.0))
+    levy = ModelConfig(n=100, r=2.0, model="levy", alpha=1.0)
     assert levy.horizon_slots == 10_000
     assert ModelConfig(n=256, beta=0.25).r == pytest.approx(4.0)
 
@@ -574,8 +584,7 @@ def test_slotted_detection_never_earlier_than_continuous():
     # slotted hit implies a continuous hit no later than that slot
     assert not np.any(np.isinf(tm) & np.isfinite(ts))
 
-    law = FlightLaw(alpha=1.0)
-    cfg2 = ModelConfig(n=100, r=2.0, model="levy", law=law, horizon_slots=300)
+    cfg2 = ModelConfig(n=100, r=2.0, model="levy", alpha=1.0, horizon_slots=300)
     _, tm2, ts2 = pair_meeting_times(cfg2, 2000, salt=205, slotted=True)
     fin2 = np.isfinite(tm2)
     assert np.all(tm2[fin2] <= ts2[fin2] + 1e-12)
@@ -665,7 +674,7 @@ def _agree(a, b):
     ModelConfig(n=200, r=2.0, horizon_slots=300),
     # r above sqrt(n): most sources see the boundary and many the destination
     ModelConfig(n=50, r=9.0, horizon_slots=300),
-    ModelConfig(n=200, r=2.0, model="levy", law=FlightLaw(alpha=1.0),
+    ModelConfig(n=200, r=2.0, model="levy", alpha=1.0,
                 horizon_slots=300),
 ], ids=["iid", "iid-wide", "levy-1"])
 def test_relay_layout_matches_explicit_placement(monkeypatch, cfg):
@@ -689,7 +698,7 @@ def test_relay_layout_matches_explicit_placement(monkeypatch, cfg):
 
 @pytest.mark.parametrize("cfg", [
     ModelConfig(n=400, r=4.0, horizon_slots=60),
-    ModelConfig(n=400, r=4.0, model="levy", law=FlightLaw(alpha=0.5), horizon_slots=60),
+    ModelConfig(n=400, r=4.0, model="levy", alpha=0.5, horizon_slots=60),
 ], ids=["iid", "levy-0.5"])
 def test_pair_streams_match_explicit_placement(monkeypatch, cfg):
     # pair meeting places its two nodes as explicit placement always did,
@@ -861,11 +870,10 @@ def test_mean_delay_below_empirical_ccdf_chain():
 def test_trajectories_preserve_count_and_continuity():
     # one heavy-flight slot per node: the path's pieces start at the
     # node's position and partition the slot without gaps
-    law = FlightLaw(alpha=1.0)
-    cfg = ModelConfig(n=100, r=2.0, model="levy", law=law)
+    cfg = ModelConfig(n=100, r=2.0, model="levy", alpha=1.0)
     x0 = np.array([0.0, 3.0, -5.0, 1.0])
     y0 = np.array([0.0, 4.0, 1.0, 2.0])
-    theta, z = sample_flight_polar(trial_stream(1, 500, 0), law, 3)
+    theta, z = sample_flight_polar(trial_stream(1, 500, 0), cfg.alpha, 3)
     dx, dy = z * np.cos(theta), z * np.sin(theta)
     # plus one fixed flight that wraps several times
     dx = np.append(dx, 137.0)
@@ -892,7 +900,7 @@ def test_batch_runs_replay_and_ignore_worker_count():
     for cfg in (
         ModelConfig(n=100, r=2.0, horizon_slots=50),
         # heavy flights wrap on most slots: covers the lockstep wrap fallback
-        ModelConfig(n=100, r=2.0, model="levy", law=FlightLaw(alpha=0.5),
+        ModelConfig(n=100, r=2.0, model="levy", alpha=0.5,
                     horizon_slots=10),
         # a large relay population, affordable since only carriers are placed
         ModelConfig(n=50_000, r=2.0, horizon_slots=50),
@@ -912,7 +920,7 @@ def test_batch_runs_replay_and_ignore_worker_count():
 
 def test_single_block_runs_without_a_pool(monkeypatch):
     # one block leaves nothing to split: two workers run it inline
-    cfg = ModelConfig(n=100, r=2.0, model="levy", law=FlightLaw(alpha=1.0),
+    cfg = ModelConfig(n=100, r=2.0, model="levy", alpha=1.0,
                       horizon_slots=10)
     want = pair_meeting_times(cfg, 500, salt=310)
     want_delay = scheme_delays(cfg, 500, salt=311)
@@ -940,15 +948,13 @@ def _relay(cfg, trials, salt, slotted, workers):
     (_pair, ModelConfig(n=400, r=4.0), True),
     (_pair, ModelConfig(n=400, r=4.0), False),
     # most slots have pairs that wrap, many of them thousands of times
-    (_pair, ModelConfig(n=400, r=4.0, model="levy", law=FlightLaw(alpha=0.5),
+    (_pair, ModelConfig(n=400, r=4.0, model="levy", alpha=0.5,
                         horizon_slots=20), True),
-    (_pair, ModelConfig(n=100, r=2.0, model="levy",
-                        law=FlightLaw(alpha=1.2, sampler="stable"), horizon_slots=20), True),
     (_relay, ModelConfig(n=2, r=0.3, horizon_slots=60), False),
     (_relay, ModelConfig(n=50_000, r=2.0, horizon_slots=50), False),
-    (_relay, ModelConfig(n=60, r=1.5, model="levy", law=FlightLaw(alpha=0.8),
+    (_relay, ModelConfig(n=60, r=1.5, model="levy", alpha=0.8,
                          horizon_slots=20), False),
-], ids=["iid-slotted", "iid", "pareto-0.5-periodic", "stable", "relay-2", "relay-50000",
+], ids=["iid-slotted", "iid", "pareto-0.5-periodic", "relay-2", "relay-50000",
         "relay-levy"])
 def test_grouping_and_workers_never_change_a_result(monkeypatch, run, cfg, slotted):
     # three blocks, the last one short: one block per group must give the
@@ -1020,7 +1026,7 @@ def test_union_walk_matches_periodic_search_over_whole_runs(monkeypatch, alpha):
     # whole runs with every slot contact from the union walk and from the
     # capsule search must meet on the same trials, at the same times up to
     # the search's precision
-    cfg = ModelConfig(n=50, r=2.0, model="levy", law=FlightLaw(alpha=alpha),
+    cfg = ModelConfig(n=50, r=2.0, model="levy", alpha=alpha,
                       horizon_slots=20)
     runs = []
     for contacts in (_walked_slot_contacts, _pair_slot_contacts):
@@ -1037,10 +1043,10 @@ def test_union_walk_matches_periodic_search_over_whole_runs(monkeypatch, alpha):
 
 @pytest.mark.parametrize("cfg", [
     ModelConfig(n=2, r=0.3, horizon_slots=60),
-    ModelConfig(n=2, r=0.3, model="levy", law=FlightLaw(alpha=1.0),
+    ModelConfig(n=2, r=0.3, model="levy", alpha=1.0,
                 horizon_slots=40),
     # alpha 0.5 wraps on most slots, so the exact-engine fallback runs
-    ModelConfig(n=2, r=0.3, model="levy", law=FlightLaw(alpha=0.5),
+    ModelConfig(n=2, r=0.3, model="levy", alpha=0.5,
                 horizon_slots=40),
 ], ids=["iid", "levy-1", "levy-0.5"])
 def test_two_node_delay_is_pair_meeting(cfg):
