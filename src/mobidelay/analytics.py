@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .flight import sample_flight_polar
-from .geometry import segment_point_dist_np, uniform_points_in_disc
+from .geometry import first_contact_np, uniform_points_in_disc
 from .world import MODEL_IID, MODEL_LEVY, SALT_MC, ModelConfig, trial_stream
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "capacity_per_node",
     "cosine_diff_tail_constants",
     "tradeoff_curve",
-    "levy_delay_upper",
     "compute_bound_report",
     "format_real",
     "dumps_stable",
@@ -323,7 +322,8 @@ def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
     margin, is a miss whatever its angles: only the others are turned
     into vectors and measured, and the count is the one the full
     measurement gives.  Teleport model: the segment from the start to a
-    fresh uniform-pair difference.
+    fresh uniform-pair difference.  Both measure with the simulator's
+    contact rule, geometry.first_contact_np, the obstruction parked.
     """
     r = cfg.r
     reach = (l0 - r) - _REACH_MARGIN * l0
@@ -340,13 +340,13 @@ def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
                 t1, t2, z1, z2 = theta[i1], theta[i2], z[i1], z[i2]
                 dx = z1 * np.cos(t1) - z2 * np.cos(t2)
                 dy = z1 * np.sin(t1) - z2 * np.sin(t2)
-                d = segment_point_dist_np(0.0, l0, dx, l0 + dy)
-                misses -= d.size - int(np.count_nonzero(d > r))
+                s = first_contact_np(0.0, l0, dx, l0 + dy, 0.0, 0.0, 0.0, 0.0, r)
+                misses -= int(np.count_nonzero(s <= 1.0))
         else:
             x1, y1 = uniform_points_in_disc(rng, cfg.radius, k)
             x2, y2 = uniform_points_in_disc(rng, cfg.radius, k)
-            d = segment_point_dist_np(0.0, l0, x1 - x2, y1 - y2)
-            misses += int(np.count_nonzero(d > r))
+            s = first_contact_np(0.0, l0, x1 - x2, y1 - y2, 0.0, 0.0, 0.0, 0.0, r)
+            misses += int(np.count_nonzero(s > 1.0))
     return misses
 
 
@@ -397,14 +397,6 @@ def u_bar_bound(m: int, p_hat: float, p_out: float) -> float:
         raise ValueError("p_hat must be in [0, 1)")
     m = int(m)
     return p_out ** m / (1.0 - p_hat ** m)
-
-
-def levy_delay_upper(p_hat: float, p_out: float) -> float:
-    """Bound on the expected ceiling of the first meeting time."""
-    _check_prob("p_out", p_out)
-    if not (0.0 <= p_hat < 1.0):
-        raise ValueError("p_hat must be in [0, 1)")
-    return p_out / (1.0 - p_hat)
 
 
 def iid_delay_bound(n: int, r: float, p_hat: float, p_out: float) -> float:
@@ -567,8 +559,8 @@ def compute_bound_report(cfg: ModelConfig, trials: int) -> BoundReport:
         delay_upper = iid_delay_bound(n, r, p_hat_up, p_out_up)
     else:
         # Pathwise the scheme is never slower than the bare pair meeting,
-        # so the geometric pair bound is a valid fallback.
-        delay_upper = levy_delay_upper(p_hat_up, p_out_up)
+        # so the geometric pair bound, the one-copy u_bar, is a valid fallback.
+        delay_upper = u_bar[1]
 
     # r > 0 here: p_out_bounds has checked it
     beta_eq = math.log(r) / math.log(n)

@@ -42,22 +42,11 @@ from .world import (DEFAULT_HORIZON_IID, DEFAULT_HORIZON_LEVY, DEFAULT_SEED,
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
-SUBCOMMANDS = ("bounds", "meet", "delay", "sweep", "gof", "dominance")
 FORMATS = ("csv", "json", "both")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK = 2
-
-# per-subcommand default for --trials (gof counts placements)
-_TRIALS_DEFAULT = {
-    "bounds": 100_000,
-    "meet": 20_000,
-    "delay": 2_000,
-    "sweep": 1_000,
-    "gof": 30_000,
-    "dominance": 20_000,
-}
 
 # --alpha when none is given: heavy-flight runs, and dominance's pair
 _ALPHA_DEFAULT = 1.0
@@ -162,7 +151,7 @@ class RunConfig:
     @property
     def effective_trials(self) -> int:
         return self.trials if self.trials is not None else \
-            _TRIALS_DEFAULT[self.subcommand]
+            SUBCOMMANDS[self.subcommand][1]
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -186,36 +175,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS_NOTE = textwrap.fill(
-    "defaults: --model iid, --n 100, --beta 0 when neither --r nor --beta is "
-    f"given, --seed 0x{DEFAULT_SEED:_X}, --workers 1, --out out, --format json; "
-    "--trials defaults per subcommand "
-    f"({', '.join(f'{sub} {t}' for sub, t in _TRIALS_DEFAULT.items())}); "
-    "--horizon defaults to the model horizon "
-    f"({DEFAULT_HORIZON_IID} slots i.i.d., {DEFAULT_HORIZON_LEVY} heavy-flight); "
-    f"--alpha defaults to {_ALPHA_DEFAULT:g} for heavy-flight runs and to the "
-    f"pair {_DOMINANCE_ALPHAS[0]},{_DOMINANCE_ALPHAS[1]} for dominance.",
-    width=72, break_on_hyphens=False)
-
-
 def _build_parser() -> _Parser:
+    note = textwrap.fill(
+        "defaults: --model iid, --n 100, --beta 0 when neither --r nor --beta is "
+        f"given, --seed 0x{DEFAULT_SEED:_X}, --workers 1, --out out, --format json; "
+        "--trials defaults per subcommand "
+        f"({', '.join(f'{sub} {t}' for sub, (_, t, _) in SUBCOMMANDS.items())}); "
+        "--horizon defaults to the model horizon "
+        f"({DEFAULT_HORIZON_IID} slots i.i.d., {DEFAULT_HORIZON_LEVY} heavy-flight); "
+        f"--alpha defaults to {_ALPHA_DEFAULT:g} for heavy-flight runs and to the "
+        f"pair {_DOMINANCE_ALPHAS[0]},{_DOMINANCE_ALPHAS[1]} for dominance.",
+        width=72, break_on_hyphens=False)
     parser = _Parser(
         prog="mobidelay",
         description="meeting-time, delay, and capacity experiments",
-        epilog=_DEFAULTS_NOTE,
+        epilog=note,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    descr = {
-        "bounds": "closed-form bounds plus Monte Carlo cross-checks",
-        "meet": "empirical meeting-time CCDF against the geometric bound",
-        "delay": "relay-scheme delay statistics at one population size",
-        "sweep": "log-log delay scaling over a population grid",
-        "gof": "neighbor-count binomial goodness of fit",
-        "dominance": "meeting-time CCDF comparison of two tail exponents",
-    }
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=descr[name], epilog=_DEFAULTS_NOTE,
+    for name, (_, _, descr) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=descr, epilog=note,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--model", choices=(MODEL_LEVY, MODEL_IID), default=None)
         p.add_argument("--alpha", default=None,
@@ -385,7 +364,7 @@ def _run_sweep(config: RunConfig) -> int:
     configs = _configs(config)
     fit = run_delay_sweep(configs, config.effective_trials,
                           workers=config.workers)
-    written = _emit(config, "sweep", fit.point_rows(), summary=fit.summary())
+    written = _emit(config, "sweep", fit.points, summary=fit.summary())
     print(f"sweep: slope={fit.slope:.4g} r2={fit.r_squared:.4g} "
           f"valid={fit.valid} -> " + ", ".join(written))
     if not config.check:
@@ -434,20 +413,22 @@ def _run_dominance(config: RunConfig) -> int:
     return _checked(not bad, f"{len(bad)} rows break the tail ordering")
 
 
-_DISPATCH = {
-    "bounds": _run_bounds,
-    "meet": _run_meet,
-    "delay": _run_delay,
-    "sweep": _run_sweep,
-    "gof": _run_gof,
-    "dominance": _run_dominance,
+# each subcommand's runner, --trials default (gof counts placements) and
+# help line, in help order
+SUBCOMMANDS = {
+    "bounds": (_run_bounds, 100_000, "closed-form bounds plus Monte Carlo cross-checks"),
+    "meet": (_run_meet, 20_000, "empirical meeting-time CCDF against the geometric bound"),
+    "delay": (_run_delay, 2_000, "relay-scheme delay statistics at one population size"),
+    "sweep": (_run_sweep, 1_000, "log-log delay scaling over a population grid"),
+    "gof": (_run_gof, 30_000, "neighbor-count binomial goodness of fit"),
+    "dominance": (_run_dominance, 20_000, "meeting-time CCDF comparison of two tail exponents"),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit code."""
     try:
-        return _DISPATCH[config.subcommand](config)
+        return SUBCOMMANDS[config.subcommand][0](config)
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

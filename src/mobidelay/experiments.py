@@ -38,7 +38,6 @@ from .world import (
 
 __all__ = [
     "grid_configs",
-    "PointStat",
     "ScalingFit",
     "GofResult",
     "DelaySummary",
@@ -85,48 +84,26 @@ def grid_configs(n_grid: Sequence[int], *, r: Optional[float] = None,
 
 
 @dataclass(frozen=True)
-class PointStat:
-    """Per-grid-point sample summary."""
-
-    n: int
-    r: float
-    mean: float
-    stderr: float
-    median: float
-    trials: int
-    censored_fraction: float
-
-
-@dataclass(frozen=True)
 class ScalingFit:
     """Log-log OLS of mean delay against population size.
 
-    slope and friends are NaN when valid is False, which happens when
-    any grid point censored at least 1% of its trials; the per-point
-    data is still carried so the failure is inspectable.
+    points are the rows fitted, one per grid point, as a sweep writes
+    them.  slope and friends are NaN when valid is False, which happens
+    when any grid point censored at least 1% of its trials; the points
+    are still carried so the failure is inspectable.
     """
 
     slope: float
     intercept: float
     r_squared: float
     slope_stderr: float
-    points: tuple[PointStat, ...]
+    points: tuple[dict, ...]
     valid: bool = True
     note: str = ""
 
     def __post_init__(self):
         if self.valid and not (-1e-12 <= self.r_squared <= 1.0 + 1e-12):
             raise ValueError("r_squared must be in [0, 1]")
-
-    def point_rows(self) -> list[dict]:
-        return [
-            {
-                "n": p.n, "r": p.r, "trials": p.trials, "mean": p.mean,
-                "stderr": p.stderr, "median": p.median,
-                "censored_fraction": p.censored_fraction,
-            }
-            for p in self.points
-        ]
 
     def summary(self) -> dict:
         return {
@@ -136,7 +113,7 @@ class ScalingFit:
             "slope_stderr": self.slope_stderr,
             "valid": self.valid,
             "note": self.note,
-            "points": self.point_rows(),
+            "points": self.points,
         }
 
 
@@ -182,18 +159,17 @@ def summarize_delays(delays: np.ndarray) -> DelaySummary:
     )
 
 
-def fit_loglog(points: Sequence[tuple]) -> ScalingFit:
-    """Ordinary least squares of ln(mean) on ln(n).
+def fit_loglog(points: Sequence[dict]) -> ScalingFit:
+    """Ordinary least squares of ln(mean) on ln(n), kept with its points.
 
-    points are (n, mean, stderr) triples; all means must be positive.
+    points are rows with keys "n" and "mean"; all means must be positive.
     R squared is defined as 1 for a constant response, where the zero
     slope fits exactly.
     """
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    ns = np.array([float(p[0]) for p in points])
-    means = np.array([float(p[1]) for p in points])
-    errs = np.array([float(p[2]) for p in points])
+    ns = np.array([float(p["n"]) for p in points])
+    means = np.array([float(p["mean"]) for p in points])
     if np.any(means <= 0.0):
         raise ValueError("means must be positive")
     x = np.log(ns)
@@ -210,13 +186,9 @@ def fit_loglog(points: Sequence[tuple]) -> ScalingFit:
     sst = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     se = math.sqrt(ssr / (len(points) - 2) / sxx) if len(points) > 2 else math.nan
-    stats_pts = tuple(
-        PointStat(n=int(n), r=math.nan, mean=float(m), stderr=float(e),
-                  median=math.nan, trials=0, censored_fraction=0.0)
-        for n, m, e in zip(ns, means, errs))
     return ScalingFit(slope=slope, intercept=intercept,
                       r_squared=min(max(r2, 0.0), 1.0),
-                      slope_stderr=se, points=stats_pts)
+                      slope_stderr=se, points=tuple(points))
 
 
 def run_delay_sweep(configs: Sequence[ModelConfig], trials: int,
@@ -236,9 +208,9 @@ def run_delay_sweep(configs: Sequence[ModelConfig], trials: int,
     for cfg in configs:
         _, _, delays = scheme_delays(cfg, trials, workers=workers)
         stat = summarize_delays(delays)
-        pts.append(PointStat(n=cfg.n, r=cfg.r, mean=stat.mean, stderr=stat.stderr,
-                             median=stat.median, trials=stat.trials,
-                             censored_fraction=stat.censored_fraction))
+        pts.append({"n": cfg.n, "r": cfg.r, "trials": stat.trials, "mean": stat.mean,
+                    "stderr": stat.stderr, "median": stat.median,
+                    "censored_fraction": stat.censored_fraction})
         if not stat.censored_ok:
             bad.append(cfg.n)
     if bad:
@@ -247,8 +219,7 @@ def run_delay_sweep(configs: Sequence[ModelConfig], trials: int,
                           points=tuple(pts), valid=False,
                           note="censored fraction >= 1% at n in "
                                f"{sorted(bad)}")
-    fit = fit_loglog([(p.n, p.mean, p.stderr) for p in pts])
-    return replace(fit, points=tuple(pts))
+    return fit_loglog(pts)
 
 
 def _ccdf_point(times: np.ndarray, t: int) -> tuple[float, float]:

@@ -1,9 +1,11 @@
 """Exact planar geometry on the wrapped disc, in array form.
 
-Uniform point sampling, the clamped-quadratic segment/point distance (the
-continuous contact primitive, broadcast over arrays), the area a range
-ball covers of the disc, and the boundary exit of a ray, which the
-antipodal wrap rule in ``world`` is built on.
+Uniform point sampling, the package's one contact rule
+(``first_contact_np``: the earliest instant two linearly moving points
+come within r, a clamped quadratic, which both the simulator in
+``world`` and the no-contact Monte Carlo in ``analytics`` decide contact
+by), the area a range ball covers of the disc, and the boundary exit of
+a ray, which the antipodal wrap rule in ``world`` is built on.
 
 Distances are plain Euclidean between wrapped positions; the wrap never
 shortcuts a distance measurement.  A flight that exits the boundary at p
@@ -20,7 +22,7 @@ import numpy as np
 __all__ = [
     "uniform_disc_polar",
     "uniform_points_in_disc",
-    "segment_point_dist_np",
+    "first_contact_np",
     "lens_area",
 ]
 
@@ -55,19 +57,31 @@ def uniform_points_in_disc(rng: np.random.Generator, radius: float, size: int):
     return rho * np.cos(theta), rho * np.sin(theta)
 
 
-def segment_point_dist_np(ax, ay, bx, by, qx=0.0, qy=0.0):
-    """Vectorised segment-to-point distance (arrays broadcast)."""
-    ax = np.asarray(ax, dtype=float)
-    ay = np.asarray(ay, dtype=float)
-    dx = np.asarray(bx, dtype=float) - ax
-    dy = np.asarray(by, dtype=float) - ay
-    den = dx * dx + dy * dy
-    px = qx - ax
-    py = qy - ay
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(den > 0.0, (px * dx + py * dy) / np.where(den > 0, den, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.hypot(px - t * dx, py - t * dy)
+def first_contact_np(ax, ay, bx, by, qx0, qy0, qx1, qy1, r):
+    """Earliest fractions s in [0, 1] at which two moving points are within r.
+
+    Arrays broadcast.  One point moves straight from (ax, ay) to (bx, by)
+    and the other from (qx0, qy0) to (qx1, qy1) over the same unit of
+    time.  Contact is the earliest root of the clamped quadratic of their
+    distance, boundary inclusive.  Returns the fractions, inf where there
+    is none.
+    """
+    ax = ax - qx0
+    ay = ay - qy0
+    ddx = bx - qx1 - ax
+    ddy = by - qy1 - ay
+    c = ax * ax + ay * ay - r * r
+    a = ddx * ddx + ddy * ddy
+    b = ax * ddx + ay * ddy
+    cross = ax * ddy - ay * ddx
+    # the line's clearance decides the touch: b*b - a*c equals
+    # a*r*r - cross**2 but cancels catastrophically near a tangent.
+    # Clearance exactly r is an exact tangent touch; contact is inclusive
+    s = np.divide(-b - np.sqrt(np.maximum(b * b - a * c, 0.0)), a, out=np.full(a.shape, np.inf),
+                  where=(b < 0.0) & (cross * cross <= a * (r * r)))
+    s[s > 1.0] = np.inf
+    s[c <= 0.0] = 0.0
+    return s
 
 
 def _segment(rho, beta):

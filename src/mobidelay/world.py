@@ -14,7 +14,8 @@ One slot of motion is piecewise linear: antipodal wraps split a node's
 path into sub-segments, and within any time window where both nodes move
 linearly the relative motion is linear too, so the continuous contact
 event (distance dipping to r at any instant, boundary inclusive) reduces
-to a clamped quadratic per window.
+to one clamped quadratic per window: ``geometry.first_contact_np``, the
+package's one contact rule, which every window below is tested with.
 
 Flights with heavy-tailed lengths can wrap the disc astronomically many
 times in one slot.  After the first boundary exit the antipodal rule
@@ -70,7 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flight import sample_flight_polar
-from .geometry import _exit_fraction, lens_area, uniform_disc_polar, uniform_points_in_disc
+from .geometry import (_exit_fraction, first_contact_np, lens_area, uniform_disc_polar,
+                       uniform_points_in_disc)
 
 __all__ = [
     "MODEL_LEVY",
@@ -251,33 +253,6 @@ def _piece(x0, y0, dx, dy, g, m):
 # the lockstep block engine
 
 
-def _relay_slot_hits_np(rxs, rys, rexs, reys, dx0, dy0, dx1, dy1, r):
-    """Earliest in-slot hit fractions of carriers against destinations.
-
-    Carrier i moves straight from (rxs[i], rys[i]) to (rexs[i], reys[i])
-    and its destination from (dx0[i], dy0[i]) to (dx1[i], dy1[i]); all
-    paths must be wrap-free.  This is the engine's one contact rule:
-    the earliest root of the clamped distance quadratic, boundary
-    inclusive.  Returns the hit fractions, inf where there is none.
-    """
-    ax = rxs - dx0
-    ay = rys - dy0
-    ddx = rexs - dx1 - ax
-    ddy = reys - dy1 - ay
-    c = ax * ax + ay * ay - r * r
-    a = ddx * ddx + ddy * ddy
-    b = ax * ddx + ay * ddy
-    cross = ax * ddy - ay * ddx
-    # the line's clearance decides the touch: b*b - a*c equals
-    # a*r*r - cross**2 but cancels catastrophically near a tangent.
-    # Clearance exactly r is an exact tangent touch; contact is inclusive
-    s = np.divide(-b - np.sqrt(np.maximum(b * b - a * c, 0.0)), a, out=np.full(a.shape, np.inf),
-                  where=(b < 0.0) & (cross * cross <= a * (r * r)))
-    s[s > 1.0] = np.inf
-    s[c <= 0.0] = 0.0
-    return s
-
-
 def _per_trial_min(values, owner, size):
     out = np.full(size, np.inf)
     np.minimum.at(out, owner, values)
@@ -429,10 +404,10 @@ def _capsule_search(x0, y0, dx, dy, g, fast, slow, r):
         a = np.maximum(wa, ow)
         b = np.minimum(np.minimum(np.where(m < 0.0, g.t1[fw], wa + g.dt[fw]),
                                   ow + dur[it[wi]]), 1.0)
-        hit_s = _relay_slot_hits_np(fx + fvx * (a - wa), fy + fvy * (a - wa),
-                                    fx + fvx * (b - wa), fy + fvy * (b - wa),
-                                    spx[wi] + svx[wi] * (a - ow), spy[wi] + svy[wi] * (a - ow),
-                                    spx[wi] + svx[wi] * (b - ow), spy[wi] + svy[wi] * (b - ow), r)
+        hit_s = first_contact_np(fx + fvx * (a - wa), fy + fvy * (a - wa),
+                                 fx + fvx * (b - wa), fy + fvy * (b - wa),
+                                 spx[wi] + svx[wi] * (a - ow), spy[wi] + svy[wi] * (a - ow),
+                                 spx[wi] + svx[wi] * (b - ow), spy[wi] + svy[wi] * (b - ow), r)
         h = np.flatnonzero((b > a) & np.isfinite(hit_s))
         hr = item_row[wi[h]]
         first_hit = np.diff(hr, prepend=-1) != 0
@@ -572,10 +547,11 @@ def _contact_group(args):
             theta, rho = (np.concatenate([d[i][:c] for d, c in draws]
                                          + [d[i][c:] for d, c in draws]) for i in (0, 1))
         if levy:
+            # the slot's largest product, the contact discriminant, stays
+            # below (6 R rho)^2 for the longest flight rho; where that
+            # overflows the run fails here, before any arithmetic can warn
             with np.errstate(over="ignore"):
-                if not np.isfinite(rho * rho).all():
-                    # such a flight has no wrap count; the run fails here
-                    # rather than after overflow warnings downstream
+                if not np.isfinite(np.square(6.0 * R * rho.max())):
                     raise OverflowError("a flight's wrap count overflows a float")
         sx = rho * np.cos(theta)
         sy = rho * np.sin(theta)
@@ -587,8 +563,7 @@ def _contact_group(args):
         else:
             ex, fx = sx[:nc], sx[nc:]
             ey, fy = sy[:nc], sy[nc:]
-        hits = _relay_slot_hits_np(cx, cy, ex, ey, qx[cpos], qy[cpos],
-                                   fx[cpos], fy[cpos], r)
+        hits = first_contact_np(cx, cy, ex, ey, qx[cpos], qy[cpos], fx[cpos], fy[cpos], r)
         if levy:
             # pairs where either end leaves the disc take the wrap-aware
             # engine, which also gives the wrapped end positions

@@ -22,7 +22,8 @@ import numpy as np
 
 from mobidelay.analytics import _MC_CHUNK
 from mobidelay.flight import sample_flight_lengths
-from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
+from mobidelay.geometry import uniform_points_in_disc
+from oracle import segment_point_dist_np
 
 TWO_PI = 2.0 * math.pi
 

@@ -8,15 +8,19 @@ the merged relative-motion pieces in time order.  It shares no code with
 the package, so agreement between the two is evidence for both.
 
 Also here: ``seg_hit``, the scalar contact rule the vector kernel is
-checked against element for element, and the closed-form central angle
-of the miss arc, the reference the segment-distance tests check their
-arc membership against.
+checked against element for element; ``segment_point_dist_np``, the
+clamped segment-to-point distance whose verdict d <= r the contact rule
+and the full-array Monte Carlo of ``full_mc`` are checked against; and
+the closed-form central angle of the miss arc, the reference the
+segment-distance tests check their arc membership against.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 
 class Piece(NamedTuple):
@@ -161,6 +165,21 @@ def seg_hit(ax: float, ay: float, bx: float, by: float, r: float) -> float | Non
         return None
     s = (-b - math.sqrt(max(b * b - a * c, 0.0))) / a
     return s if s <= 1.0 else None
+
+
+def segment_point_dist_np(ax, ay, bx, by, qx=0.0, qy=0.0):
+    """Vectorised segment-to-point distance (arrays broadcast)."""
+    ax = np.asarray(ax, dtype=float)
+    ay = np.asarray(ay, dtype=float)
+    dx = np.asarray(bx, dtype=float) - ax
+    dy = np.asarray(by, dtype=float) - ay
+    den = dx * dx + dy * dy
+    px = qx - ax
+    py = qy - ay
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(den > 0.0, (px * dx + py * dy) / np.where(den > 0, den, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    return np.hypot(px - t * dx, py - t * dy)
 
 
 def first_contact(rel: list[Piece], r: float) -> float | None:

@@ -36,7 +36,6 @@ from mobidelay.analytics import (
     estimate_H1_mc,
     format_real,
     iid_delay_bound,
-    levy_delay_upper,
     p_hat_bounds,
     p_hat_bounds_iid,
     p_hat_bounds_levy,
@@ -45,7 +44,7 @@ from mobidelay.analytics import (
     u_bar_bound,
 )
 from mobidelay.flight import sample_flight_lengths
-from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
+from mobidelay.geometry import uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
     _pair_slot_contacts,
@@ -337,14 +336,14 @@ def test_length_pretest_skips_far_pairs(monkeypatch):
     # at the diameter almost no pair can reach the disc, so almost none is
     # turned into a vector and measured
     measured = []
-    real = analytics.segment_point_dist_np
+    real = analytics.first_contact_np
 
     def counting(*args):
-        d = real(*args)
-        measured.append(d.size)
-        return d
+        s = real(*args)
+        measured.append(s.size)
+        return s
 
-    monkeypatch.setattr(analytics, "segment_point_dist_np", counting)
+    monkeypatch.setattr(analytics, "first_contact_np", counting)
     trials = 200_000
     estimate_H1_mc(trial_stream(71, 14, 0), _cfg(N_MC, R_MC, LAWS["pareto-1"]),
                    2.0 * math.sqrt(N_MC), trials)
@@ -378,7 +377,7 @@ def test_length_pretest_only_sets_aside_misses(l0, r_share, below, split, th1,
     dx, dy = full_mc._rotate(dx, dy, rotation)
     ax = np.zeros(1)
     ay = np.full(1, l0)
-    assert segment_point_dist_np(ax, ay, ax + dx, ay + dy)[0] > r
+    assert oracle.segment_point_dist_np(ax, ay, ax + dx, ay + dy)[0] > r
 
 
 @pytest.mark.parametrize("alpha", [0.5], ids=["law0"])
@@ -474,10 +473,11 @@ def test_u_bar_empirical_dominated_by_closed_form():
 
 
 def test_levy_delay_upper_values():
-    assert levy_delay_upper(0.5, 0.0) == 0.0
-    assert levy_delay_upper(0.99, 0.99) == pytest.approx(99.0, rel=1e-12)
+    # the pair-delay bound is the one-copy u_bar: p_out / (1 - p_hat)
+    assert u_bar_bound(1, 0.5, 0.0) == 0.0
+    assert u_bar_bound(1, 0.99, 0.99) == pytest.approx(99.0, rel=1e-12)
     with pytest.raises(ValueError):
-        levy_delay_upper(1.0, 0.5)
+        u_bar_bound(1, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ import pytest
 import full_mc
 from mobidelay import analytics
 from mobidelay.cli import (
-    _TRIALS_DEFAULT,
     EXIT_CHECK,
     EXIT_OK,
     EXIT_USAGE,
+    SUBCOMMANDS,
     RunConfig,
     UsageError,
     main,
@@ -380,7 +380,7 @@ def test_help_documents_defaults():
     text = " ".join(proc.stdout.split())
     assert "0x5EED_CAFE" in text
     assert "defaults" in text
-    for sub, trials in _TRIALS_DEFAULT.items():
+    for sub, (_, trials, _) in SUBCOMMANDS.items():
         assert f"{sub} {trials}" in text
     assert f"{DEFAULT_HORIZON_IID} slots i.i.d." in text
     assert f"{DEFAULT_HORIZON_LEVY} heavy-flight" in text

@@ -70,16 +70,23 @@ def test_grid_configs_differ_by_point():
 # log-log regression
 
 
+def _rows(ns, means):
+    return [{"n": n, "mean": m} for n, m in zip(ns, means)]
+
+
 def test_fit_loglog_exact_line():
-    fit = fit_loglog([(10, 10.0, 0.1), (100, 100.0, 0.1)])
+    pts = _rows([10, 100], [10.0, 100.0])
+    fit = fit_loglog(pts)
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.intercept == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    # the fit carries the rows it was given
+    assert fit.points == tuple(pts)
 
 
 def test_fit_loglog_recovers_half_power():
     ns = [250, 500, 1000, 2000, 4000]
-    pts = [(n, 3.0 * math.sqrt(n), 0.01) for n in ns]
+    pts = _rows(ns, [3.0 * math.sqrt(n) for n in ns])
     fit = fit_loglog(pts)
     assert fit.slope == pytest.approx(0.5, abs=1e-9)
     assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-9)
@@ -87,18 +94,18 @@ def test_fit_loglog_recovers_half_power():
 
 
 def test_fit_loglog_constant_response():
-    fit = fit_loglog([(10, 5.0, 0.1), (100, 5.0, 0.1), (1000, 5.0, 0.1)])
+    fit = fit_loglog(_rows([10, 100, 1000], [5.0, 5.0, 5.0]))
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == 1.0
 
 
 def test_fit_loglog_rejects_bad_input():
     with pytest.raises(ValueError, match="at least 2"):
-        fit_loglog([(10, 1.0, 0.1)])
+        fit_loglog(_rows([10], [1.0]))
     with pytest.raises(ValueError, match="positive"):
-        fit_loglog([(10, 0.0, 0.1), (100, 1.0, 0.1)])
+        fit_loglog(_rows([10, 100], [0.0, 1.0]))
     with pytest.raises(ValueError, match="more than one n"):
-        fit_loglog([(10, 1.0, 0.1), (10, 2.0, 0.1)])
+        fit_loglog(_rows([10, 10], [1.0, 2.0]))
 
 
 def test_fit_loglog_stderr_matches_known_noise():
@@ -114,7 +121,7 @@ def test_fit_loglog_stderr_matches_known_noise():
     reported = []
     for _ in range(100):
         means = 2.0 * ns ** 0.7 * np.exp(rng.normal(0.0, sigma, ns.size))
-        fit = fit_loglog([(n, m, 0.0) for n, m in zip(ns, means)])
+        fit = fit_loglog(_rows(ns, means))
         if abs(fit.slope - 0.7) <= 2.0 * analytic:
             hits += 1
         reported.append(fit.slope_stderr)
@@ -131,10 +138,10 @@ def test_delay_sweep_slope_near_half_power():
                            horizon=3000, master_seed=SEED)
     fit = run_delay_sweep(configs, 1000)
     assert fit.valid
-    assert all(p.censored_fraction < 0.01 for p in fit.points)
+    assert all(p["censored_fraction"] < 0.01 for p in fit.points)
     assert fit.slope <= 0.70
     assert fit.r_squared > 0.9
-    means = [p.mean for p in fit.points]
+    means = [p["mean"] for p in fit.points]
     assert means == sorted(means)  # delay grows with n at fixed r
 
 
@@ -146,7 +153,11 @@ def test_delay_sweep_reports_censoring_instead_of_dropping():
     assert math.isnan(fit.slope)
     assert "censored" in fit.note
     assert len(fit.points) == 3
-    assert all(p.censored_fraction >= 0.01 for p in fit.points)
+    assert all(p["censored_fraction"] >= 0.01 for p in fit.points)
+    # the points are the rows a sweep writes, in column order
+    assert list(fit.points[0]) == ["n", "r", "trials", "mean", "stderr", "median",
+                                   "censored_fraction"]
+    assert [p["n"] for p in fit.points] == [100, 200, 400]
 
 
 def test_delay_sweep_input_gates():

@@ -1,6 +1,7 @@
-"""Geometry primitives: disc sampling, segment proximity, blocked-set
-membership against the central-angle formula, and the antipodal-wrap
-oracle that the contact engine is checked against."""
+"""Geometry primitives: disc sampling, the contact rule against the
+reference segment distance, blocked-set membership against the
+central-angle formula, and the antipodal-wrap oracle that the contact
+engine is checked against."""
 
 import math
 
@@ -10,10 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from mobidelay.analytics import estimate_H1_mc
-from mobidelay.geometry import (lens_area, segment_point_dist_np, uniform_disc_polar,
-                                uniform_points_in_disc)
-from mobidelay.world import ModelConfig, _relay_slot_hits_np
-from oracle import central_angle_phi, wrap_flight
+from mobidelay.geometry import first_contact_np, lens_area, uniform_disc_polar, uniform_points_in_disc
+from mobidelay.world import ModelConfig
+from oracle import central_angle_phi, segment_point_dist_np, wrap_flight
 
 RNG = lambda seed: np.random.default_rng(seed)
 
@@ -128,7 +128,8 @@ def test_lens_share_is_a_probability():
 
 
 # ---------------------------------------------------------------------------
-# segment_point_dist_np and the contact verdict dist <= r
+# the reference segment distance, and first_contact_np against its
+# verdict dist <= r
 
 
 @pytest.mark.parametrize("a,b,q,want", [
@@ -186,7 +187,7 @@ def test_segment_hits_disc_monotone_in_r(ax, ay, bx, by, r, bump):
     # the engine's contact rule agrees with the distance verdict away from
     # the boundary, and a hit at range r stays a hit at any larger range
     def hits(rr):
-        s = _relay_slot_hits_np(*(np.array([v]) for v in (ax, ay, bx, by)), 0.0, 0.0, 0.0, 0.0, rr)
+        s = first_contact_np(*(np.array([v]) for v in (ax, ay, bx, by)), 0.0, 0.0, 0.0, 0.0, rr)
         return bool(np.isfinite(s[0]))
 
     hit = hits(r)
@@ -195,6 +196,39 @@ def test_segment_hits_disc_monotone_in_r(ax, ay, bx, by, r, bump):
         assert hit == (d <= r)
     if hit:
         assert hits(r + bump)
+
+
+def _mc_hit(l0, bx, by, r):
+    # the contact rule as the no-contact Monte Carlo calls it: a scalar
+    # start (0, l0) and the obstruction parked at the origin
+    return first_contact_np(0.0, l0, bx, by, 0.0, 0.0, 0.0, 0.0, r)
+
+
+def test_contact_rule_in_monte_carlo_form_matches_segment_distance():
+    # element for element, a hit fraction <= 1 exactly where the segment
+    # from (0, l0) comes within r of the origin
+    rng = RNG(41)
+    r = 4.0
+    hits = misses = 0
+    for l0 in (6.0, 12.0, 40.0, 200.0):
+        bx, by = rng.uniform(-2.0 * l0, 2.0 * l0, (2, 30_000))
+        s = _mc_hit(l0, bx, by, r)
+        d = segment_point_dist_np(0.0, l0, bx, by)
+        assert np.array_equal(s <= 1.0, d <= r)
+        assert np.all((s >= 0.0) & (s <= 1.0) | np.isinf(s))
+        hits += int(np.count_nonzero(d <= r))
+        misses += int(np.count_nonzero(d > r))
+    assert hits > 5_000 and misses > 5_000
+    # an exact tangent: from (0, 25) through (12, 9), 15 from the origin,
+    # to (24, -7); it touches at s = 1/2 and clears any smaller range
+    end = np.array([24.0]), np.array([-7.0])
+    assert segment_point_dist_np(0.0, 25.0, *end)[0] == 15.0
+    assert _mc_hit(25.0, *end, 15.0)[0] == 0.5
+    assert np.isinf(_mc_hit(25.0, *end, 15.0 - 1e-9)[0])
+    # a start within range, or on the range circle, is a contact at s = 0
+    for l0 in (3.0, 4.0):
+        assert segment_point_dist_np(0.0, l0, *end)[0] <= r
+        assert _mc_hit(l0, *end, r)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

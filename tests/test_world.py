@@ -16,17 +16,17 @@ import placement
 import union_walk
 from mobidelay import world
 from mobidelay.flight import sample_flight_polar
-from mobidelay.geometry import segment_point_dist_np, uniform_points_in_disc
+from mobidelay.geometry import first_contact_np, uniform_points_in_disc
 from mobidelay.world import (
     ModelConfig,
     _pair_slot_contacts,
     _piece,
-    _relay_slot_hits_np,
     _wrap_geometry,
     pair_meeting_times,
     scheme_delays,
     trial_stream,
 )
+from oracle import segment_point_dist_np
 from slot_path import SlotPath
 
 RNG = lambda seed: np.random.default_rng(seed)
@@ -293,7 +293,7 @@ def test_slot_paths_never_leave_disc():
 def _hit_parked(ax, ay, bx, by, r):
     # the engine's contact rule for a carrier moving from a to b against a
     # destination parked at the origin
-    s = _relay_slot_hits_np(*(np.array([v]) for v in (ax, ay, bx, by)), 0.0, 0.0, 0.0, 0.0, r)
+    s = first_contact_np(*(np.array([v]) for v in (ax, ay, bx, by)), 0.0, 0.0, 0.0, 0.0, r)
     return float(s[0])
 
 
@@ -314,7 +314,7 @@ def test_vector_kernel_shares_the_inclusive_contact_rule():
     # and both agree element for element on random straight slots
     rng = RNG(112)
     xs = rng.uniform(-5.0, 5.0, (8, 2000))
-    got = _relay_slot_hits_np(*xs, 1.5)
+    got = first_contact_np(*xs, 1.5)
     for i in range(xs.shape[1]):
         x1, y1, e1x, e1y, x2, y2, e2x, e2y = xs[:, i]
         want = oracle.seg_hit(x1 - x2, y1 - y2, e1x - e2x, e1y - e2y, 1.5)
@@ -463,6 +463,26 @@ def test_vector_kernel_edge_cases():
     # error, not a path that silently leaves the disc
     with np.errstate(over="ignore"), pytest.raises(OverflowError):
         _contact(1.0, 2.0, 1e200, 3e200, 0.0, 0.0, 0.0, 0.0, R, 1.0)
+
+
+def test_flight_whose_slot_products_overflow_fails_without_warning(monkeypatch):
+    # a first flight of length 1e153 squares to a finite 1e306, but the
+    # slot's products reach ~32 R^2 rho^2 (R = 20 at n = 400), beyond a
+    # float: the run fails with the overflow error and raises no numpy
+    # warning on the way
+    real = world.sample_flight_polar
+
+    def crafted(rng, alpha, size):
+        theta, z = real(rng, alpha, size)
+        z[0] = 1e153
+        return theta, z
+
+    monkeypatch.setattr(world, "sample_flight_polar", crafted)
+    cfg = ModelConfig(n=400, r=2.0, model="levy", alpha=1.0, horizon_slots=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="overflows a float"):
+            pair_meeting_times(cfg, 8)
 
 
 def test_contacts_on_slow_chords_before_the_fast_wrap_match_oracle():

@@ -12,7 +12,8 @@ reference for the geometry itself.
 
 import numpy as np
 
-from mobidelay.world import _piece, _relay_slot_hits_np, _wrap_geometry, _Wraps
+from mobidelay.geometry import first_contact_np
+from mobidelay.world import _piece, _wrap_geometry, _Wraps
 
 # pieces laid out at once; a pair with more pieces is walked alone
 UNION_PIECES = 1 << 13
@@ -79,7 +80,7 @@ def _union_chunk(x0, y0, dx, dy, g, count, paths, r):
     def at(p, t):
         return px[p] + vx[p] * (t - t0[p]), py[p] + vy[p] * (t - t0[p])
 
-    s = _relay_slot_hits_np(*at(p1, lo), *at(p1, hi), *at(p2, lo), *at(p2, hi), r)
+    s = first_contact_np(*at(p1, lo), *at(p1, hi), *at(p2, lo), *at(p2, hi), r)
     hit = np.isfinite(s)
     sp = sp[hit]
     th = lo[hit] + s[hit] * (hi[hit] - lo[hit])
