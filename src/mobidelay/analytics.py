@@ -1,7 +1,8 @@
 """Closed-form bounds and the Monte Carlo estimators that check them.
 
 Everything here is a pure function of configuration parameters, except
-the estimators, which take an explicit random stream.  Simulation of the
+the estimators, which take an explicit random stream and return a mean
+of per-sample values with its sample standard error.  Simulation of the
 actual meeting process lives in ``world``; this module evaluates the
 formulas that sandwich it: the out-of-range probability of a uniform
 pair, per-slot no-contact probability for both mobility models, the
@@ -68,7 +69,8 @@ _REACH_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo point estimate with its binomial standard error."""
+    """A Monte Carlo mean of per-sample values in [0, 1] with its sample
+    standard error, the binomial one when every value is 0 or 1."""
 
     value: float
     stderr: float
@@ -86,19 +88,15 @@ class TailConstants:
     """Lower/upper tail coefficients of the cosine-projected flight difference.
 
     c_l and c_u multiply z**(-alpha) to bracket the upper tail of
-    Z1*cos(theta1) - Z2*cos(theta2); cos_integral is the quadrature value
-    they share, kept for reporting.
+    Z1*cos(theta1) - Z2*cos(theta2).
     """
 
     c_l: float
     c_u: float
-    cos_integral: float
 
     def __post_init__(self):
         if not (0.0 < self.c_l < self.c_u):
             raise ValueError("require 0 < c_l < c_u")
-        if not (self.cos_integral > 0.0):
-            raise ValueError("cos_integral must be positive")
 
 
 @dataclass(frozen=True)
@@ -233,9 +231,12 @@ def p_out_bounds(n: int, r: float) -> tuple[float, float]:
     return 1.0 - r * r / n, 1.0 - r * r / (3.0 * n)
 
 
-def _binomial_estimate(hits: int, trials: int) -> Estimate:
-    p = hits / trials
-    return Estimate(p, math.sqrt(p * (1.0 - p) / trials), trials)
+def _estimate(total: float, spread: float, trials: int) -> Estimate:
+    # from the sums of v and of v (1 - v): the squared error of the mean p
+    # is (p (1 - p) - mean v (1 - v)) / trials, binomial when v is 0 or 1
+    p = total / trials
+    var = max(p * (1.0 - p) - spread / trials, 0.0)
+    return Estimate(p, math.sqrt(var / trials), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +311,38 @@ def _reachable_pairs(z: np.ndarray, k: int, reach: float):
             yield i, i + k
 
 
-def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
-                         l0: float, trials: int) -> int:
-    """Count samples whose one-slot relative path misses the r-disc.
+def _hit_angle(length: np.ndarray, l0: float, r: float) -> np.ndarray:
+    """Half-width phi of the cone of directions along which a step of each
+    length L, from distance l0 of the r-disc's centre, comes within r:
+    0 below l0 - r, acos((l0^2 + L^2 - r^2) / (2 l0 L)) up to the tangent
+    length sqrt(l0^2 - r^2), and asin(r/l0) beyond it."""
+    tangent2 = (l0 - r) * (l0 + r)
+    short = length < math.sqrt(tangent2)
+    phi = np.where(short, 0.0, math.asin(r / l0))
+    band = np.flatnonzero(short & (length >= l0 - r))
+    lb = length[band]
+    phi[band] = np.arccos(np.minimum((tangent2 + lb * lb) / (2.0 * l0 * lb), 1.0))
+    return phi
 
-    The start sits at distance l0 from the obstruction.  Heavy-flight
-    model: the path is the segment from the start through the flight
-    differential; each chunk draws all 2k flights (angles, then lengths)
-    as pairs (i, k + i).  The segment stays farther than l0 - (z1 + z2)
-    from the obstruction, so a pair with z1 + z2 < l0 - r, less a
-    margin, is a miss whatever its angles: only the others are turned
-    into vectors and measured, and the count is the one the full
-    measurement gives.  Teleport model: the segment from the start to a
-    fresh uniform-pair difference.  Both measure with the simulator's
-    contact rule, geometry.first_contact_np, the obstruction parked.
+
+def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
+                         l0: float, trials: int) -> tuple[float, float]:
+    """Sums, over samples, of the chance v that the one-slot relative
+    path from distance l0 misses the r-disc, and of v (1 - v).
+
+    Heavy-flight model: each chunk draws all 2k flights (angles, then
+    lengths) as pairs (i, k + i), whose difference D is the step.  D's
+    direction is uniform and independent of its length, so v is the
+    miss chance given |D|, 1 - _hit_angle(|D|)/pi.  |D| <= z1 + z2, so a
+    pair with z1 + z2 < l0 - r, less a margin, adds v = 1 unmeasured.
+    Teleport model: v is the 0/1 verdict of the simulator's contact rule,
+    geometry.first_contact_np, on the segment from the start to a fresh
+    uniform-pair difference, the obstruction parked.
     """
     r = cfg.r
     reach = (l0 - r) - _REACH_MARGIN * l0
-    misses = 0
+    total = 0.0
+    spread = 0.0
     done = 0
     while done < trials:
         k = min(_MC_CHUNK, trials - done)
@@ -335,19 +350,26 @@ def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
         # the start sits at (0, l0), the obstruction disc at the origin
         if cfg.model == MODEL_LEVY:
             theta, z = sample_flight_polar(rng, cfg.alpha, 2 * k)
-            misses += k  # less the measured pairs that come within r
+            total += k  # less the hit chances of the measured pairs
             for i1, i2 in _reachable_pairs(z, k, reach):
-                t1, t2, z1, z2 = theta[i1], theta[i2], z[i1], z[i2]
-                dx = z1 * np.cos(t1) - z2 * np.cos(t2)
-                dy = z1 * np.sin(t1) - z2 * np.sin(t2)
-                s = first_contact_np(0.0, l0, dx, l0 + dy, 0.0, 0.0, 0.0, 0.0, r)
-                misses -= int(np.count_nonzero(s <= 1.0))
+                z1, z2 = z[i1], z[i2]
+                # |D| = hypot(z1 - z2, chord), with no cancellation near
+                # z1 = z2 and no product z1 * z2; each leg is clamped at l0
+                # before it is squared, which keeps every |D| below the
+                # tangent length exact and every other one above it
+                chord = 2.0 * np.sqrt(z1) * np.sqrt(z2) \
+                    * np.sin(0.5 * (theta[i1] - theta[i2]))
+                a = np.minimum(np.abs(z1 - z2), l0)
+                b = np.minimum(np.abs(chord), l0)
+                w = _hit_angle(np.sqrt(a * a + b * b), l0, r) / math.pi
+                total -= float(w.sum())
+                spread += float(np.dot(w, 1.0 - w))
         else:
             x1, y1 = uniform_points_in_disc(rng, cfg.radius, k)
             x2, y2 = uniform_points_in_disc(rng, cfg.radius, k)
             s = first_contact_np(0.0, l0, x1 - x2, y1 - y2, 0.0, 0.0, 0.0, 0.0, r)
-            misses += int(np.count_nonzero(s > 1.0))
-    return misses
+            total += int(np.count_nonzero(s > 1.0))
+    return total, spread
 
 
 def estimate_H1_mc(rng_stream: np.random.Generator, cfg: ModelConfig,
@@ -355,7 +377,8 @@ def estimate_H1_mc(rng_stream: np.random.Generator, cfg: ModelConfig,
     """MC estimate of the first-slot no-contact probability at distance l0.
 
     At l0 = 2*sqrt(n), the disc diameter, this is the no-contact
-    probability p_hat itself.
+    probability p_hat itself.  Heavy flights average the conditional
+    miss chance given the step length; teleport counts misses.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -363,8 +386,7 @@ def estimate_H1_mc(rng_stream: np.random.Generator, cfg: ModelConfig,
         raise ValueError("require 0 < r < l0")
     if l0 > 2.0 * cfg.radius * (1.0 + 1e-12):
         raise ValueError("require l0 <= 2*sqrt(n)")
-    misses = _no_contact_fraction(rng_stream, cfg, l0, trials)
-    return _binomial_estimate(misses, trials)
+    return _estimate(*_no_contact_fraction(rng_stream, cfg, l0, trials), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -460,44 +482,21 @@ def capacity_per_node(n: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # tail constants of the cosine-projected flight difference
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    # Classic recursive Simpson with Richardson correction.  The
-    # integrands used here are bounded with at worst a derivative cusp at
-    # an endpoint, so depth 60 is far beyond what the tolerance needs.
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-        right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
-                + recurse(m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
-
-    return recurse(a, fa, b, fb, m, fm, whole, tol, 60)
-
-
 def cosine_diff_tail_constants(alpha: float) -> TailConstants:
     """Tail coefficients of the Pareto flights of tail exponent alpha.
 
     c_l = I / 2 pi and c_u = (2**(1+alpha) / pi) * I where I is the
-    integral of cos**alpha over a quarter period, computed to 1e-10
-    relative accuracy.  The flights' own tail constant, P{Z > 1} = 1,
-    is the unit factor in front of each.
+    integral of cos**alpha over a quarter period, in closed form
+    sqrt(pi) Gamma((alpha+1)/2) / (2 Gamma(alpha/2 + 1)).  The flights'
+    own tail constant, P{Z > 1} = 1, is the unit factor in front of each.
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must be in (0, 2]")
-    integral = _adaptive_simpson(lambda t: math.cos(t) ** alpha,
-                                 0.0, 0.5 * math.pi, 1e-12)
+    integral = 0.5 * math.sqrt(math.pi) * math.exp(
+        math.lgamma(0.5 * (alpha + 1.0)) - math.lgamma(0.5 * alpha + 1.0))
     c_l = 1.0 / _TWO_PI * integral
     c_u = 2.0 ** (1.0 + alpha) / math.pi * integral
-    return TailConstants(c_l=c_l, c_u=c_u, cos_integral=integral)
+    return TailConstants(c_l=c_l, c_u=c_u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""Full-array Monte Carlo estimators: the references for the pruned ones.
+"""Full-array Monte Carlo estimators: the references for the package's.
 
 ``mobidelay.analytics`` sets aside heavy-flight pairs whose summed
 flight length cannot reach the obstruction, and the tail estimator of
 ``lemmas`` those that cannot reach the smallest threshold; both measure
-only the others, tile by tile.  The functions here are the
-estimators as they were before that pre-test: every pair of a chunk is
-turned into a vector and measured at once.  They consume the stream in
-the same order, so their counts must match the package's bit for bit.
+only the others, tile by tile.  The functions here turn every pair of a
+chunk into a vector and give it a 0/1 verdict, and they consume the
+stream in the same order as the package.
 
-``no_contact_misses`` has the signature of
-``analytics._no_contact_fraction`` and can stand in for it.  Its
-keyword ``anchor_rotation`` turns the obstruction about the start, which
-leaves an isotropic estimate unchanged in distribution.
+``no_contact_misses`` counts the misses that
+``analytics._no_contact_fraction`` sums as miss chances.  It is the
+exact reference under teleport, where the package counts the same 0/1
+verdicts, and the distributional reference under heavy flights, where
+the package averages each pair's miss chance given its step length: on
+the same draws the miss count and the chance sum differ by a sum of
+independent centred terms, of variance v (1 - v) each.
+``cosine_diff_hits`` must match ``lemmas`` bit for bit.  The keyword
+``anchor_rotation`` turns the obstruction about the start, which leaves
+an isotropic estimate unchanged in distribution.
 """
 
 from __future__ import annotations

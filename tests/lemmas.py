@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from mobidelay.analytics import (_MC_CHUNK, _REACH_MARGIN, Estimate,
-                                 _binomial_estimate, _check_capacity_args,
+                                 _check_capacity_args, _estimate,
                                  _occupancy_terms, _reachable_pairs)
 from mobidelay.flight import sample_flight_polar
 from mobidelay.geometry import uniform_points_in_disc
@@ -48,7 +48,7 @@ def estimate_p_out_mc(rng_stream: np.random.Generator, n: int, r: float,
         x2, y2 = uniform_points_in_disc(rng_stream, radius, k)
         hits += int(np.count_nonzero(np.hypot(x1 - x2, y1 - y2) > r))
         done += k
-    return _binomial_estimate(hits, trials)
+    return _estimate(hits, 0.0, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -192,4 +192,4 @@ def estimate_cosine_diff_tail_mc(rng_stream: np.random.Generator,
             diff = z[i1] * np.cos(th[i1]) - z[i2] * np.cos(th[i2])
             for zv in zs:
                 hits[zv] += int(np.count_nonzero(diff > zv))
-    return {zv: _binomial_estimate(h, trials) for zv, h in hits.items()}
+    return {zv: _estimate(h, 0.0, trials) for zv, h in hits.items()}

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import subprocess
 import sys
@@ -170,15 +171,35 @@ def test_bounds_writes_expected_json(tmp_path):
 
 
 def test_bounds_levy_files_match_the_full_array_estimator(tmp_path, monkeypatch):
-    # the length pre-test changes what is computed, never what is written
+    # the conditional estimates agree in distribution with the full-array
+    # counts on the same draws; every closed-form entry is written the same
     argv = ["bounds", "--model", "levy", "--alpha", "1", "--n", "10000",
             "--r", "4", "--trials", "300000", "--seed", "11", "--format", "both"]
-    assert main(argv + ["--out", str(tmp_path / "pruned")]) == EXIT_OK
-    monkeypatch.setattr(analytics, "_no_contact_fraction", full_mc.no_contact_misses)
-    assert main(argv + ["--out", str(tmp_path / "full")]) == EXIT_OK
-    for name in ("bounds.csv", "bounds.json"):
-        assert ((tmp_path / "pruned" / name).read_bytes()
-                == (tmp_path / "full" / name).read_bytes())
+    package, full = tmp_path / "package", tmp_path / "full"
+    assert main(argv + ["--out", str(package)]) == EXIT_OK
+    monkeypatch.setattr(analytics, "_no_contact_fraction",
+                        lambda *args: (full_mc.no_contact_misses(*args), 0.0))
+    assert main(argv + ["--out", str(full)]) == EXIT_OK
+    got = json.loads((package / "bounds.json").read_text())
+    want = json.loads((full / "bounds.json").read_text())
+    estimates = [("p_hat_mc", got.pop("p_hat_mc"), want.pop("p_hat_mc"))]
+    got_h1, want_h1 = got.pop("h1_mc"), want.pop("h1_mc")
+    assert list(got_h1) == list(want_h1)
+    estimates += [(l0, got_h1[l0], want_h1[l0]) for l0 in got_h1]
+    assert got == want
+    for where, est, ref in estimates:
+        assert est["trials"] == ref["trials"] == 300000
+        # on shared draws the difference has variance mean v (1 - v) / trials,
+        # which is p (1 - p) / trials less the estimate's own squared error
+        p, n = est["value"], est["trials"]
+        sigma = math.sqrt(p * (1.0 - p) / n - est["stderr"] ** 2)
+        assert 0.0 < est["stderr"] < ref["stderr"], where
+        assert abs(est["value"] - ref["value"]) < 3.0 * sigma, where
+    with open(package / "bounds.csv", newline="") as fh:
+        got_rows = [r for r in csv.DictReader(fh) if "_mc" not in r["key"]]
+    with open(full / "bounds.csv", newline="") as fh:
+        want_rows = [r for r in csv.DictReader(fh) if "_mc" not in r["key"]]
+    assert got_rows and got_rows == want_rows
 
 
 def test_validation_failure_exits_1(tmp_path, capsys):
