@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import textwrap
@@ -311,17 +312,18 @@ def _checked(ok: bool, reason: str) -> int:
 # subcommands
 
 
+def _key_rows(key: str, value) -> list[dict]:
+    """One {key, value} row per leaf; nested keys are joined with dots."""
+    if not isinstance(value, dict):
+        return [{"key": key, "value": value}]
+    return [row for k, v in value.items() for row in _key_rows(f"{key}.{k}", v)]
+
+
 def _run_bounds(config: RunConfig) -> int:
     cfg = _single_config(config)
     report = compute_bound_report(cfg, config.effective_trials)
     doc = report.to_obj()
-    rows = []
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            rows.extend({"key": f"{key}.{k}", "value": v}
-                        for k, v in value.items())
-        else:
-            rows.append({"key": key, "value": value})
+    rows = [row for key, value in doc.items() for row in _key_rows(key, value)]
     written = _emit(config, "bounds", rows, summary=doc)
     print(f"bounds: n={cfg.n} r={cfg.r:g} model={cfg.model} -> "
           + ", ".join(written))
@@ -335,8 +337,9 @@ def _run_meet(config: RunConfig) -> int:
     print(f"meet: {len(rows)} rows -> " + ", ".join(written))
     if not config.check:
         return EXIT_OK
-    bad = [row for row in rows
-           if row["ccdf"] > row["bound"] + 3.0 * row["stderr"]]
+    # the score test: the bound's binomial sigma, positive at a sample of 0 or 1
+    bad = [row for row in rows if row["ccdf"] - row["bound"]
+           > 3.0 * math.sqrt(row["bound"] * (1.0 - row["bound"]) / row["trials"])]
     return _checked(not bad,
                     f"{len(bad)} rows exceed the geometric bound + 3 sigma")
 

@@ -243,7 +243,7 @@ def run_ccdf_sweep(configs: Sequence[ModelConfig], trials: int,
             raise ValueError("horizon must exceed tau_max")
         p_out_up = p_out_bounds(cfg.n, cfg.r)[1]
         p_hat_up = p_hat_bounds(cfg)[1]
-        _, tm, _ = pair_meeting_times(cfg, trials, workers=workers)
+        _, tm = pair_meeting_times(cfg, trials, workers=workers)
         censored = float(np.mean(np.isinf(tm)))
         for tau in range(tau_max + 1):
             p, se = _ccdf_point(tm, tau)
@@ -390,7 +390,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         s = format_real(float(v))
         return "" if s == "null" else s
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def write_rows_csv(path: str, rows: Sequence[dict]) -> None:

@@ -50,7 +50,9 @@ by slot, one draw for every node of the block's still-live trials,
 carriers first and then destinations, each in trial order: a uniform
 point per node under teleport, a Pareto flight of the config's alpha
 per node under heavy-flight, both in polar form (all angles, then all
-radii or lengths).  Pair meeting draws no neighbour counts or lens
+radii or lengths).  A trial is live until the slot in which a carrier
+first comes within r of its destination, or the horizon; it draws
+nothing after that slot.  Pair meeting draws no neighbour counts or lens
 carriers, so its streams are those of version 2, which placed all n
 nodes of a relay trial instead; version 1 consumed the stream one trial
 at a time.
@@ -60,6 +62,8 @@ loop: each block still draws from its own stream as above, and
 everything after the draws (the map to Cartesian steps, the contact
 engine, the live bookkeeping) is elementwise over the group's pairs.
 So neither the grouping nor the worker count changes a result.
+``tests/replay.py`` replays this contract trial by trial, with an
+explicit-wrap walk in place of the closed forms above.
 """
 
 from __future__ import annotations
@@ -507,16 +511,14 @@ def _contact_group(args):
     with m nodes from the block's own stream: for m = 2 the source is the
     only carrier.  On every slot each block with live trials draws for
     its carriers, then its destinations; the group then runs one contact
-    pass over all its pairs.  Returns (l0, neighbor_count, t_meet,
-    t_slotted) arrays over the group's trials in block order: the
-    source-destination distance, the nodes within r of the source
-    (itself included), the first instant a carrier is within r of the
-    destination, and the first slot end at which one is.  Both times are
-    0 when the destination starts in range and inf when censored.
-    Otherwise t_slotted is only tracked when slotted is set, and then a
-    trial runs until both fire.
+    pass over all its pairs, and a trial leaves the loop at the slot it
+    meets.  Returns (l0, neighbor_count, t_meet) arrays over the group's
+    trials in block order: the source-destination distance, the nodes
+    within r of the source (itself included), and the first instant a
+    carrier is within r of the destination, 0 when the destination starts
+    in range and inf when censored.
     """
-    master_seed, salt, first, counts, cfg, m, slotted = args
+    master_seed, salt, first, counts, cfg, m = args
     rngs = [trial_stream(master_seed, salt, first + b) for b in range(len(counts))]
     R = cfg.radius
     r = cfg.r
@@ -530,7 +532,6 @@ def _contact_group(args):
     cpos += np.repeat(np.cumsum(n_live) - n_live, n_car)
     blocks = [b for b in zip(rngs, n_live, n_car) if b[1]]
     t_meet = np.where(l0 > r, np.inf, 0.0)
-    t_slot = t_meet.copy()
     levy = cfg.model == MODEL_LEVY
     # a Pareto flight, or a relocation uniform over the disc
     draw, param = (sample_flight_polar, cfg.alpha) if levy else (uniform_disc_polar, R)
@@ -571,17 +572,10 @@ def _contact_group(args):
             j = cpos[i]
             hits[i], ex[i], ey[i], fx[j], fy[j] = _pair_slot_contacts(
                 cx[i], cy[i], sx[i], sy[i], qx[j], qy[j], sx[nc + j], sy[nc + j], R, r)
-        tm = t_meet[live]
-        tm = np.where(np.isinf(tm), (k - 1) + _per_trial_min(hits, cpos, live.size), tm)
+        # every live trial is unmet: it leaves the loop at the slot it meets
+        tm = (k - 1) + _per_trial_min(hits, cpos, live.size)
         t_meet[live] = tm
-        done = np.isfinite(tm)
-        if slotted:
-            ts = t_slot[live]
-            gap = _per_trial_min(np.hypot(ex - fx[cpos], ey - fy[cpos]), cpos, live.size)
-            ts[np.isinf(ts) & (gap <= r)] = k
-            t_slot[live] = ts
-            done &= np.isfinite(ts)
-        keep = ~done
+        keep = np.isinf(tm)
         kept = keep[cpos]
         live = live[keep]
         qx = fx[keep]
@@ -597,10 +591,10 @@ def _contact_group(args):
             n_live = np.add.reduceat(keep, np.cumsum(n_live) - n_live, dtype=np.int64)
             n_car = np.add.reduceat(kept, np.cumsum(n_car) - n_car, dtype=np.int64)
             blocks = [b for b in zip(streams, n_live.tolist(), n_car.tolist()) if b[1]]
-    return l0, ncount, t_meet, t_slot
+    return l0, ncount, t_meet
 
 
-def _run_sharded(cfg, trials, salt, workers, m, slotted):
+def _run_sharded(cfg, trials, salt, workers, m):
     """_contact_group over contiguous groups of fixed blocks, columns concatenated.
 
     A group holds as many blocks as keep about _GROUP_NODES nodes in
@@ -617,7 +611,7 @@ def _run_sharded(cfg, trials, salt, workers, m, slotted):
     groups = max(-(-blocks // cap), min(workers, blocks))
     cuts = [blocks * g // groups for g in range(groups + 1)]
     tasks = [(cfg.master_seed, salt, lo,
-              [min(_BLOCK, trials - b * _BLOCK) for b in range(lo, hi)], cfg, m, slotted)
+              [min(_BLOCK, trials - b * _BLOCK) for b in range(lo, hi)], cfg, m)
              for lo, hi in zip(cuts, cuts[1:])]
     if workers <= 1 or groups == 1:
         parts = [_contact_group(t) for t in tasks]
@@ -631,19 +625,19 @@ def _run_sharded(cfg, trials, salt, workers, m, slotted):
 
 
 def pair_meeting_times(cfg: ModelConfig, trials: int, salt: int = SALT_MEET,
-                       workers: int = 1, slotted: bool = False):
+                       workers: int = 1):
     """Batch pair-meeting trials: the one-carrier case of scheme_delays.
 
-    Returns (l0, t_meet, t_slotted) float arrays; censored entries are inf.
-    Trials are sharded into fixed blocks with per-block streams, so the
-    result does not depend on the worker count.
+    Returns (l0, t_meet) float arrays; censored entries are inf.  Trials
+    are sharded into fixed blocks with per-block streams, so the result
+    does not depend on the worker count.
     """
-    l0, _, tm, ts = _run_sharded(cfg, trials, salt, workers, 2, slotted)
-    return l0, tm, ts
+    l0, _, tm = _run_sharded(cfg, trials, salt, workers, 2)
+    return l0, tm
 
 
 def scheme_delays(cfg: ModelConfig, trials: int, salt: int = SALT_DELAY,
                   workers: int = 1):
     """Batch relay-scheme delay trials; returns (neighbor_counts, dest0, delays)."""
-    l0, nc, dl, _ = _run_sharded(cfg, trials, salt, workers, cfg.n, False)
+    l0, nc, dl = _run_sharded(cfg, trials, salt, workers, cfg.n)
     return nc, l0 <= cfg.r, dl

@@ -45,11 +45,13 @@ from mobidelay.world import (
     DEFAULT_SEED,
     MODEL_IID,
     MODEL_LEVY,
+    SALT_MEET,
     ModelConfig,
     pair_meeting_times,
     scheme_delays,
     trial_stream,
 )
+from replay import replay
 
 SALT_ACC = 900  # acceptance-only stream family, disjoint from library salts
 
@@ -112,7 +114,7 @@ def test_criterion_04_expected_ceil_meeting_bound():
     n, r = 400, 4.0
     cfg = ModelConfig(n=n, r=r, model=MODEL_IID, horizon_slots=2000,
                       master_seed=DEFAULT_SEED)
-    _, tm, _ = pair_meeting_times(cfg, 10**5)
+    _, tm = pair_meeting_times(cfg, 10**5)
     censored = float(np.mean(np.isinf(tm)))
     assert censored < 0.01, f"censored fraction {censored}"
     ceil_t = np.ceil(tm[np.isfinite(tm)])
@@ -264,7 +266,9 @@ def test_criterion_11_property_suites(tmp_path):
         want = q ** m / (1.0 - p ** m)
         assert abs(got - want) <= 1e-12 * want
 
-    # slot-boundary contact can only be later than continuous contact
+    # slot-boundary contact can only be later than continuous contact:
+    # the replay reads the slot ends of the slots each trial ran, and its
+    # continuous times are the engine's on the same trials
     for cfg in (
         ModelConfig(n=100, r=2.0, model=MODEL_IID, horizon_slots=200,
                     master_seed=DEFAULT_SEED),
@@ -272,10 +276,14 @@ def test_criterion_11_property_suites(tmp_path):
                     alpha=1.5,
                     horizon_slots=150, master_seed=DEFAULT_SEED),
     ):
-        _, tm, ts = pair_meeting_times(cfg, 10**4, slotted=True)
+        _, _, tm, ts = replay(cfg, 10**4, SALT_MEET)
         assert not np.any(np.isinf(tm) & np.isfinite(ts))
         both = np.isfinite(tm) & np.isfinite(ts)
         assert np.all(ts[both] >= tm[both])
+        _, engine = pair_meeting_times(cfg, 10**4)
+        fin = np.isfinite(engine)
+        assert np.array_equal(np.isfinite(tm), fin)
+        assert np.all(np.abs(tm[fin] - engine[fin]) <= 1e-9)
 
     # byte-identical replay, worker-count invariance
     configs = grid_configs((64,), beta=0.0, model=MODEL_IID,

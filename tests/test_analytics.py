@@ -507,7 +507,7 @@ def test_u_bar_empirical_dominated_by_closed_form():
     # empirical meeting-time CCDF summed per the definition stays under
     # the closed form at the dominating (p_hat, p_out) pair
     cfg = ModelConfig(n=100, r=2.0, model="iid", horizon_slots=400, master_seed=21)
-    _, tm, _ = pair_meeting_times(cfg, 20_000)
+    _, tm = pair_meeting_times(cfg, 20_000)
     taus = np.arange(0, 400)
     ccdf = (tm[None, :] > taus[:, None]).mean(axis=1)
     p_hat_up = p_hat_bounds_iid(100, 2.0)[1]

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import full_mc
-from mobidelay import analytics
+from mobidelay import analytics, cli
 from mobidelay.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -202,6 +202,31 @@ def test_bounds_levy_files_match_the_full_array_estimator(tmp_path, monkeypatch)
     assert got_rows and got_rows == want_rows
 
 
+@pytest.mark.parametrize("model", [["--model", "iid"], ["--model", "levy", "--alpha", "1"]],
+                         ids=["iid", "levy"])
+@pytest.mark.parametrize("trials", ["0", "1000"])
+def test_bounds_csv_cells_are_numbers(tmp_path, model, trials):
+    # every value cell but the note is a real, an integer, a boolean or
+    # empty (a missing estimate); nested estimates are one row per field
+    out = tmp_path / "o"
+    assert main(["bounds", *model, "--n", "10000", "--r", "4", "--trials", trials,
+                 "--format", "csv", "--out", str(out)]) == EXIT_OK
+    with open(out / "bounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        cell = row["value"]
+        if row["key"] == "n_th_note" or cell in ("", "true", "false"):
+            continue
+        float(cell)
+    keys = [row["key"] for row in rows]
+    assert "n_th_note" in keys
+    h1 = [k for k in keys if k.startswith("h1_mc")]
+    if trials == "0":
+        assert h1 == ["h1_mc"] and ["p_hat_mc"] == [k for k in keys if k.startswith("p_hat_mc")]
+    else:
+        assert len(h1) == 9 and {k.rsplit(".", 1)[1] for k in h1} == {"value", "stderr", "trials"}
+
+
 def test_validation_failure_exits_1(tmp_path, capsys):
     code = main(["bounds", "--n", "100", "--r", "50",
                  "--out", str(tmp_path / "o")])
@@ -269,6 +294,32 @@ def test_meet_check_and_determinism(tmp_path):
     assert main(base + ["--format", "both", "--out", str(b)]) == EXIT_OK
     assert (a / "meet.json").read_bytes() == (b / "meet.json").read_bytes()
     assert (a / "meet.csv").read_bytes() == (b / "meet.csv").read_bytes()
+
+
+def test_meet_check_passes_a_sample_at_one(tmp_path):
+    # at tau = 0 every trial starts out of range: the CCDF is exactly 1,
+    # above the bound 1 - r^2/(3n), but by far less than its binomial error
+    code = main(["meet", "--n", "1000000", "--r", "1", "--trials", "2000",
+                 "--horizon", "40", "--check", "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("score_sigmas,want", [(3.01, EXIT_CHECK), (2.99, EXIT_OK)])
+def test_meet_check_fails_a_row_three_score_sigmas_over(tmp_path, monkeypatch,
+                                                        score_sigmas, want):
+    sweep = cli.run_ccdf_sweep
+
+    def pushed(*args, **kwargs):
+        rows = sweep(*args, **kwargs)
+        row = rows[3]
+        bound = row["bound"]
+        row["ccdf"] = bound + score_sigmas * math.sqrt(bound * (1.0 - bound) / row["trials"])
+        return rows
+
+    monkeypatch.setattr(cli, "run_ccdf_sweep", pushed)
+    code = main(["meet", "--n", "400", "--r", "4", "--trials", "2000",
+                 "--horizon", "40", "--check", "--out", str(tmp_path / "o")])
+    assert code == want
 
 
 def test_dominance_run(tmp_path):

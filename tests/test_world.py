@@ -27,6 +27,7 @@ from mobidelay.world import (
     trial_stream,
 )
 from oracle import segment_point_dist_np
+from replay import replay
 from slot_path import SlotPath
 
 RNG = lambda seed: np.random.default_rng(seed)
@@ -531,15 +532,15 @@ def test_contacts_on_slow_chords_before_the_fast_wrap_match_oracle():
 def test_meeting_time_zero_iff_initially_in_range():
     # r = diameter
     cfg = ModelConfig(n=100, r=20.0, horizon_slots=5, master_seed=105)
-    l0, tm, _ = pair_meeting_times(cfg, 200)
+    l0, tm = pair_meeting_times(cfg, 200)
     assert np.all(l0 <= cfg.r)
     assert np.all(tm == 0.0)
 
 
 def test_meeting_sample_consistency():
     cfg = ModelConfig(n=100, r=2.0, horizon_slots=20, master_seed=106)
-    l0, tm, ts = pair_meeting_times(cfg, 300)
-    assert l0.shape == tm.shape == ts.shape == (300,)
+    l0, tm = pair_meeting_times(cfg, 300)
+    assert l0.shape == tm.shape == (300,)
     # met at t=0 exactly when the pair starts in range
     assert np.array_equal(tm == 0.0, l0 <= cfg.r)
     censored = np.isinf(tm)
@@ -549,15 +550,13 @@ def test_meeting_sample_consistency():
     assert met.any()
     assert np.all(tm[met] <= cfg.horizon_slots)
     assert np.all(l0[met] > cfg.r)
-    # without the slotted detector the slotted column stays censored
-    assert np.all(np.isinf(ts[tm > 0.0]))
 
 
 def test_initial_miss_fraction_within_outage_sandwich():
     # fraction of trials with T > 0 must sit between the area bounds
     # 1 - r^2/n and 1 - r^2/(3n) up to MC error
     cfg = ModelConfig(n=100, r=3.0, horizon_slots=1)
-    _, tm, _ = pair_meeting_times(cfg, 10**6, salt=201)
+    _, tm = pair_meeting_times(cfg, 10**6, salt=201)
     miss = float(np.mean(tm > 0.0))
     lo = 1.0 - 9.0 / 100.0
     hi = 1.0 - 9.0 / 300.0
@@ -570,7 +569,7 @@ def test_iid_ccdf_below_geometric_bound_light():
     # stay below (phat upper)^tau * (po upper) + 3 sigma
     n, r = 400, 4.0
     cfg = ModelConfig(n=n, r=r, horizon_slots=200)
-    _, tm, _ = pair_meeting_times(cfg, 10_000, salt=202)
+    _, tm = pair_meeting_times(cfg, 10_000, salt=202)
     po_up = 1.0 - r * r / (3.0 * n)
     phat_up = 1.0 - math.asin(r / (2.0 * math.sqrt(n))) / math.pi
     m = tm.size
@@ -586,7 +585,7 @@ def test_expected_ceiling_meeting_time_bound():
     # the per-slot probability at its model upper bound
     n, r = 400, 4.0
     cfg = ModelConfig(n=n, r=r, horizon_slots=1000)
-    _, tm, _ = pair_meeting_times(cfg, 8000, salt=203)
+    _, tm = pair_meeting_times(cfg, 8000, salt=203)
     assert float(np.mean(np.isinf(tm))) < 0.01
     ceil_t = np.where(np.isinf(tm), cfg.horizon_slots, np.ceil(tm))
     po_up = 1.0 - r * r / (3.0 * n)
@@ -596,22 +595,35 @@ def test_expected_ceiling_meeting_time_bound():
     assert ceil_t.mean() <= bound + 3.0 * se
 
 
+def _slot_ends(cfg, trials, salt):
+    # continuous and slot-end contacts from the replay, whose continuous
+    # times are the engine's on the same trials
+    _, _, tm, ts = replay(cfg, trials, salt)
+    _, engine = pair_meeting_times(cfg, trials, salt=salt)
+    fin = np.isfinite(engine)
+    assert np.array_equal(np.isfinite(tm), fin)
+    np.testing.assert_allclose(tm[fin], engine[fin], rtol=0, atol=1e-9)
+    return tm, ts
+
+
 def test_slotted_detection_never_earlier_than_continuous():
+    # a trial runs up to its meeting slot, so a slot-end contact before
+    # t_meet, or of a censored trial, would break the order
     cfg = ModelConfig(n=100, r=2.0, horizon_slots=300)
-    _, tm, ts = pair_meeting_times(cfg, 2000, salt=204, slotted=True)
+    tm, ts = _slot_ends(cfg, 2000, 204)
     finite = np.isfinite(tm)
     assert np.all(tm[finite] <= ts[finite] + 1e-12)
     # slotted hit implies a continuous hit no later than that slot
     assert not np.any(np.isinf(tm) & np.isfinite(ts))
 
     cfg2 = ModelConfig(n=100, r=2.0, model="levy", alpha=1.0, horizon_slots=300)
-    _, tm2, ts2 = pair_meeting_times(cfg2, 2000, salt=205, slotted=True)
+    tm2, ts2 = _slot_ends(cfg2, 2000, 205)
     fin2 = np.isfinite(tm2)
     assert np.all(tm2[fin2] <= ts2[fin2] + 1e-12)
     assert not np.any(np.isinf(tm2) & np.isfinite(ts2))
     # heavy-tailed motion gives strictly more mid-slot contacts: on most
-    # trials the continuous contact falls in an earlier slot than the
-    # first slot-end contact (never so for the slotted times themselves)
+    # trials the meeting slot ends out of range, so ts2 is inf there (the
+    # share would be 0 with the slotted times in place of tm2)
     assert np.mean(np.ceil(tm2) < ts2) > 0.5
 
 
@@ -723,9 +735,9 @@ def test_relay_layout_matches_explicit_placement(monkeypatch, cfg):
 def test_pair_streams_match_explicit_placement(monkeypatch, cfg):
     # pair meeting places its two nodes as explicit placement always did,
     # so its times are the explicit reference's bit for bit
-    want = pair_meeting_times(cfg, 1500, salt=322, slotted=True)
+    want = pair_meeting_times(cfg, 1500, salt=322)
     monkeypatch.setattr(world, "_place_trials", placement.place_all)
-    got = pair_meeting_times(cfg, 1500, salt=322, slotted=True)
+    got = pair_meeting_times(cfg, 1500, salt=322)
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
 
@@ -810,7 +822,7 @@ def test_lone_source_delay_matches_pair_meeting():
     nc, d0, dl = scheme_delays(cfg, 4000, salt=301)
     lone = (~d0) & (nc == 1) & np.isfinite(dl)
     assert lone.sum() > 500
-    _, tm, _ = pair_meeting_times(cfg, 4000, salt=302)
+    _, tm = pair_meeting_times(cfg, 4000, salt=302)
     pair = tm[(tm > 0.0) & np.isfinite(tm)]
     res = stats.ks_2samp(dl[lone], pair)
     assert res.pvalue > 0.01
@@ -860,7 +872,7 @@ def test_mean_delay_below_empirical_ccdf_chain():
     # 1 + P_o + P_o * E[Ubar(B+1)] built from the pair run's own CCDF
     n = 1000
     cfg = ModelConfig(n=n, r=1.0, horizon_slots=1500)
-    _, tm, _ = pair_meeting_times(cfg, 10_000, salt=303)
+    _, tm = pair_meeting_times(cfg, 10_000, salt=303)
     assert float(np.mean(np.isinf(tm))) < 0.01
     positive = tm[tm > 0.0]
     po = positive.size / tm.size
@@ -956,35 +968,25 @@ def test_single_block_runs_without_a_pool(monkeypatch):
         assert np.array_equal(w, g)
 
 
-def _pair(cfg, trials, salt, slotted, workers):
-    return pair_meeting_times(cfg, trials, salt=salt, workers=workers, slotted=slotted)
-
-
-def _relay(cfg, trials, salt, slotted, workers):
-    return scheme_delays(cfg, trials, salt=salt, workers=workers)
-
-
-@pytest.mark.parametrize("run,cfg,slotted", [
-    (_pair, ModelConfig(n=400, r=4.0), True),
-    (_pair, ModelConfig(n=400, r=4.0), False),
+@pytest.mark.parametrize("run,cfg", [
+    (pair_meeting_times, ModelConfig(n=400, r=4.0)),
     # most slots have pairs that wrap, many of them thousands of times
-    (_pair, ModelConfig(n=400, r=4.0, model="levy", alpha=0.5,
-                        horizon_slots=20), True),
-    (_relay, ModelConfig(n=2, r=0.3, horizon_slots=60), False),
-    (_relay, ModelConfig(n=50_000, r=2.0, horizon_slots=50), False),
-    (_relay, ModelConfig(n=60, r=1.5, model="levy", alpha=0.8,
-                         horizon_slots=20), False),
-], ids=["iid-slotted", "iid", "pareto-0.5-periodic", "relay-2", "relay-50000",
-        "relay-levy"])
-def test_grouping_and_workers_never_change_a_result(monkeypatch, run, cfg, slotted):
+    (pair_meeting_times, ModelConfig(n=400, r=4.0, model="levy", alpha=0.5,
+                                     horizon_slots=20)),
+    (scheme_delays, ModelConfig(n=2, r=0.3, horizon_slots=60)),
+    (scheme_delays, ModelConfig(n=50_000, r=2.0, horizon_slots=50)),
+    (scheme_delays, ModelConfig(n=60, r=1.5, model="levy", alpha=0.8,
+                                horizon_slots=20)),
+], ids=["iid", "pareto-0.5-periodic", "relay-2", "relay-50000", "relay-levy"])
+def test_grouping_and_workers_never_change_a_result(monkeypatch, run, cfg):
     # three blocks, the last one short: one block per group must give the
     # default groups' arrays bit for bit, whatever the worker count
     trials = 2 * world._BLOCK + 300
     with monkeypatch.context() as m:
         m.setattr(world, "_GROUP_NODES", 1)
-        want = run(cfg, trials, 330, slotted, 1)
+        want = run(cfg, trials, salt=330, workers=1)
     for workers in (1, 2, 3):
-        got = run(cfg, trials, 330, slotted, workers)
+        got = run(cfg, trials, salt=330, workers=workers)
         for w, g in zip(want, got):
             assert np.array_equal(w, g)
 
@@ -995,9 +997,9 @@ def test_blocks_of_a_group_may_finish_at_different_slots(monkeypatch):
     # (this salt's one-trial last block starts in range)
     cfg = ModelConfig(n=36, r=2.5, horizon_slots=200)
     trials = 3 * world._BLOCK + 1
-    want = pair_meeting_times(cfg, trials, salt=333, slotted=True)
+    want = pair_meeting_times(cfg, trials, salt=333)
     monkeypatch.setattr(world, "_GROUP_NODES", 1)
-    got = pair_meeting_times(cfg, trials, salt=333, slotted=True)
+    got = pair_meeting_times(cfg, trials, salt=333)
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
     tm = want[1]
@@ -1015,7 +1017,7 @@ def test_groups_hold_blocks_by_nodes_in_flight(monkeypatch):
         _, _, first, counts, *_ = args
         tasks.append((first, counts))
         zeros = np.zeros(sum(counts))
-        return zeros, zeros, zeros, zeros
+        return zeros, zeros, zeros
 
     monkeypatch.setattr(world, "_contact_group", record)
     cfg = ModelConfig(n=10**6, r=math.sqrt(1000.0), horizon_slots=10)
@@ -1051,7 +1053,7 @@ def test_union_walk_matches_periodic_search_over_whole_runs(monkeypatch, alpha):
     runs = []
     for contacts in (_walked_slot_contacts, _pair_slot_contacts):
         monkeypatch.setattr(world, "_pair_slot_contacts", contacts)
-        _, tm, _ = pair_meeting_times(cfg, 1100, salt=312)
+        _, tm = pair_meeting_times(cfg, 1100, salt=312)
         _, _, dl = scheme_delays(cfg, 1100, salt=313)
         runs.append((tm, dl))
     for walked, searched in zip(*runs):
@@ -1072,7 +1074,7 @@ def test_union_walk_matches_periodic_search_over_whole_runs(monkeypatch, alpha):
 def test_two_node_delay_is_pair_meeting(cfg):
     # with n = 2 the source is the only carrier: one engine, one stream,
     # so the relay delays are the pair meeting times bit for bit
-    _, tm, _ = pair_meeting_times(cfg, 1500, salt=307)
+    _, tm = pair_meeting_times(cfg, 1500, salt=307)
     _, _, dl = scheme_delays(cfg, 1500, salt=307)
     assert np.array_equal(dl, tm)
     assert np.any(tm > 0.0) and np.any(tm == 0.0)
