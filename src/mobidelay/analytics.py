@@ -25,9 +25,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .flight import sample_flight_polar
+from .flight import sample_flight_angles, sample_flight_lengths
 from .geometry import first_contact_np, uniform_points_in_disc
-from .world import MODEL_IID, MODEL_LEVY, SALT_MC, ModelConfig, trial_stream
+from .world import MODEL_IID, MODEL_LEVY, SALT_MC, ModelConfig, _stream_cursor, trial_stream
 
 __all__ = [
     "Estimate",
@@ -57,9 +57,12 @@ _GAMMA = 0.1
 # copy counts m of the reported minimum-of-m bounds
 _U_BAR_MS = range(1, 11)
 
+# The Monte Carlo estimators lay their streams out in chunks of this many
+# samples, each a few blocks of one draw per sample; it fixes the stream
+# layout only.
 _MC_CHUNK = 1 << 20
-# Heavy-flight estimators evaluate a chunk of pairs in tiles of this many,
-# which keeps their temporaries small.
+# The no-contact estimator reads and evaluates a chunk in tiles of this
+# many samples, which bounds its memory.
 _MC_TILE = 1 << 15
 # A pair of flights of lengths z1, z2 moves its difference by at most
 # z1 + z2.  The length pre-test sets aside pairs that fall short of a
@@ -294,21 +297,12 @@ def p_hat_bounds(cfg: ModelConfig) -> tuple[float, float, str]:
     return min(max(lower, 0.0), 1.0), min(max(upper, 0.0), 1.0), note
 
 
-def _reachable_pairs(z: np.ndarray, k: int, reach: float):
-    """Index the pairs (i, k + i) of a 2k-array of flight lengths whose
-    summed length is at least reach, one tile of _MC_TILE pairs at a time.
-
-    Yields (first, second), indexers into the 2k-arrays; slices where
-    every pair of the tile qualifies, so that case copies nothing.
-    """
-    for s in range(0, k, _MC_TILE):
-        e = min(s + _MC_TILE, k)
-        keep = z[s:e] + z[k + s:k + e] >= reach
-        if keep.all():
-            yield slice(s, e), slice(k + s, k + e)
-        else:
-            i = np.flatnonzero(keep) + s
-            yield i, i + k
+def _reachable(z1: np.ndarray, z2: np.ndarray, reach: float):
+    """Indexer of the pairs of flight lengths (z1, z2) whose sum is at
+    least reach: a slice of all of them when every pair qualifies, which
+    copies nothing, otherwise their indices."""
+    keep = z1 + z2 >= reach
+    return slice(None) if keep.all() else np.flatnonzero(keep)
 
 
 def _hit_angle(length: np.ndarray, l0: float, r: float) -> np.ndarray:
@@ -325,50 +319,65 @@ def _hit_angle(length: np.ndarray, l0: float, r: float) -> np.ndarray:
     return phi
 
 
+def _flight_hit_chances(cursors, cfg: ModelConfig, l0: float, size: int) -> np.ndarray:
+    """Hit chances w of the next size heavy-flight pairs whose summed
+    length can reach the r-disc from distance l0; the others have w = 0.
+
+    The cursors read the first and second flights' angles, then their
+    lengths.  D's direction is uniform and independent of its length, so
+    w is the hit chance given |D|, _hit_angle(|D|)/pi, and |D| <= z1 + z2.
+    """
+    th1, th2 = (sample_flight_angles(c, size) for c in cursors[:2])
+    z1, z2 = (sample_flight_lengths(c, cfg.alpha, size) for c in cursors[2:])
+    i = _reachable(z1, z2, (l0 - cfg.r) - _REACH_MARGIN * l0)
+    z1, z2 = z1[i], z2[i]
+    # |D| = hypot(z1 - z2, chord), with no cancellation near z1 = z2 and
+    # no product z1 * z2; each leg is clamped at l0 before it is squared,
+    # which keeps every |D| below the tangent length exact and every
+    # other one above it
+    chord = 2.0 * np.sqrt(z1) * np.sqrt(z2) * np.sin(0.5 * (th1[i] - th2[i]))
+    a = np.minimum(np.abs(z1 - z2), l0)
+    b = np.minimum(np.abs(chord), l0)
+    return _hit_angle(np.sqrt(a * a + b * b), l0, cfg.r) / math.pi
+
+
+def _teleport_hits(cursors, cfg: ModelConfig, l0: float, size: int) -> np.ndarray:
+    """0/1 hits of the next size teleport samples: the simulator's contact
+    rule on the segment from the start to a fresh uniform-pair difference,
+    the obstruction parked.  The cursors read the first point's angles and
+    radii, then the second's."""
+    x1, y1 = uniform_points_in_disc(cursors[0], cfg.radius, size, cursors[1])
+    x2, y2 = uniform_points_in_disc(cursors[2], cfg.radius, size, cursors[3])
+    s = first_contact_np(0.0, l0, x1 - x2, y1 - y2, 0.0, 0.0, 0.0, 0.0, cfg.r)
+    return (s <= 1.0).astype(float)
+
+
 def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
                          l0: float, trials: int) -> tuple[float, float]:
     """Sums, over samples, of the chance v that the one-slot relative
     path from distance l0 misses the r-disc, and of v (1 - v).
 
-    Heavy-flight model: each chunk draws all 2k flights (angles, then
-    lengths) as pairs (i, k + i), whose difference D is the step.  D's
-    direction is uniform and independent of its length, so v is the
-    miss chance given |D|, 1 - _hit_angle(|D|)/pi.  |D| <= z1 + z2, so a
-    pair with z1 + z2 < l0 - r, less a margin, adds v = 1 unmeasured.
-    Teleport model: v is the 0/1 verdict of the simulator's contact rule,
-    geometry.first_contact_np, on the segment from the start to a fresh
-    uniform-pair difference, the obstruction parked.
+    The start sits at (0, l0), the obstruction disc at the origin.  Each
+    chunk of k samples takes 4k draws of rng in four blocks of k, one
+    draw per sample each (_flight_hit_chances and _teleport_hits say
+    which).  A cursor per block reads them side by side, one tile at a
+    time, and rng then moves past the chunk: the values are those of
+    drawing the whole chunk, in O(_MC_TILE) memory.
     """
-    r = cfg.r
-    reach = (l0 - r) - _REACH_MARGIN * l0
+    hit_chances = _flight_hit_chances if cfg.model == MODEL_LEVY else _teleport_hits
     total = 0.0
     spread = 0.0
     done = 0
     while done < trials:
         k = min(_MC_CHUNK, trials - done)
         done += k
-        # the start sits at (0, l0), the obstruction disc at the origin
-        if cfg.model == MODEL_LEVY:
-            theta, z = sample_flight_polar(rng, cfg.alpha, 2 * k)
-            total += k  # less the hit chances of the measured pairs
-            for i1, i2 in _reachable_pairs(z, k, reach):
-                z1, z2 = z[i1], z[i2]
-                # |D| = hypot(z1 - z2, chord), with no cancellation near
-                # z1 = z2 and no product z1 * z2; each leg is clamped at l0
-                # before it is squared, which keeps every |D| below the
-                # tangent length exact and every other one above it
-                chord = 2.0 * np.sqrt(z1) * np.sqrt(z2) \
-                    * np.sin(0.5 * (theta[i1] - theta[i2]))
-                a = np.minimum(np.abs(z1 - z2), l0)
-                b = np.minimum(np.abs(chord), l0)
-                w = _hit_angle(np.sqrt(a * a + b * b), l0, r) / math.pi
-                total -= float(w.sum())
-                spread += float(np.dot(w, 1.0 - w))
-        else:
-            x1, y1 = uniform_points_in_disc(rng, cfg.radius, k)
-            x2, y2 = uniform_points_in_disc(rng, cfg.radius, k)
-            s = first_contact_np(0.0, l0, x1 - x2, y1 - y2, 0.0, 0.0, 0.0, 0.0, r)
-            total += int(np.count_nonzero(s > 1.0))
+        cursors = [_stream_cursor(rng, b * k) for b in range(4)]
+        rng.bit_generator.advance(4 * k)
+        total += k  # less the hit chances
+        for s in range(0, k, _MC_TILE):
+            w = hit_chances(cursors, cfg, l0, min(_MC_TILE, k - s))
+            total -= float(w.sum())
+            spread += float(np.dot(w, 1.0 - w))
     return total, spread
 
 

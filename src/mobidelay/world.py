@@ -188,6 +188,18 @@ def trial_stream(master_seed: int, salt: int, index: int) -> np.random.Generator
         np.random.SeedSequence((int(master_seed), int(salt), int(index)))))
 
 
+def _stream_cursor(rng: np.random.Generator, steps: int) -> np.random.Generator:
+    """A copy of a PCG64 stream moved steps 64-bit draws ahead; rng stays put.
+
+    One float64 rng.random consumes one step, so the cursor reads what
+    rng would from that offset.  The copy is seeded, then overwritten,
+    which never draws OS entropy.
+    """
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits.advance(steps))
+
+
 # ---------------------------------------------------------------------------
 # slot paths and the exact contact engine
 
@@ -569,9 +581,10 @@ def _contact_group(args):
             # pairs where either end leaves the disc take the wrap-aware
             # engine, which also gives the wrapped end positions
             i = np.flatnonzero((ex * ex + ey * ey > R * R) | (fx * fx + fy * fy > R * R)[cpos])
-            j = cpos[i]
-            hits[i], ex[i], ey[i], fx[j], fy[j] = _pair_slot_contacts(
-                cx[i], cy[i], sx[i], sy[i], qx[j], qy[j], sx[nc + j], sy[nc + j], R, r)
+            if i.size:
+                j = cpos[i]
+                hits[i], ex[i], ey[i], fx[j], fy[j] = _pair_slot_contacts(
+                    cx[i], cy[i], sx[i], sy[i], qx[j], qy[j], sx[nc + j], sy[nc + j], R, r)
         # every live trial is unmet: it leaves the loop at the slot it meets
         tm = (k - 1) + _per_trial_min(hits, cpos, live.size)
         t_meet[live] = tm

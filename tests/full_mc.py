@@ -14,7 +14,11 @@ verdicts, and the distributional reference under heavy flights, where
 the package averages each pair's miss chance given its step length: on
 the same draws the miss count and the chance sum differ by a sum of
 independent centred terms, of variance v (1 - v) each.
-``cosine_diff_hits`` must match ``lemmas`` bit for bit.  The keyword
+``cosine_diff_hits`` must match ``lemmas`` bit for bit.
+``whole_chunk_fraction`` is the package's estimator as it was written
+before it read its stream through cursors: it draws each chunk as whole
+arrays, then evaluates it tile by tile, and the package must match it
+bit for bit, stream position included.  The keyword
 ``anchor_rotation`` turns the obstruction about the start, which leaves
 an isotropic estimate unchanged in distribution.
 """
@@ -25,9 +29,9 @@ import math
 
 import numpy as np
 
-from mobidelay.analytics import _MC_CHUNK
-from mobidelay.flight import sample_flight_lengths
-from mobidelay.geometry import uniform_points_in_disc
+from mobidelay.analytics import _MC_CHUNK, _MC_TILE, _REACH_MARGIN, _hit_angle
+from mobidelay.flight import sample_flight_lengths, sample_flight_polar
+from mobidelay.geometry import first_contact_np, uniform_points_in_disc
 from oracle import segment_point_dist_np
 
 TWO_PI = 2.0 * math.pi
@@ -93,3 +97,48 @@ def cosine_diff_hits(rng, alpha, z_values, trials):
             hits[zv] += int(np.count_nonzero(diff > zv))
         done += k
     return hits
+
+
+def _reachable_pairs(z, k, reach):
+    # indexers of the pairs (i, k + i) of a 2k-array of flight lengths
+    # whose summed length is at least reach, one tile at a time
+    for s in range(0, k, _MC_TILE):
+        e = min(s + _MC_TILE, k)
+        keep = z[s:e] + z[k + s:k + e] >= reach
+        if keep.all():
+            yield slice(s, e), slice(k + s, k + e)
+        else:
+            i = np.flatnonzero(keep) + s
+            yield i, i + k
+
+
+def whole_chunk_fraction(rng, cfg, l0, trials):
+    """(sum of v, sum of v (1 - v)) as analytics._no_contact_fraction,
+    each chunk drawn whole: under heavy flights 2k angles, then 2k
+    lengths, as pairs (i, k + i); under teleport two uniform point sets."""
+    r = cfg.r
+    reach = (l0 - r) - _REACH_MARGIN * l0
+    total = 0.0
+    spread = 0.0
+    done = 0
+    while done < trials:
+        k = min(_MC_CHUNK, trials - done)
+        done += k
+        if cfg.model == "levy":
+            theta, z = sample_flight_polar(rng, cfg.alpha, 2 * k)
+            total += k
+            for i1, i2 in _reachable_pairs(z, k, reach):
+                z1, z2 = z[i1], z[i2]
+                chord = 2.0 * np.sqrt(z1) * np.sqrt(z2) \
+                    * np.sin(0.5 * (theta[i1] - theta[i2]))
+                a = np.minimum(np.abs(z1 - z2), l0)
+                b = np.minimum(np.abs(chord), l0)
+                w = _hit_angle(np.sqrt(a * a + b * b), l0, r) / math.pi
+                total -= float(w.sum())
+                spread += float(np.dot(w, 1.0 - w))
+        else:
+            x1, y1 = uniform_points_in_disc(rng, cfg.radius, k)
+            x2, y2 = uniform_points_in_disc(rng, cfg.radius, k)
+            s = first_contact_np(0.0, l0, x1 - x2, y1 - y2, 0.0, 0.0, 0.0, 0.0, r)
+            total += int(np.count_nonzero(s > 1.0))
+    return total, spread

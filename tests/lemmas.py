@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from mobidelay.analytics import (_MC_CHUNK, _REACH_MARGIN, Estimate,
+from mobidelay.analytics import (_MC_CHUNK, _MC_TILE, _REACH_MARGIN, Estimate,
                                  _check_capacity_args, _estimate,
-                                 _occupancy_terms, _reachable_pairs)
+                                 _occupancy_terms, _reachable)
 from mobidelay.flight import sample_flight_polar
 from mobidelay.geometry import uniform_points_in_disc
 
@@ -188,8 +188,11 @@ def estimate_cosine_diff_tail_mc(rng_stream: np.random.Generator,
         k = min(_MC_CHUNK, trials - done)
         done += k
         th, z = sample_flight_polar(rng_stream, alpha, 2 * k)
-        for i1, i2 in _reachable_pairs(z, k, reach):
-            diff = z[i1] * np.cos(th[i1]) - z[i2] * np.cos(th[i2])
+        for s in range(0, k, _MC_TILE):
+            e = min(s + _MC_TILE, k)
+            z1, z2, th1, th2 = z[s:e], z[k + s:k + e], th[s:e], th[k + s:k + e]
+            i = _reachable(z1, z2, reach)
+            diff = z1[i] * np.cos(th1[i]) - z2[i] * np.cos(th2[i])
             for zv in zs:
                 hits[zv] += int(np.count_nonzero(diff > zv))
     return {zv: _estimate(h, 0.0, trials) for zv, h in hits.items()}

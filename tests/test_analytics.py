@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -348,6 +349,43 @@ def test_pruned_no_contact_counts_match_across_chunks(model, l0):
         assert 0 < want < trials
 
 
+@pytest.mark.parametrize("name", sorted({**LAWS, "teleport": None}))
+def test_tiled_estimate_matches_the_whole_chunk_draw(name):
+    # cursors read each chunk's draw blocks a tile at a time: both sums and
+    # the stream's next draw are those of drawing the chunk whole, over one
+    # full chunk and a partial one that ends in a partial tile
+    cfg = _cfg(N_MC, R_MC, LAWS.get(name))
+    trials = analytics._MC_CHUNK + 17
+    for i, l0 in enumerate(L0_GRID):
+        got_rng, want_rng = trial_stream(74, 14, i), trial_stream(74, 14, i)
+        got = analytics._no_contact_fraction(got_rng, cfg, l0, trials)
+        assert got == full_mc.whole_chunk_fraction(want_rng, cfg, l0, trials)
+        assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("alpha", [1.0, None], ids=["levy-1", "teleport"])
+def test_no_contact_estimate_holds_a_tile_not_a_chunk(alpha):
+    # drawn whole, a 2^20-sample chunk peaked at 62 MiB of traced arrays
+    # under heavy flights and 122 MiB under teleport; tiles take under
+    # 4.1 MiB.  Every pair at 1.5r is measured, the largest tile temporaries
+    cfg = _cfg(N_MC, R_MC, alpha)
+    tracemalloc.start()
+    try:
+        estimate_H1_mc(trial_stream(75, 14, 0), cfg, 1.5 * R_MC, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_overflowing_flight_length_raises_before_any_numpy_warning():
+    cfg = _cfg(N_MC, R_MC, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"), pytest.raises(OverflowError, match="alpha=0.01"):
+            estimate_H1_mc(trial_stream(76, 14, 0), cfg, 3.0 * R_MC, 100_000)
+
+
 @settings(max_examples=200, deadline=None)
 @given(trials=st.integers(1, 10**7), share=st.floats(0.0, 1.0))
 def test_estimate_of_0_1_values_is_binomial_to_the_bit(trials, share):
@@ -420,7 +458,7 @@ def test_length_pretest_only_sets_aside_misses(l0, r_share, below, split, th1,
         if rotation:
             th1 += rotation
             th2 += rotation
-    assert [i.size for i, _ in analytics._reachable_pairs(z, 1, reach)] == [0]
+    assert analytics._reachable(z[:1], z[1:], reach).size == 0
     dx = z[0] * np.cos([th1]) - z[1] * np.cos([th2])
     dy = z[0] * np.sin([th1]) - z[1] * np.sin([th2])
     dx, dy = full_mc._rotate(dx, dy, rotation)
@@ -722,7 +760,7 @@ def test_cosine_pretest_only_sets_aside_misses(zmin, below, split, th1, th2, aim
     assume(z[0] + z[1] < reach)
     if aimed:
         th1, th2 = 0.0, math.pi  # both projections at full length
-    assert [i.size for i, _ in analytics._reachable_pairs(z, 1, reach)] == [0]
+    assert analytics._reachable(z[:1], z[1:], reach).size == 0
     assert z[0] * np.cos(th1) - z[1] * np.cos(th2) <= zmin
 
 

@@ -742,6 +742,42 @@ def test_pair_streams_match_explicit_placement(monkeypatch, cfg):
         assert np.array_equal(w, g)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0], ids=["levy-0.5", "levy-1"])
+def test_wrap_engine_is_called_only_on_wrapped_pairs(monkeypatch, alpha):
+    # late slots of a small group often wrap no pair: the wrap-aware engine
+    # is skipped there, and the times stay the replay's
+    cfg = ModelConfig(n=400, r=4.0, model="levy", alpha=alpha, horizon_slots=60)
+    engine, per_slot = world._pair_slot_contacts, world._per_trial_min
+    calls = {"engine": 0, "slots": 0}
+
+    def guarded(x1, *args):
+        assert x1.size > 0, "the wrap-aware engine got no pairs"
+        calls["engine"] += 1
+        return engine(x1, *args)
+
+    def counted(*args):
+        calls["slots"] += 1
+        return per_slot(*args)
+
+    monkeypatch.setattr(world, "_pair_slot_contacts", guarded)
+    monkeypatch.setattr(world, "_per_trial_min", counted)
+    l0, _, tm = world._run_sharded(cfg, 20, 341, 1, 2)
+    want_l0, _, want, _ = replay(cfg, 20, 341, False)
+    assert 0 < calls["engine"] < calls["slots"]
+    assert np.array_equal(l0, want_l0)
+    fin = np.isfinite(want)
+    assert fin.any() and np.array_equal(fin, np.isfinite(tm))
+    np.testing.assert_allclose(tm[fin], want[fin], rtol=0, atol=1e-9)
+
+
+def test_stream_cursor_reads_ahead_and_leaves_the_stream_put():
+    want = trial_stream(3, 14, 0).random(1000)
+    rng = trial_stream(3, 14, 0)
+    assert np.array_equal(world._stream_cursor(rng, 600).random(400), want[600:])
+    assert np.array_equal(world._stream_cursor(rng, 0).random(10), want[:10])
+    assert np.array_equal(rng.random(1000), want)
+
+
 def test_relay_setup_places_only_the_carriers(monkeypatch):
     # at n = 10^6 no point request may exceed two per trial plus the lens
     # carriers: a placement of all n nodes fails on its first request
