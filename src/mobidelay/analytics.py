@@ -25,9 +25,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .flight import sample_flight_angles, sample_flight_lengths
+from .flight import sample_flight_polar
 from .geometry import first_contact_np, uniform_points_in_disc
-from .world import MODEL_IID, MODEL_LEVY, SALT_MC, ModelConfig, _stream_cursor, trial_stream
+from .world import MODEL_IID, MODEL_LEVY, SALT_MC, ModelConfig, trial_stream
 
 __all__ = [
     "Estimate",
@@ -56,13 +56,11 @@ _TWO_PI = 2.0 * math.pi
 _GAMMA = 0.1
 # copy counts m of the reported minimum-of-m bounds
 _U_BAR_MS = range(1, 11)
+# spaces per nesting level of the report JSON
+_JSON_INDENT = 2
 
-# The Monte Carlo estimators lay their streams out in chunks of this many
-# samples, each a few blocks of one draw per sample; it fixes the stream
-# layout only.
-_MC_CHUNK = 1 << 20
-# The no-contact estimator reads and evaluates a chunk in tiles of this
-# many samples, which bounds its memory.
+# The no-contact estimator draws and evaluates its samples in tiles of
+# this many, which fixes its stream layout and bounds its memory.
 _MC_TILE = 1 << 15
 # A pair of flights of lengths z1, z2 moves its difference by at most
 # z1 + z2.  The length pre-test sets aside pairs that fall short of a
@@ -168,7 +166,7 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_stable(obj, indent: int = 2) -> str:
+def dumps_stable(obj) -> str:
     """JSON text with insertion-order keys and 17-significant-digit reals.
 
     The stdlib encoder prints floats with shortest round-trip repr, which
@@ -180,8 +178,8 @@ def dumps_stable(obj, indent: int = 2) -> str:
     out: list[str] = []
 
     def emit(o, depth: int):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = " " * (_JSON_INDENT * depth)
+        pad_in = " " * (_JSON_INDENT * (depth + 1))
         if o is None:
             out.append("null")
         elif isinstance(o, bool):
@@ -319,16 +317,17 @@ def _hit_angle(length: np.ndarray, l0: float, r: float) -> np.ndarray:
     return phi
 
 
-def _flight_hit_chances(cursors, cfg: ModelConfig, l0: float, size: int) -> np.ndarray:
-    """Hit chances w of the next size heavy-flight pairs whose summed
-    length can reach the r-disc from distance l0; the others have w = 0.
+def _flight_hit_chances(rng, cfg: ModelConfig, l0: float, size: int) -> np.ndarray:
+    """Hit chances w of size heavy-flight pairs drawn from rng; pairs
+    whose summed length cannot reach the r-disc from distance l0 have
+    w = 0.
 
-    The cursors read the first and second flights' angles, then their
-    lengths.  D's direction is uniform and independent of its length, so
-    w is the hit chance given |D|, _hit_angle(|D|)/pi, and |D| <= z1 + z2.
+    One draw of 2 size flights, paired as (i, size + i).  D's direction
+    is uniform and independent of its length, so w is the hit chance
+    given |D|, _hit_angle(|D|)/pi, and |D| <= z1 + z2.
     """
-    th1, th2 = (sample_flight_angles(c, size) for c in cursors[:2])
-    z1, z2 = (sample_flight_lengths(c, cfg.alpha, size) for c in cursors[2:])
+    theta, z = sample_flight_polar(rng, cfg.alpha, 2 * size)
+    th1, th2, z1, z2 = theta[:size], theta[size:], z[:size], z[size:]
     i = _reachable(z1, z2, (l0 - cfg.r) - _REACH_MARGIN * l0)
     z1, z2 = z1[i], z2[i]
     # |D| = hypot(z1 - z2, chord), with no cancellation near z1 = z2 and
@@ -341,13 +340,13 @@ def _flight_hit_chances(cursors, cfg: ModelConfig, l0: float, size: int) -> np.n
     return _hit_angle(np.sqrt(a * a + b * b), l0, cfg.r) / math.pi
 
 
-def _teleport_hits(cursors, cfg: ModelConfig, l0: float, size: int) -> np.ndarray:
-    """0/1 hits of the next size teleport samples: the simulator's contact
-    rule on the segment from the start to a fresh uniform-pair difference,
-    the obstruction parked.  The cursors read the first point's angles and
-    radii, then the second's."""
-    x1, y1 = uniform_points_in_disc(cursors[0], cfg.radius, size, cursors[1])
-    x2, y2 = uniform_points_in_disc(cursors[2], cfg.radius, size, cursors[3])
+def _teleport_hits(rng, cfg: ModelConfig, l0: float, size: int) -> np.ndarray:
+    """0/1 hits of size teleport samples drawn from rng: the simulator's
+    contact rule on the segment from the start to a fresh uniform-pair
+    difference, the obstruction parked.  The first points are drawn
+    whole, then the second."""
+    x1, y1 = uniform_points_in_disc(rng, cfg.radius, size)
+    x2, y2 = uniform_points_in_disc(rng, cfg.radius, size)
     s = first_contact_np(0.0, l0, x1 - x2, y1 - y2, 0.0, 0.0, 0.0, 0.0, cfg.r)
     return (s <= 1.0).astype(float)
 
@@ -358,26 +357,19 @@ def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
     path from distance l0 misses the r-disc, and of v (1 - v).
 
     The start sits at (0, l0), the obstruction disc at the origin.  Each
-    chunk of k samples takes 4k draws of rng in four blocks of k, one
-    draw per sample each (_flight_hit_chances and _teleport_hits say
-    which).  A cursor per block reads them side by side, one tile at a
-    time, and rng then moves past the chunk: the values are those of
-    drawing the whole chunk, in O(_MC_TILE) memory.
+    tile of k samples is drawn straight from rng, 4k draws in four blocks
+    of k, one draw per sample each (_flight_hit_chances and
+    _teleport_hits say which), and evaluated before the next is drawn.
     """
     hit_chances = _flight_hit_chances if cfg.model == MODEL_LEVY else _teleport_hits
     total = 0.0
     spread = 0.0
-    done = 0
-    while done < trials:
-        k = min(_MC_CHUNK, trials - done)
-        done += k
-        cursors = [_stream_cursor(rng, b * k) for b in range(4)]
-        rng.bit_generator.advance(4 * k)
+    for s in range(0, trials, _MC_TILE):
+        k = min(_MC_TILE, trials - s)
+        w = hit_chances(rng, cfg, l0, k)
         total += k  # less the hit chances
-        for s in range(0, k, _MC_TILE):
-            w = hit_chances(cursors, cfg, l0, min(_MC_TILE, k - s))
-            total -= float(w.sum())
-            spread += float(np.dot(w, 1.0 - w))
+        total -= float(w.sum())
+        spread += float(np.dot(w, 1.0 - w))
     return total, spread
 
 

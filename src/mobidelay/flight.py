@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "sample_flight_angles",
     "sample_flight_lengths",
     "sample_flight_polar",
 ]
@@ -27,13 +26,6 @@ def _one_minus_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     u = rng.random(size)
     np.subtract(1.0, u, out=u)
     return u
-
-
-def sample_flight_angles(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Isotropic flight directions, uniform on (0, 2*pi], one array per call."""
-    theta = _one_minus_uniform(rng, size)
-    theta *= _TWO_PI
-    return theta
 
 
 def sample_flight_lengths(rng: np.random.Generator, alpha: float,
@@ -57,8 +49,8 @@ def sample_flight_polar(rng: np.random.Generator, alpha: float, size: int):
     """Isotropic flights in polar form, as two (size,) arrays (theta, z).
 
     Draw order: all angles, uniform on (0, 2*pi], then all lengths.  Every
-    flight draw of the package lays its stream out so; the bounds Monte
-    Carlo reads the two blocks tile by tile, through stream cursors.
+    flight draw of the package consumes its stream through here.
     """
-    theta = sample_flight_angles(rng, size)
+    theta = _one_minus_uniform(rng, size)
+    theta *= _TWO_PI
     return theta, sample_flight_lengths(rng, alpha, size)

@@ -29,34 +29,31 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def uniform_disc_polar(rng: np.random.Generator, radius: float, size: int,
-                       rho_rng: np.random.Generator | None = None):
+def uniform_disc_polar(rng: np.random.Generator, radius: float, size: int):
     """Points uniform over the disc of the given radius, in polar form.
 
     Returns two (size,) arrays (theta, rho): all angles, uniform on
-    [0, 2*pi), are drawn first, then all radii, from rho_rng when given
-    and otherwise from rng too.  rng.random gives the same bits as
-    rng.uniform(0, 2*pi) and rng.uniform(0, 1) at a fraction of their
-    cost.
+    [0, 2*pi), are drawn first, then all radii.  rng.random gives the
+    same bits as rng.uniform(0, 2*pi) and rng.uniform(0, 1) at a
+    fraction of their cost.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     theta = rng.random(size)
     theta *= _TWO_PI
-    rho = (rng if rho_rng is None else rho_rng).random(size)
+    rho = rng.random(size)
     np.sqrt(rho, out=rho)
     rho *= radius
     return theta, rho
 
 
-def uniform_points_in_disc(rng: np.random.Generator, radius: float, size: int,
-                           rho_rng: np.random.Generator | None = None):
+def uniform_points_in_disc(rng: np.random.Generator, radius: float, size: int):
     """Points uniform over the disc of the given radius, centred at 0.
 
     Returns two (size,) coordinate arrays: the draw of uniform_disc_polar
     in Cartesian form.
     """
-    theta, rho = uniform_disc_polar(rng, radius, size, rho_rng)
+    theta, rho = uniform_disc_polar(rng, radius, size)
     return rho * np.cos(theta), rho * np.sin(theta)
 
 

@@ -188,18 +188,6 @@ def trial_stream(master_seed: int, salt: int, index: int) -> np.random.Generator
         np.random.SeedSequence((int(master_seed), int(salt), int(index)))))
 
 
-def _stream_cursor(rng: np.random.Generator, steps: int) -> np.random.Generator:
-    """A copy of a PCG64 stream moved steps 64-bit draws ahead; rng stays put.
-
-    One float64 rng.random consumes one step, so the cursor reads what
-    rng would from that offset.  The copy is seeded, then overwritten,
-    which never draws OS entropy.
-    """
-    bits = np.random.PCG64(0)
-    bits.state = rng.bit_generator.state
-    return np.random.Generator(bits.advance(steps))
-
-
 # ---------------------------------------------------------------------------
 # slot paths and the exact contact engine
 

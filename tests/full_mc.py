@@ -4,8 +4,8 @@
 flight length cannot reach the obstruction, and the tail estimator of
 ``lemmas`` those that cannot reach the smallest threshold; both measure
 only the others, tile by tile.  The functions here turn every pair of a
-chunk into a vector and give it a 0/1 verdict, and they consume the
-stream in the same order as the package.
+tile (of a chunk, for ``lemmas``) into a vector and give it a 0/1
+verdict, and they consume the stream in the same order as the package.
 
 ``no_contact_misses`` counts the misses that
 ``analytics._no_contact_fraction`` sums as miss chances.  It is the
@@ -15,10 +15,10 @@ the package averages each pair's miss chance given its step length: on
 the same draws the miss count and the chance sum differ by a sum of
 independent centred terms, of variance v (1 - v) each.
 ``cosine_diff_hits`` must match ``lemmas`` bit for bit.
-``whole_chunk_fraction`` is the package's estimator as it was written
-before it read its stream through cursors: it draws each chunk as whole
-arrays, then evaluates it tile by tile, and the package must match it
-bit for bit, stream position included.  The keyword
+``whole_chunk_fraction`` is the package's estimator written out once
+more: it draws each tile as whole arrays, then evaluates every pair
+that can reach the disc, and the package must match it bit for bit,
+stream position included.  The keyword
 ``anchor_rotation`` turns the obstruction about the start, which leaves
 an isotropic estimate unchanged in distribution.
 """
@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from mobidelay.analytics import _MC_CHUNK, _MC_TILE, _REACH_MARGIN, _hit_angle
+from lemmas import _MC_CHUNK
+from mobidelay.analytics import _MC_TILE, _REACH_MARGIN, _hit_angle
 from mobidelay.flight import sample_flight_lengths, sample_flight_polar
 from mobidelay.geometry import first_contact_np, uniform_points_in_disc
 from oracle import segment_point_dist_np
@@ -59,7 +60,7 @@ def no_contact_misses(rng, cfg, l0, trials, *, anchor_rotation=0.0):
     misses = 0
     done = 0
     while done < trials:
-        k = min(_MC_CHUNK, trials - done)
+        k = min(_MC_TILE, trials - done)
         if cfg.model == "levy":
             th, z = _flights(rng, cfg.alpha, 2 * k)
             vx, vy = z * np.cos(th), z * np.sin(th)
@@ -99,22 +100,9 @@ def cosine_diff_hits(rng, alpha, z_values, trials):
     return hits
 
 
-def _reachable_pairs(z, k, reach):
-    # indexers of the pairs (i, k + i) of a 2k-array of flight lengths
-    # whose summed length is at least reach, one tile at a time
-    for s in range(0, k, _MC_TILE):
-        e = min(s + _MC_TILE, k)
-        keep = z[s:e] + z[k + s:k + e] >= reach
-        if keep.all():
-            yield slice(s, e), slice(k + s, k + e)
-        else:
-            i = np.flatnonzero(keep) + s
-            yield i, i + k
-
-
 def whole_chunk_fraction(rng, cfg, l0, trials):
     """(sum of v, sum of v (1 - v)) as analytics._no_contact_fraction,
-    each chunk drawn whole: under heavy flights 2k angles, then 2k
+    each tile drawn whole: under heavy flights 2k angles, then 2k
     lengths, as pairs (i, k + i); under teleport two uniform point sets."""
     r = cfg.r
     reach = (l0 - r) - _REACH_MARGIN * l0
@@ -122,20 +110,21 @@ def whole_chunk_fraction(rng, cfg, l0, trials):
     spread = 0.0
     done = 0
     while done < trials:
-        k = min(_MC_CHUNK, trials - done)
+        k = min(_MC_TILE, trials - done)
         done += k
         if cfg.model == "levy":
             theta, z = sample_flight_polar(rng, cfg.alpha, 2 * k)
+            i1 = np.flatnonzero(z[:k] + z[k:] >= reach)
+            i2 = i1 + k
+            z1, z2 = z[i1], z[i2]
+            chord = 2.0 * np.sqrt(z1) * np.sqrt(z2) \
+                * np.sin(0.5 * (theta[i1] - theta[i2]))
+            a = np.minimum(np.abs(z1 - z2), l0)
+            b = np.minimum(np.abs(chord), l0)
+            w = _hit_angle(np.sqrt(a * a + b * b), l0, r) / math.pi
             total += k
-            for i1, i2 in _reachable_pairs(z, k, reach):
-                z1, z2 = z[i1], z[i2]
-                chord = 2.0 * np.sqrt(z1) * np.sqrt(z2) \
-                    * np.sin(0.5 * (theta[i1] - theta[i2]))
-                a = np.minimum(np.abs(z1 - z2), l0)
-                b = np.minimum(np.abs(chord), l0)
-                w = _hit_angle(np.sqrt(a * a + b * b), l0, r) / math.pi
-                total -= float(w.sum())
-                spread += float(np.dot(w, 1.0 - w))
+            total -= float(w.sum())
+            spread += float(np.dot(w, 1.0 - w))
         else:
             x1, y1 = uniform_points_in_disc(rng, cfg.radius, k)
             x2, y2 = uniform_points_in_disc(rng, cfg.radius, k)

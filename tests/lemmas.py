@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mobidelay.analytics import (_MC_CHUNK, _MC_TILE, _REACH_MARGIN, Estimate,
+from mobidelay.analytics import (_MC_TILE, _REACH_MARGIN, Estimate,
                                  _check_capacity_args, _estimate,
                                  _occupancy_terms, _reachable)
 from mobidelay.flight import sample_flight_polar
@@ -27,6 +27,9 @@ from mobidelay.geometry import uniform_points_in_disc
 # geometric continuation of the last observed ratio.
 _SUMMAND_FLOOR = 1e-12
 _DEFAULT_TAIL_CUT = 100_000
+# The Monte Carlo lemmas draw their samples in chunks of this many, each
+# a few whole arrays of one draw per sample; it fixes their stream layout.
+_MC_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------

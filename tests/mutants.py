@@ -1,9 +1,11 @@
-"""Mutation check: which tier-1 tests catch a wrong contact engine.
+"""Mutation check: which tier-1 tests catch a wrong contact engine or a
+wrong no-contact Monte Carlo.
 
     python3 tests/mutants.py [NAME ...] [-- PYTEST_ARGS ...]
 
 Each mutant below changes one expression of ``src/mobidelay/world.py``
-in a temporary copy of the repository, runs the tier-1 suite there
+or ``src/mobidelay/analytics.py`` in a temporary copy of the
+repository, runs the tier-1 suite there
 (``pytest -q`` over ``tests/``) and prints the tests that fail on it,
 the tests that kill it.  A mutant that no test kills survives; the
 script exits 1 if any does.  With NAMEs it runs only those mutants;
@@ -27,12 +29,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORLD = Path("src", "mobidelay", "world.py")
+ANALYTICS = Path("src", "mobidelay", "analytics.py")
 
-# the slot-loop expressions the mutants change
+# the slot-loop expressions the engine mutants change
 _FLIGHT = "(sample_flight_polar, cfg.alpha)"
 _RELOCATE = "(uniform_disc_polar, R)"
 _NO_WRAP = "fx[cpos], fy[cpos], r)"
 _CAPSULE = "sy[nc + j], R, r)"
+# the Monte Carlo expressions: the flight pairing, the arc angle's result
+# and the two teleport point draws
+_PAIRS = "theta[:size], theta[size:], z[:size], z[size:]"
+_ARC = "    return phi\n"
+_POINTS = ("x1, y1 = uniform_points_in_disc(rng, cfg.radius",
+           "x2, y2 = uniform_points_in_disc(rng, cfg.radius")
 
 
 def _range(scale, *sites):
@@ -40,37 +49,44 @@ def _range(scale, *sites):
     return [(site, site.replace(" r)", f" {scale} * r)")) for site in sites]
 
 
-# name -> [(expression, replacement)], each expression found exactly once
+# name -> (file, [(expression, replacement)]), each expression found
+# exactly once in the file
 MUTANTS = {
-    "flights at 0.8 alpha": [(_FLIGHT, "(sample_flight_polar, 0.8 * cfg.alpha)")],
-    "flights at 1.2 alpha": [(_FLIGHT, "(sample_flight_polar, 1.2 * cfg.alpha)")],
-    "range 0.9r": _range(0.9, _NO_WRAP, _CAPSULE),
-    "range 1.1r": _range(1.1, _NO_WRAP, _CAPSULE),
-    "0.95r in the no-wrap pass only": _range(0.95, _NO_WRAP),
-    "0.95r in the capsule search only": _range(0.95, _CAPSULE),
-    "teleport relocation within 0.95R": [(_RELOCATE, "(uniform_disc_polar, 0.95 * R)")],
+    "flights at 0.8 alpha": (WORLD, [(_FLIGHT, "(sample_flight_polar, 0.8 * cfg.alpha)")]),
+    "flights at 1.2 alpha": (WORLD, [(_FLIGHT, "(sample_flight_polar, 1.2 * cfg.alpha)")]),
+    "range 0.9r": (WORLD, _range(0.9, _NO_WRAP, _CAPSULE)),
+    "range 1.1r": (WORLD, _range(1.1, _NO_WRAP, _CAPSULE)),
+    "0.95r in the no-wrap pass only": (WORLD, _range(0.95, _NO_WRAP)),
+    "0.95r in the capsule search only": (WORLD, _range(0.95, _CAPSULE)),
+    "teleport relocation within 0.95R": (WORLD, [(_RELOCATE, "(uniform_disc_polar, 0.95 * R)")]),
+    "MC flights paired (2i, 2i + 1)": (ANALYTICS, [
+        (_PAIRS, "theta[0::2], theta[1::2], z[0::2], z[1::2]")]),
+    "MC arc angle 1.02 phi": (ANALYTICS, [(_ARC, "    return 1.02 * phi\n")]),
+    "MC teleport points within 0.95R": (ANALYTICS, [
+        (site, site.replace("cfg.radius", "0.95 * cfg.radius")) for site in _POINTS]),
 }
 
 
-def _mutated_copy(dest: Path, edits) -> None:
+def _mutated_copy(dest: Path, path: Path, edits) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     # bench/ too: a test pins the block-runner fields its harness reads
     for part in ("src", "tests", "bench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
-    text = (dest / WORLD).read_text(encoding="utf-8")
+    text = (dest / path).read_text(encoding="utf-8")
     for old, new in edits:
         if text.count(old) != 1:
-            raise SystemExit(f"{WORLD}: {old!r} occurs {text.count(old)} times, not once")
+            raise SystemExit(f"{path}: {old!r} occurs {text.count(old)} times, not once")
         text = text.replace(old, new)
-    (dest / WORLD).write_text(text, encoding="utf-8")
+    (dest / path).write_text(text, encoding="utf-8")
 
 
-def killers(edits, pytest_args) -> tuple[list[str], str]:
-    """The tests that fail with the edits applied, and pytest's last line."""
+def killers(mutant, pytest_args) -> tuple[list[str], str]:
+    """The tests that fail with the mutant's edits applied, and pytest's
+    last line."""
     with tempfile.TemporaryDirectory(prefix="mobidelay-mutant-") as tmp:
         dest = Path(tmp)
-        _mutated_copy(dest, edits)
+        _mutated_copy(dest, *mutant)
         env = dict(os.environ, PYTHONPATH=str(dest / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",

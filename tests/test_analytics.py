@@ -15,6 +15,7 @@ from scipy.special import gamma as gamma_fn
 import full_mc
 import oracle
 from lemmas import (
+    _MC_CHUNK,
     asin_envelope,
     binomial_chernoff_tail,
     capacity_ratio,
@@ -315,9 +316,12 @@ def _levy_gap(sums, misses):
     """The full-array miss count less the package's miss-chance sum, in
     units of its standard deviation.  On shared draws a pair's 0/1 miss
     less its miss chance v given the step length is centred, of variance
-    v (1 - v), and pairs are independent."""
+    v (1 - v), and pairs are independent.  With no spread every v is 1,
+    no pair could reach the disc, and the bound holds at zero width."""
     total, spread = sums
-    assert spread > 0.0
+    if spread == 0.0:
+        assert misses == total
+        return 0.0
     return (misses - total) / math.sqrt(spread)
 
 
@@ -338,9 +342,9 @@ def test_pruned_no_contact_counts_match_full_array(name):
     ("iid", 3.0 * R_MC),
 ])
 def test_pruned_no_contact_counts_match_across_chunks(model, l0):
-    # one full chunk and a partial one that ends in a partial tile; the
-    # teleport count is the full-array count exactly
-    trials = analytics._MC_CHUNK + 17
+    # two full tiles and a partial one; the teleport count is the
+    # full-array count exactly
+    trials = 2 * analytics._MC_TILE + 17
     if model == "levy":
         assert abs(_levy_gap(*_both_no_contact(LAWS["pareto-1"], l0, trials, 70))) < 3.0
     else:
@@ -351,11 +355,11 @@ def test_pruned_no_contact_counts_match_across_chunks(model, l0):
 
 @pytest.mark.parametrize("name", sorted({**LAWS, "teleport": None}))
 def test_tiled_estimate_matches_the_whole_chunk_draw(name):
-    # cursors read each chunk's draw blocks a tile at a time: both sums and
-    # the stream's next draw are those of drawing the chunk whole, over one
-    # full chunk and a partial one that ends in a partial tile
+    # both sums and the stream's next draw are those of drawing each tile
+    # whole and measuring every reachable pair, over two full tiles and a
+    # partial one
     cfg = _cfg(N_MC, R_MC, LAWS.get(name))
-    trials = analytics._MC_CHUNK + 17
+    trials = 2 * analytics._MC_TILE + 17
     for i, l0 in enumerate(L0_GRID):
         got_rng, want_rng = trial_stream(74, 14, i), trial_stream(74, 14, i)
         got = analytics._no_contact_fraction(got_rng, cfg, l0, trials)
@@ -739,7 +743,7 @@ def test_cosine_diff_tail_mc_within_constants():
 
 @pytest.mark.parametrize("alpha, trials", [
     (0.5, 80_000),
-    (1.0, analytics._MC_CHUNK + 17),
+    (1.0, _MC_CHUNK + 17),
     (2.0, 80_000),
 ], ids=["law0-80000", "law1-1048593", "law2-80000"])
 def test_cosine_diff_tail_counts_match_full_array(alpha, trials):

@@ -770,14 +770,6 @@ def test_wrap_engine_is_called_only_on_wrapped_pairs(monkeypatch, alpha):
     np.testing.assert_allclose(tm[fin], want[fin], rtol=0, atol=1e-9)
 
 
-def test_stream_cursor_reads_ahead_and_leaves_the_stream_put():
-    want = trial_stream(3, 14, 0).random(1000)
-    rng = trial_stream(3, 14, 0)
-    assert np.array_equal(world._stream_cursor(rng, 600).random(400), want[600:])
-    assert np.array_equal(world._stream_cursor(rng, 0).random(10), want[:10])
-    assert np.array_equal(rng.random(1000), want)
-
-
 def test_relay_setup_places_only_the_carriers(monkeypatch):
     # at n = 10^6 no point request may exceed two per trial plus the lens
     # carriers: a placement of all n nodes fails on its first request
