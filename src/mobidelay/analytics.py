@@ -37,7 +37,6 @@ __all__ = [
     "p_hat_bounds_levy",
     "p_hat_bounds_iid",
     "p_hat_bounds",
-    "estimate_H1_mc",
     "ccdf_geometric_bound",
     "u_bar_bound",
     "iid_delay_bound",
@@ -317,10 +316,11 @@ def _hit_angle(length: np.ndarray, l0: float, r: float) -> np.ndarray:
     return phi
 
 
-def _flight_hit_chances(rng, cfg: ModelConfig, l0: float, size: int) -> np.ndarray:
-    """Hit chances w of size heavy-flight pairs drawn from rng; pairs
-    whose summed length cannot reach the r-disc from distance l0 have
-    w = 0.
+def _flight_hit_chances(rng, cfg: ModelConfig, l0s: Sequence[float],
+                        size: int) -> list[np.ndarray]:
+    """Per l0 of l0s, the hit chances w of size heavy-flight pairs drawn
+    from rng; pairs whose summed length cannot reach the r-disc from
+    distance l0 have w = 0.
 
     One draw of 2 size flights, paired as (i, size + i).  D's direction
     is uniform and independent of its length, so w is the hit chance
@@ -328,66 +328,57 @@ def _flight_hit_chances(rng, cfg: ModelConfig, l0: float, size: int) -> np.ndarr
     """
     theta, z = sample_flight_polar(rng, cfg.alpha, 2 * size)
     th1, th2, z1, z2 = theta[:size], theta[size:], z[:size], z[size:]
-    i = _reachable(z1, z2, (l0 - cfg.r) - _REACH_MARGIN * l0)
+    reach = [(l0 - cfg.r) - _REACH_MARGIN * l0 for l0 in l0s]
+    i = _reachable(z1, z2, min(reach))
     z1, z2 = z1[i], z2[i]
     # |D| = hypot(z1 - z2, chord), with no cancellation near z1 = z2 and
-    # no product z1 * z2; each leg is clamped at l0 before it is squared,
-    # which keeps every |D| below the tangent length exact and every
-    # other one above it
+    # no product z1 * z2; each leg is clamped at the largest l0 before it
+    # is squared, which keeps every |D| below any l0's tangent length
+    # exact and every other one beyond it
     chord = 2.0 * np.sqrt(z1) * np.sqrt(z2) * np.sin(0.5 * (th1[i] - th2[i]))
-    a = np.minimum(np.abs(z1 - z2), l0)
-    b = np.minimum(np.abs(chord), l0)
-    return _hit_angle(np.sqrt(a * a + b * b), l0, cfg.r) / math.pi
+    top = max(l0s)
+    a = np.minimum(np.abs(z1 - z2), top)
+    b = np.minimum(np.abs(chord), top)
+    length = np.sqrt(a * a + b * b)
+    return [_hit_angle(length[_reachable(z1, z2, at)], l0, cfg.r) / math.pi
+            for l0, at in zip(l0s, reach)]
 
 
-def _teleport_hits(rng, cfg: ModelConfig, l0: float, size: int) -> np.ndarray:
-    """0/1 hits of size teleport samples drawn from rng: the simulator's
-    contact rule on the segment from the start to a fresh uniform-pair
-    difference, the obstruction parked.  The first points are drawn
-    whole, then the second."""
+def _teleport_hits(rng, cfg: ModelConfig, l0s: Sequence[float],
+                   size: int) -> list[np.ndarray]:
+    """Per l0 of l0s, the 0/1 hits of size teleport samples drawn from
+    rng: the simulator's contact rule on the segment from the start to a
+    fresh uniform-pair difference, the obstruction parked.  The first
+    points are drawn whole, then the second."""
     x1, y1 = uniform_points_in_disc(rng, cfg.radius, size)
     x2, y2 = uniform_points_in_disc(rng, cfg.radius, size)
-    s = first_contact_np(0.0, l0, x1 - x2, y1 - y2, 0.0, 0.0, 0.0, 0.0, cfg.r)
-    return (s <= 1.0).astype(float)
+    ex, ey = x1 - x2, y1 - y2
+    return [(first_contact_np(0.0, l0, ex, ey, 0.0, 0.0, 0.0, 0.0, cfg.r) <= 1.0)
+            .astype(float) for l0 in l0s]
 
 
-def _no_contact_fraction(rng: np.random.Generator, cfg: ModelConfig,
-                         l0: float, trials: int) -> tuple[float, float]:
-    """Sums, over samples, of the chance v that the one-slot relative
-    path from distance l0 misses the r-disc, and of v (1 - v).
+def _no_contact_sums(rng: np.random.Generator, cfg: ModelConfig,
+                     l0s: Sequence[float], trials: int) -> list[tuple[float, float]]:
+    """Per l0 of l0s, the sums over samples of the chance v that the
+    one-slot relative path from distance l0 misses the r-disc, and of
+    v (1 - v).
 
     The start sits at (0, l0), the obstruction disc at the origin.  Each
     tile of k samples is drawn straight from rng, 4k draws in four blocks
     of k, one draw per sample each (_flight_hit_chances and
-    _teleport_hits say which), and evaluated before the next is drawn.
+    _teleport_hits say which), and evaluated at every l0 before the next
+    is drawn.  So every l0 sees the same samples, and each l0's sums are
+    those of a run over l0 alone, bit for bit.
     """
     hit_chances = _flight_hit_chances if cfg.model == MODEL_LEVY else _teleport_hits
-    total = 0.0
-    spread = 0.0
+    sums = [[0.0, 0.0] for _ in l0s]
     for s in range(0, trials, _MC_TILE):
         k = min(_MC_TILE, trials - s)
-        w = hit_chances(rng, cfg, l0, k)
-        total += k  # less the hit chances
-        total -= float(w.sum())
-        spread += float(np.dot(w, 1.0 - w))
-    return total, spread
-
-
-def estimate_H1_mc(rng_stream: np.random.Generator, cfg: ModelConfig,
-                   l0: float, trials: int) -> Estimate:
-    """MC estimate of the first-slot no-contact probability at distance l0.
-
-    At l0 = 2*sqrt(n), the disc diameter, this is the no-contact
-    probability p_hat itself.  Heavy flights average the conditional
-    miss chance given the step length; teleport counts misses.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not cfg.r < l0:
-        raise ValueError("require 0 < r < l0")
-    if l0 > 2.0 * cfg.radius * (1.0 + 1e-12):
-        raise ValueError("require l0 <= 2*sqrt(n)")
-    return _estimate(*_no_contact_fraction(rng_stream, cfg, l0, trials), trials)
+        for acc, w in zip(sums, hit_chances(rng, cfg, l0s, k)):
+            acc[0] += k  # less the hit chances
+            acc[0] -= float(w.sum())
+            acc[1] += float(np.dot(w, 1.0 - w))
+    return [tuple(acc) for acc in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +526,11 @@ def compute_bound_report(cfg: ModelConfig, trials: int) -> BoundReport:
 
     trials = 0 skips the Monte Carlo entries.  The delay bound uses the
     dominating (p_hat upper, p_out upper) pair, as does u_bar; h1 is
-    estimated on the grid {1.5r, 3r, 2 sqrt(n)} clipped to its domain.
+    estimated on the grid {1.5r, 3r, 2 sqrt(n)} clipped to its domain,
+    every entry on the same samples of one stream, and p_hat_mc is its
+    2 sqrt(n) entry, the no-contact probability p_hat itself.  Heavy
+    flights average the conditional miss chance given the step length;
+    teleport counts misses.
     """
     n, r = cfg.n, cfg.r
     if n < 2:
@@ -547,12 +542,11 @@ def compute_bound_report(cfg: ModelConfig, trials: int) -> BoundReport:
     h1_mc = None
     if trials > 0:
         two_rt = 2.0 * math.sqrt(n)
-        p_hat_mc = estimate_H1_mc(trial_stream(cfg.master_seed, SALT_MC, 0),
-                                  cfg, two_rt, trials)
         h1_grid = [l0 for l0 in (1.5 * r, 3.0 * r, two_rt) if r < l0 <= two_rt]
-        h1_mc = {l0: estimate_H1_mc(trial_stream(cfg.master_seed, SALT_MC, 1 + i),
-                                    cfg, l0, trials)
-                 for i, l0 in enumerate(h1_grid)}
+        sums = _no_contact_sums(trial_stream(cfg.master_seed, SALT_MC, 0),
+                                cfg, h1_grid, trials)
+        h1_mc = {l0: _estimate(*s, trials) for l0, s in zip(h1_grid, sums)}
+        p_hat_mc = h1_mc[two_rt]
 
     u_bar = {m: u_bar_bound(m, p_hat_up, p_out_up) for m in _U_BAR_MS}
     if cfg.model == MODEL_IID and n * (1.0 - 3.0 * _GAMMA) >= 2.0:

@@ -8,7 +8,8 @@ tile (of a chunk, for ``lemmas``) into a vector and give it a 0/1
 verdict, and they consume the stream in the same order as the package.
 
 ``no_contact_misses`` counts the misses that
-``analytics._no_contact_fraction`` sums as miss chances.  It is the
+``analytics._no_contact_sums`` sums as miss chances at one l0, and
+``grid_misses`` at every l0 of a grid on the same draws.  They are the
 exact reference under teleport, where the package counts the same 0/1
 verdicts, and the distributional reference under heavy flights, where
 the package averages each pair's miss chance given its step length: on
@@ -55,9 +56,15 @@ def _rotate(dx, dy, angle):
 
 def no_contact_misses(rng, cfg, l0, trials, *, anchor_rotation=0.0):
     """Count samples whose one-slot relative path misses the r-disc."""
+    return grid_misses(rng, cfg, [l0], trials, anchor_rotation=anchor_rotation)[0]
+
+
+def grid_misses(rng, cfg, l0s, trials, *, anchor_rotation=0.0):
+    """no_contact_misses at every l0 of l0s, each tile drawn once and
+    measured at every l0, as analytics._no_contact_sums shares its draws."""
     radius = math.sqrt(cfg.n)
     r = cfg.r
-    misses = 0
+    misses = [0] * len(l0s)
     done = 0
     while done < trials:
         k = min(_MC_TILE, trials - done)
@@ -72,15 +79,16 @@ def no_contact_misses(rng, cfg, l0, trials, *, anchor_rotation=0.0):
             dx = x1 - x2
             dy = y1 - y2
         dx, dy = _rotate(dx, dy, anchor_rotation)
-        # start at (0, l0), obstruction disc at the origin
-        ax = np.zeros(k)
-        ay = np.full(k, l0)
-        if cfg.model == "levy":
-            bx, by = ax + dx, ay + dy
-        else:
-            bx, by = dx, dy
-        d = segment_point_dist_np(ax, ay, bx, by)
-        misses += int(np.count_nonzero(d > r))
+        for j, l0 in enumerate(l0s):
+            # start at (0, l0), obstruction disc at the origin
+            ax = np.zeros(k)
+            ay = np.full(k, l0)
+            if cfg.model == "levy":
+                bx, by = ax + dx, ay + dy
+            else:
+                bx, by = dx, dy
+            d = segment_point_dist_np(ax, ay, bx, by)
+            misses[j] += int(np.count_nonzero(d > r))
         done += k
     return misses
 
@@ -101,8 +109,8 @@ def cosine_diff_hits(rng, alpha, z_values, trials):
 
 
 def whole_chunk_fraction(rng, cfg, l0, trials):
-    """(sum of v, sum of v (1 - v)) as analytics._no_contact_fraction,
-    each tile drawn whole: under heavy flights 2k angles, then 2k
+    """(sum of v, sum of v (1 - v)) as analytics._no_contact_sums at the
+    one l0, each tile drawn whole: under heavy flights 2k angles, then 2k
     lengths, as pairs (i, k + i); under teleport two uniform point sets."""
     r = cfg.r
     reach = (l0 - r) - _REACH_MARGIN * l0

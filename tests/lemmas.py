@@ -2,8 +2,9 @@
 
 The program's bounds report runs none of these; the tests check the
 paper's supporting statements through them: the out-of-range Monte
-Carlo, the minimum-of-m sum of a CCDF, the binomial Chernoff tail and
-its algebraic relaxation, the normalized two-hop capacity and the
+Carlo, the first-slot no-contact Monte Carlo at one distance, the
+minimum-of-m sum of a CCDF, the binomial Chernoff tail and its
+algebraic relaxation, the normalized two-hop capacity and the
 cell-occupancy probability behind its 1 - 2/e limit, the linear
 envelope of asin, and the Monte Carlo tail of the cosine-projected
 flight difference.
@@ -18,9 +19,10 @@ import numpy as np
 
 from mobidelay.analytics import (_MC_TILE, _REACH_MARGIN, Estimate,
                                  _check_capacity_args, _estimate,
-                                 _occupancy_terms, _reachable)
+                                 _no_contact_sums, _occupancy_terms, _reachable)
 from mobidelay.flight import sample_flight_polar
 from mobidelay.geometry import uniform_points_in_disc
+from mobidelay.world import ModelConfig
 
 # Infinite sums over slot counts stop once a summand drops below this or
 # the index reaches the tail cut; the remainder is closed off with a
@@ -52,6 +54,27 @@ def estimate_p_out_mc(rng_stream: np.random.Generator, n: int, r: float,
         hits += int(np.count_nonzero(np.hypot(x1 - x2, y1 - y2) > r))
         done += k
     return _estimate(hits, 0.0, trials)
+
+
+# ---------------------------------------------------------------------------
+# first-slot no-contact probability at one distance
+
+def estimate_H1_mc(rng_stream: np.random.Generator, cfg: ModelConfig,
+                   l0: float, trials: int) -> Estimate:
+    """MC estimate of the first-slot no-contact probability at distance l0.
+
+    The one-element case of the grid that the bounds report estimates on
+    one stream: on the report's stream it gives the report's entry at
+    l0, bit for bit.  At l0 = 2*sqrt(n), the disc diameter, this is the
+    no-contact probability p_hat itself.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if not cfg.r < l0:
+        raise ValueError("require 0 < r < l0")
+    if l0 > 2.0 * cfg.radius * (1.0 + 1e-12):
+        raise ValueError("require l0 <= 2*sqrt(n)")
+    return _estimate(*_no_contact_sums(rng_stream, cfg, [l0], trials)[0], trials)
 
 
 # ---------------------------------------------------------------------------

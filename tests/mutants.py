@@ -36,9 +36,10 @@ _FLIGHT = "(sample_flight_polar, cfg.alpha)"
 _RELOCATE = "(uniform_disc_polar, R)"
 _NO_WRAP = "fx[cpos], fy[cpos], r)"
 _CAPSULE = "sy[nc + j], R, r)"
-# the Monte Carlo expressions: the flight pairing, the arc angle's result
-# and the two teleport point draws
+# the Monte Carlo expressions: the flight pairing, the grid's leg clamp,
+# the arc angle's result and the two teleport point draws
 _PAIRS = "theta[:size], theta[size:], z[:size], z[size:]"
+_CLAMP = "top = max(l0s)"
 _ARC = "    return phi\n"
 _POINTS = ("x1, y1 = uniform_points_in_disc(rng, cfg.radius",
            "x2, y2 = uniform_points_in_disc(rng, cfg.radius")
@@ -61,6 +62,8 @@ MUTANTS = {
     "teleport relocation within 0.95R": (WORLD, [(_RELOCATE, "(uniform_disc_polar, 0.95 * R)")]),
     "MC flights paired (2i, 2i + 1)": (ANALYTICS, [
         (_PAIRS, "theta[0::2], theta[1::2], z[0::2], z[1::2]")]),
+    "MC grid clamps every leg at the smallest l0": (ANALYTICS, [
+        (_CLAMP, "top = min(l0s)")]),
     "MC arc angle 1.02 phi": (ANALYTICS, [(_ARC, "    return 1.02 * phi\n")]),
     "MC teleport points within 0.95R": (ANALYTICS, [
         (site, site.replace("cfg.radius", "0.95 * cfg.radius")) for site in _POINTS]),

@@ -21,13 +21,13 @@ from lemmas import (
     binomial_chernoff_tail,
     cell_occupancy_prob,
     estimate_cosine_diff_tail_mc,
+    estimate_H1_mc,
     estimate_p_out_mc,
     u_bar_from_ccdf,
 )
 from mobidelay.analytics import (
     capacity_per_node,
     cosine_diff_tail_constants,
-    estimate_H1_mc,
     p_hat_bounds_iid,
     p_hat_bounds_levy,
     p_out_bounds,
@@ -79,7 +79,9 @@ def test_criterion_01_out_of_range_sandwich():
 
 def test_criterion_02_iid_no_contact_sandwich():
     t0 = time.time()
-    for i, (n, r) in enumerate(((100, 2.0), (400, 4.0))):
+    # (100, 2) and (400, 4) share R/r, so H1 is the same there; (10^4, 4)
+    # adds a second point, H1 about 0.97126 at 2 sqrt(n)
+    for i, (n, r) in enumerate(((100, 2.0), (400, 4.0), (10**4, 4.0))):
         est = estimate_H1_mc(_stream(10 + i), ModelConfig(n=n, r=r),
                              2.0 * math.sqrt(n), 10**6)
         lo, up = p_hat_bounds_iid(n, r)

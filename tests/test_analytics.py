@@ -22,6 +22,7 @@ from lemmas import (
     cell_occupancy_prob,
     chernoff_tail_relaxed,
     estimate_cosine_diff_tail_mc,
+    estimate_H1_mc,
     estimate_p_out_mc,
     u_bar_from_ccdf,
 )
@@ -35,7 +36,6 @@ from mobidelay.analytics import (
     compute_bound_report,
     cosine_diff_tail_constants,
     dumps_stable,
-    estimate_H1_mc,
     format_real,
     iid_delay_bound,
     p_hat_bounds,
@@ -48,6 +48,7 @@ from mobidelay.analytics import (
 from mobidelay.flight import sample_flight_lengths
 from mobidelay.geometry import uniform_points_in_disc
 from mobidelay.world import (
+    SALT_MC,
     ModelConfig,
     _pair_slot_contacts,
     pair_meeting_times,
@@ -306,9 +307,9 @@ LAWS = {"pareto-0.5": 0.5, "pareto-1": 1.0, "pareto-2": 2.0}
 def _both_no_contact(alpha, l0, trials, seed):
     # the package's (sum of v, sum of v (1 - v)) and the full-array miss
     # count, on one stream
-    args = (_cfg(N_MC, R_MC, alpha), l0, trials)
-    got = analytics._no_contact_fraction(trial_stream(seed, 14, 0), *args)
-    want = full_mc.no_contact_misses(trial_stream(seed, 14, 0), *args)
+    cfg = _cfg(N_MC, R_MC, alpha)
+    got = analytics._no_contact_sums(trial_stream(seed, 14, 0), cfg, [l0], trials)[0]
+    want = full_mc.no_contact_misses(trial_stream(seed, 14, 0), cfg, l0, trials)
     return got, want
 
 
@@ -362,24 +363,58 @@ def test_tiled_estimate_matches_the_whole_chunk_draw(name):
     trials = 2 * analytics._MC_TILE + 17
     for i, l0 in enumerate(L0_GRID):
         got_rng, want_rng = trial_stream(74, 14, i), trial_stream(74, 14, i)
-        got = analytics._no_contact_fraction(got_rng, cfg, l0, trials)
+        got = analytics._no_contact_sums(got_rng, cfg, [l0], trials)[0]
         assert got == full_mc.whole_chunk_fraction(want_rng, cfg, l0, trials)
         assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("name", sorted({**LAWS, "teleport": None}))
+def test_report_grid_is_each_single_l0_estimate_to_the_bit(name, monkeypatch):
+    # the report draws one stream for its whole l0 grid: each entry, p_hat_mc
+    # and where the stream is left are those of an estimate at that l0
+    # alone on the same stream, over two full tiles and a partial one
+    cfg = _cfg(N_MC, R_MC, LAWS.get(name))
+    trials = 2 * analytics._MC_TILE + 17
+    keys, streams = [], []
+
+    def recording(*key):
+        keys.append(key)
+        streams.append(trial_stream(*key))
+        return streams[-1]
+
+    monkeypatch.setattr(analytics, "trial_stream", recording)
+    rep = compute_bound_report(cfg, trials)
+    assert keys == [(cfg.master_seed, SALT_MC, 0)]
+    two_rt = 2.0 * math.sqrt(N_MC)
+    assert list(rep.h1_mc) == [1.5 * R_MC, 3.0 * R_MC, two_rt]
+    for l0, est in rep.h1_mc.items():
+        alone = trial_stream(cfg.master_seed, SALT_MC, 0)
+        assert est == estimate_H1_mc(alone, cfg, l0, trials)
+        assert alone.bit_generator.state == streams[0].bit_generator.state
+    assert rep.p_hat_mc == rep.h1_mc[two_rt]
 
 
 @pytest.mark.parametrize("alpha", [1.0, None], ids=["levy-1", "teleport"])
 def test_no_contact_estimate_holds_a_tile_not_a_chunk(alpha):
     # drawn whole, a 2^20-sample chunk peaked at 62 MiB of traced arrays
     # under heavy flights and 122 MiB under teleport; tiles take under
-    # 4.1 MiB.  Every pair at 1.5r is measured, the largest tile temporaries
+    # 4.1 MiB.  Every pair at 1.5r is measured, the largest tile
+    # temporaries, and the report holds one tile for its whole grid.  A
+    # report without samples first loads what teleport's delay bound
+    # imports, so that the import is not traced.
     cfg = _cfg(N_MC, R_MC, alpha)
+    compute_bound_report(cfg, 0)
     tracemalloc.start()
     try:
         estimate_H1_mc(trial_stream(75, 14, 0), cfg, 1.5 * R_MC, 2_000_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        single = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        compute_bound_report(cfg, 2_000_000)
+        report = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert single < 16 * 2**20
+    assert report < 16 * 2**20
 
 
 def test_overflowing_flight_length_raises_before_any_numpy_warning():
@@ -480,8 +515,8 @@ def test_pruned_estimators_raise_no_numpy_warnings(alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="raise"):
-            got = [analytics._no_contact_fraction(trial_stream(72, 14, i), cfg,
-                                                  l0, 100_000)
+            got = [analytics._no_contact_sums(trial_stream(72, 14, i), cfg,
+                                              [l0], 100_000)[0]
                    for i, l0 in enumerate(L0_GRID)]
             tails = estimate_cosine_diff_tail_mc(trial_stream(73, 14, 0), alpha,
                                                  [0.5, 4.0], 100_000)

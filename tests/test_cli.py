@@ -172,13 +172,14 @@ def test_bounds_writes_expected_json(tmp_path):
 
 def test_bounds_levy_files_match_the_full_array_estimator(tmp_path, monkeypatch):
     # the conditional estimates agree in distribution with the full-array
-    # counts on the same draws; every closed-form entry is written the same
+    # counts on the same draws, one tile loop for the whole grid on both
+    # sides; every closed-form entry is written the same
     argv = ["bounds", "--model", "levy", "--alpha", "1", "--n", "10000",
             "--r", "4", "--trials", "300000", "--seed", "11", "--format", "both"]
     package, full = tmp_path / "package", tmp_path / "full"
     assert main(argv + ["--out", str(package)]) == EXIT_OK
-    monkeypatch.setattr(analytics, "_no_contact_fraction",
-                        lambda *args: (full_mc.no_contact_misses(*args), 0.0))
+    monkeypatch.setattr(analytics, "_no_contact_sums", lambda *args: [
+        (misses, 0.0) for misses in full_mc.grid_misses(*args)])
     assert main(argv + ["--out", str(full)]) == EXIT_OK
     got = json.loads((package / "bounds.json").read_text())
     want = json.loads((full / "bounds.json").read_text())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from mobidelay.analytics import estimate_H1_mc
+from lemmas import estimate_H1_mc
 from mobidelay.geometry import first_contact_np, lens_area, uniform_disc_polar, uniform_points_in_disc
 from mobidelay.world import ModelConfig
 from oracle import central_angle_phi, segment_point_dist_np, wrap_flight
