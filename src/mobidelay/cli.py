@@ -39,7 +39,7 @@ from .experiments import (
     write_rows_csv,
 )
 from .world import (DEFAULT_HORIZON_IID, DEFAULT_HORIZON_LEVY, DEFAULT_SEED,
-                    MODEL_IID, MODEL_LEVY, ModelConfig, scheme_delays)
+                    MODEL_IID, MODEL_LEVY, ModelConfig, close_pool, scheme_delays)
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -435,6 +435,10 @@ def run(config: RunConfig) -> int:
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        # every configuration of the run shared one pool; its workers are
+        # reaped here, so none outlives the run
+        close_pool()
 
 
 def main(argv=None) -> int:

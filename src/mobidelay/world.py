@@ -26,14 +26,20 @@ at any flight length:
 
   * no wrap on either side: one relative segment, tested for every such
     carrier/destination pair of the group in one vector pass;
-  * a wrap on either side: the capsule search, one vector pass over all
-    such pairs of the slot.  Before the first wrap of the path that wraps
-    more, the fast path, its node is on its pre-wrap piece, and from then
-    on on one of its two chords; the other node is on one of at most four
-    pieces, each repeated.  A piece is within r of a segment the other node
-    sweeps over one closed-form phase interval, where its line crosses the
-    segment's capsule, and only the windows of that segment inside those
-    intervals are tested, lazily, up to the first hit.
+  * a wrap on either side, each path starting at most nine chords: the
+    window pass.  Where a piece of one path overlaps a piece of the other
+    in time, the relative motion is linear: a window.  All windows of all
+    such pairs of the slot are tested in one vector pass;
+  * a path starting more chords: the capsule search, one vector pass
+    over all such pairs of the slot.  Before the first wrap of the
+    path that wraps more, the fast path, its node is on its pre-wrap
+    piece, and from then on on one of its two chords; the other node is
+    on one of at most four pieces, each repeated.  A piece is within r of
+    a segment the other node sweeps over one closed-form phase interval,
+    where its line crosses the segment's capsule, and only the windows of
+    that segment inside those intervals are tested, lazily, up to the
+    first hit.  On a pair the window pass takes, the two find the same
+    times.
 
 Randomness discipline (STREAM_VERSION 3): the batch runners
 pair_meeting_times and scheme_delays shard trials into fixed 1024-trial
@@ -61,7 +67,11 @@ A task of the runner advances a group of consecutive blocks in one slot
 loop: each block still draws from its own stream as above, and
 everything after the draws (the map to Cartesian steps, the contact
 engine, the live bookkeeping) is elementwise over the group's pairs.
-So neither the grouping nor the worker count changes a result.
+So neither the grouping nor the worker count changes a result.  With
+more than one worker the groups run on a process pool that the runner
+starts at its first call and keeps for later ones, so a run of several
+configurations forks its workers once; close_pool ends it, and the CLI
+calls it when a run ends.
 ``tests/replay.py`` replays this contract trial by trial, with an
 explicit-wrap walk in place of the closed forms above.
 """
@@ -93,6 +103,7 @@ __all__ = [
     "trial_stream",
     "pair_meeting_times",
     "scheme_delays",
+    "close_pool",
 ]
 
 MODEL_LEVY = "levy"
@@ -119,6 +130,11 @@ _WINDOW_BUDGET = 5_000_000
 # windows the capsule search tests at once, over all its rows, which
 # bounds their memory however many pairs wrap
 _WINDOW_BATCH = 1 << 13
+# a pair whose paths start at most this many chords takes the window
+# pass, whose piece pairs grow as the square of the chords but which
+# saves the capsule search's higher cost per slot: in-process pair
+# meeting at alpha 0.5 to 2 ran faster up to 9 and no faster at 17
+_WINDOW_CHORDS = 9
 
 _BLOCK = 1024
 # nodes one group of blocks keeps in flight, 8 pair-meeting blocks: more
@@ -192,11 +208,6 @@ def trial_stream(master_seed: int, salt: int, index: int) -> np.random.Generator
 # slot paths and the exact contact engine
 
 
-# math.hypot is correctly rounded and np.hypot is not; wrapped positions
-# are defined by the former
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-
-
 # Closed-form wrap geometry of slot paths, one entry per path.  A path
 # that leaves the disc first exits at slot time t1.  From then on the
 # antipodal rule makes it alternate, with period dt, between chord A (from
@@ -218,10 +229,10 @@ def _wrap_geometry(x0, y0, dx, dy, R) -> _Wraps:
     with np.errstate(invalid="ignore", divide="ignore"):
         ex = x0 + u * dx
         ey = y0 + u * dy
-        pin = R / _hypot(ex, ey).astype(float)
+        pin = R / np.hypot(ex, ey)
         p1x = ex * pin
         p1y = ey * pin
-        speed = _hypot(dx, dy).astype(float)
+        speed = np.hypot(dx, dy)
         vhx = dx / speed
         vhy = dy / speed
         s = 2.0 * (p1x * vhx + p1y * vhy)
@@ -442,21 +453,84 @@ def _capsule_search(x0, y0, dx, dy, g, fast, slow, r):
     return t
 
 
+def _window_pass(x0, y0, dx, dy, g, fast, slow, r):
+    """Earliest contact of each pair over its whole slot, window by window.
+
+    Pair k is paths fast[k] and slow[k] of the path arrays and _Wraps g, as
+    in _capsule_search.  A path's slot is its pre-wrap piece, then its
+    chords 0 .. m_last; every piece of one path is paired with every piece
+    of the other, and where the two overlap in time both nodes move
+    linearly: a window, tested whole.  All windows of all pairs go through
+    one first_contact_np call, each with the ends, the positions and the
+    argument order of the capsule-search row that covers it, so the two
+    passes give the same times.  Paths that start c1 and c2 chords have
+    (c1 + 1)(c2 + 1) piece pairs.  Returns the times, inf where none.
+    """
+    # pieces of each pair's fast and slow path
+    nf = g.m_last[fast].astype(np.int64) + 2
+    ns = g.m_last[slow].astype(np.int64) + 2
+    count = nf * ns
+    pair = np.repeat(np.arange(fast.size), count)
+    c = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+    mf = c // ns[pair] - 1.0
+    ms = c % ns[pair] - 1.0
+    # the capsule search's roles: until the fast path's first exit its
+    # pre-wrap piece is the point and the slow path's piece the window;
+    # from then on the fast path's chord is the window
+    chord = mf >= 0.0
+    w = np.where(chord, fast[pair], slow[pair])
+    p = np.where(chord, slow[pair], fast[pair])
+    mw = np.where(chord, mf, ms)
+    mp = np.where(chord, ms, mf)
+
+    def piece(paths, m):
+        return _piece(x0[paths], y0[paths], dx[paths], dy[paths], _Wraps(*(v[paths] for v in g)), m)
+
+    wa, fx, fy, fvx, fvy = piece(w, mw)
+    ow, spx, spy, svx, svy = piece(p, mp)
+    dur = np.where(mp < 0.0, np.minimum(g.t1[p], 1.0),
+                   np.where(mp == g.m_last[p], 1.0 - ow, g.dt[p]))
+    a = np.maximum(wa, ow)
+    b = np.minimum(np.minimum(np.where(mw < 0.0, g.t1[w], wa + g.dt[w]), ow + dur), 1.0)
+    # pieces that do not overlap, or only at an instant, hold no window
+    i = np.flatnonzero(b > a)
+    a, b, wa, ow = a[i], b[i], wa[i], ow[i]
+    hit_s = first_contact_np(fx[i] + fvx[i] * (a - wa), fy[i] + fvy[i] * (a - wa),
+                             fx[i] + fvx[i] * (b - wa), fy[i] + fvy[i] * (b - wa),
+                             spx[i] + svx[i] * (a - ow), spy[i] + svy[i] * (a - ow),
+                             spx[i] + svx[i] * (b - ow), spy[i] + svy[i] * (b - ow), r)
+    h = np.flatnonzero(np.isfinite(hit_s))
+    t = np.full(fast.size, np.inf)
+    np.minimum.at(t, pair[i[h]], a[h] + hit_s[h] * (b[h] - a[h]))
+    return t
+
+
 def _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
     """Exact earliest in-slot contact of each pair of paths.
 
     Path 1 of pair k starts at (x1[k], y1[k]) and moves by (d1x[k],
-    d1y[k]), path 2 likewise.  Every pair takes _capsule_search, with the
-    path that starts more chords as its fast path.  Returns (t, e1x, e1y,
-    e2x, e2y): the contact times, inf where there is none, and the end
-    positions of the paths.
+    d1y[k]), path 2 likewise.  The path that starts more chords is the
+    pair's fast path.  A pair whose fast path starts at most _WINDOW_CHORDS
+    chords takes _window_pass, and any other pair _capsule_search.
+    Returns (t, e1x, e1y, e2x, e2y): the contact times, inf where there is
+    none, and the end positions of the paths.
     """
     K = x1.size
     x0, y0, dx, dy = (np.concatenate(v) for v in ((x1, x2), (y1, y2), (d1x, d2x), (d1y, d2y)))
     g = _wrap_geometry(x0, y0, dx, dy, R)
     k = np.arange(K)
     swap = g.m_last[:K] < g.m_last[K:]
-    t = _capsule_search(x0, y0, dx, dy, g, np.where(swap, K + k, k), np.where(swap, k, K + k), r)
+    fast = np.where(swap, K + k, k)
+    slow = np.where(swap, k, K + k)
+    few = g.m_last[fast] < _WINDOW_CHORDS
+    t = np.empty(K)
+    w = np.flatnonzero(few)
+    c = np.flatnonzero(~few)
+    # each pass has a fixed numpy cost per call, saved on slots it has no pairs
+    if w.size:
+        t[w] = _window_pass(x0, y0, dx, dy, g, fast[w], slow[w], r)
+    if c.size:
+        t[c] = _capsule_search(x0, y0, dx, dy, g, fast[c], slow[c], r)
     t0, px, py, vx, vy = _piece(x0, y0, dx, dy, g, g.m_last)
     ex = px + vx * (1.0 - t0)
     ey = py + vy * (1.0 - t0)
@@ -617,12 +691,42 @@ def _run_sharded(cfg, trials, salt, workers, m):
     if workers <= 1 or groups == 1:
         parts = [_contact_group(t) for t in tasks]
     else:
+        try:
+            parts = list(_pool_of(min(workers, groups)).map(_contact_group, tasks))
+        except BaseException:
+            # a failed run leaves no pool that may be broken
+            close_pool()
+            raise
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+# the process pool of the block runners, as (workers, executor): started
+# by the first call that splits its groups and kept for later calls, so a
+# run of several configurations forks its workers once.  Workers are forked
+# copies of this module as it was when the pool started.
+_pool = None
+
+
+def _pool_of(workers):
+    """The shared pool, started or regrown to at least workers processes."""
+    global _pool
+    if _pool is None or _pool[0] < workers:
+        close_pool()
         # imported here: the pool pulls in multiprocessing, which a run
         # without one need not load
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, groups)) as ex:
-            parts = list(ex.map(_contact_group, tasks))
-    return [np.concatenate(col) for col in zip(*parts)]
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def close_pool() -> None:
+    """Shut the block runners' process pool down, if one is running, and
+    wait for its workers to exit."""
+    global _pool
+    if _pool is not None:
+        pool = _pool[1]
+        _pool = None
+        pool.shutdown(wait=True)
 
 
 def pair_meeting_times(cfg: ModelConfig, trials: int, salt: int = SALT_MEET,

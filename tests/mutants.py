@@ -35,7 +35,11 @@ ANALYTICS = Path("src", "mobidelay", "analytics.py")
 _FLIGHT = "(sample_flight_polar, cfg.alpha)"
 _RELOCATE = "(uniform_disc_polar, R)"
 _NO_WRAP = "fx[cpos], fy[cpos], r)"
-_CAPSULE = "sy[nc + j], R, r)"
+# the wrapped pairs' call, which feeds both the window pass and the
+# capsule search, and each pass's own call
+_WRAPPED = "sy[nc + j], R, r)"
+_WINDOWS = "fast[w], slow[w], r)"
+_SEARCH = "fast[c], slow[c], r)"
 # the Monte Carlo expressions: the flight pairing, the grid's leg clamp,
 # the arc angle's result and the two teleport point draws
 _PAIRS = "theta[:size], theta[size:], z[:size], z[size:]"
@@ -55,10 +59,11 @@ def _range(scale, *sites):
 MUTANTS = {
     "flights at 0.8 alpha": (WORLD, [(_FLIGHT, "(sample_flight_polar, 0.8 * cfg.alpha)")]),
     "flights at 1.2 alpha": (WORLD, [(_FLIGHT, "(sample_flight_polar, 1.2 * cfg.alpha)")]),
-    "range 0.9r": (WORLD, _range(0.9, _NO_WRAP, _CAPSULE)),
-    "range 1.1r": (WORLD, _range(1.1, _NO_WRAP, _CAPSULE)),
+    "range 0.9r": (WORLD, _range(0.9, _NO_WRAP, _WRAPPED)),
+    "range 1.1r": (WORLD, _range(1.1, _NO_WRAP, _WRAPPED)),
     "0.95r in the no-wrap pass only": (WORLD, _range(0.95, _NO_WRAP)),
-    "0.95r in the capsule search only": (WORLD, _range(0.95, _CAPSULE)),
+    "0.95r in the window pass only": (WORLD, _range(0.95, _WINDOWS)),
+    "0.95r in the capsule search only": (WORLD, _range(0.95, _SEARCH)),
     "teleport relocation within 0.95R": (WORLD, [(_RELOCATE, "(uniform_disc_polar, 0.95 * R)")]),
     "MC flights paired (2i, 2i + 1)": (ANALYTICS, [
         (_PAIRS, "theta[0::2], theta[1::2], z[0::2], z[1::2]")]),

@@ -1,8 +1,10 @@
 """CLI parsing, dispatch, exit codes, and output files."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import sys
 import pytest
 
 import full_mc
-from mobidelay import analytics, cli
+from mobidelay import analytics, cli, world
 from mobidelay.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -337,6 +339,45 @@ def test_dominance_run(tmp_path):
 def test_dominance_rejects_iid():
     cfg = parse_args(["dominance", "--n", "64"])
     assert run(cfg) == EXIT_USAGE
+
+
+def _count_pools(monkeypatch):
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    # the runner imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+_POOLED_DOMINANCE = ["dominance", "--model", "levy", "--alpha", "0.5,2.0",
+                     "--n", "64,100", "--r", "2", "--trials", "2100",
+                     "--horizon", "60", "--workers", "2"]
+
+
+def test_a_run_forks_one_pool_and_reaps_its_workers(tmp_path, monkeypatch):
+    # four block-runner calls (two tail exponents at two population
+    # sizes), each of three blocks in two groups, share one pool, and
+    # cli.run shuts it down before it returns
+    started = _count_pools(monkeypatch)
+    assert run(parse_args(_POOLED_DOMINANCE + ["--out", str(tmp_path / "o")])) == EXIT_OK
+    assert started == [{"max_workers": 2}]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failed_run_reaps_its_pool(tmp_path, monkeypatch, capsys):
+    # workers forked with a one-window budget fail the first search that
+    # needs two windows: the run exits 1 and leaves no worker behind
+    started = _count_pools(monkeypatch)
+    monkeypatch.setattr(world, "_WINDOW_BUDGET", 1)
+    assert run(parse_args(_POOLED_DOMINANCE + ["--out", str(tmp_path / "o")])) == EXIT_USAGE
+    assert "budget exceeded" in capsys.readouterr().err
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_r_flag_rejected_for_grids():

@@ -486,10 +486,23 @@ def test_flight_whose_slot_products_overflow_fails_without_warning(monkeypatch):
             pair_meeting_times(cfg, 8)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_heavy_flight_runs_raise_no_numpy_warning(alpha):
+    # the wrap passes compute over lanes they then mask (unwrapped paths
+    # have infinite exit times, frozen ones infinite periods): none of that
+    # arithmetic may warn
+    cfg = ModelConfig(n=400, r=4.0, model="levy", alpha=alpha, horizon_slots=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair_meeting_times(cfg, 2000, salt=340)
+        scheme_delays(cfg, 300, salt=341)
+
+
 def test_contacts_on_slow_chords_before_the_fast_wrap_match_oracle():
     # the slow node wraps first, near the boundary, and the fast node
     # later; contacts between the two first wraps are found by the search
-    # rows of the fast pre-wrap piece against the slow node's chords.  A
+    # rows of the fast pre-wrap piece against the slow node's chords, or
+    # by the window pass on pairs of few chords.  A
     # wrapping path exits within one chord length of its start (t1 <= dt),
     # so the slow path starts at most two chords before the fast path's
     # first wrap
@@ -523,6 +536,88 @@ def test_contacts_on_slow_chords_before_the_fast_wrap_match_oracle():
             assert t == pytest.approx(want, abs=1e-9)
     assert cases > 1500 and hits > 500
     assert between > 50  # the slow chords before the fast wrap were reached
+
+
+def _both_passes(slots, R, r):
+    # the window pass and the capsule search on the same pairs, each with
+    # the fast path first as _pair_slot_contacts orders them; every pair
+    # must be one the window pass takes
+    cols = [np.array(c, dtype=float) for c in zip(*slots)]
+    x0, y0, dx, dy = (np.concatenate(v) for v in zip(cols[:4], cols[4:]))
+    g = _wrap_geometry(x0, y0, dx, dy, R)
+    K = len(slots)
+    k = np.arange(K)
+    swap = g.m_last[:K] < g.m_last[K:]
+    fast, slow = np.where(swap, K + k, k), np.where(swap, k, K + k)
+    assert np.all(g.m_last < world._WINDOW_CHORDS)
+    return (world._window_pass(x0, y0, dx, dy, g, fast, slow, r),
+            world._capsule_search(x0, y0, dx, dy, g, fast, slow, r))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_window_pass_is_the_capsule_search_on_its_pairs(alpha):
+    # pairs of the engine's own law, at least one end out of the disc and
+    # no path starting more than _WINDOW_CHORDS chords: the window pass
+    # finds the capsule search's times bit for bit, and the oracle's
+    # within 1e-9, on pairs that wrap once and pairs that wrap more
+    rng = RNG(117)
+    R = 20.0
+    x, y = uniform_points_in_disc(rng, R, 8000)
+    theta, z = sample_flight_polar(rng, alpha, 8000)
+    dx, dy = z * np.cos(theta), z * np.sin(theta)
+    g = _wrap_geometry(x, y, dx, dy, R)
+    out = (x + dx) ** 2 + (y + dy) ** 2 > R * R
+    chords = np.maximum(g.m_last[:4000], g.m_last[4000:]) + 1.0
+    taken = np.flatnonzero((chords <= world._WINDOW_CHORDS) & (out[:4000] | out[4000:]))
+    slots = [(x[i], y[i], dx[i], dy[i], x[j], y[j], dx[j], dy[j])
+             for i, j in zip(taken, taken + 4000)][:600]
+    assert len(slots) > 300
+    assert np.sum(chords[taken[:600]] == 1.0) > 200 and np.sum(chords[taken[:600]] > 1.0) > 5
+    windows, searched = _both_passes(slots, R, 2.0)
+    assert np.array_equal(windows, searched)
+    hits = 0
+    for slot, t in zip(slots, windows):
+        rel = oracle.relative_pieces(oracle.wrap_flight(*slot[:4], R),
+                                     oracle.wrap_flight(*slot[4:], R))
+        want = oracle.first_contact(rel, 2.0)
+        assert math.isinf(t) == (want is None)
+        if want is not None:
+            hits += 1
+            assert t == pytest.approx(want, abs=1e-9)
+    assert hits > 10
+
+
+def test_window_pass_edge_cases():
+    # (slot, r, contact time, whether the oracle's walk can follow it)
+    R = 10.0
+    cases = [
+        # an exit exactly at t = 1 starts no chord; the other path wraps
+        # once, running 14 faster along a line 0.5 below the first
+        ((0.0, 0.0, 10.0, 0.0, -6.0, -0.5, 24.0, 0.0), 1.0,
+         (6.0 - math.sqrt(0.75)) / 14.0, True),
+        # a tangent exit freezes the node at (0, -10) from t = 0, and the
+        # other node passes below it at height -9.5 before its own exit;
+        # the oracle's walk never gets past a tangent exit
+        ((0.0, 10.0, 3.0, 3e-13, -6.0, -9.5, 12.0, 0.0), 1.0,
+         (6.0 - math.sqrt(0.75)) / 12.0, False),
+        # one path wraps once and the other stays parked; the relative
+        # motion grazes the parked node's range circle at t = 1/3
+        ((-8.0, 2.0, 24.0, 0.0, 0.0, 0.0, 0.0, 0.0), 2.0, 1.0 / 3.0, True),
+        # contact at an exit instant: the node leaves at (10, 0) at t = 1/2
+        # and re-enters at (-10, 0), exactly r = 1 from the parked node
+        ((0.0, 0.0, 20.0, 0.0, -9.0, 0.0, 0.0, 0.0), 1.0, 0.5, True),
+    ]
+    g = _wrap_geometry(*(np.array([v, w]) for v, w in zip(cases[0][0][:4], cases[1][0][:4])), R)
+    assert g.t1[0] == np.inf and g.m_last[0] == -1.0
+    assert g.frozen[1] and g.t1[1] == 0.0
+    for slot, r, want, walkable in cases:
+        windows, searched = _both_passes([slot], R, r)
+        assert windows[0] == searched[0] == _contact(*slot, R, r)[0]
+        assert windows[0] == pytest.approx(want, abs=1e-9)
+        if walkable:
+            rel = oracle.relative_pieces(oracle.wrap_flight(*slot[:4], R),
+                                         oracle.wrap_flight(*slot[4:], R))
+            assert oracle.first_contact(rel, r) == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
