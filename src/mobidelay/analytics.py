@@ -20,7 +20,7 @@ and decide what to gate on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -133,26 +133,10 @@ class BoundReport:
             raise ValueError("delay_upper must be nonnegative")
 
     def to_obj(self) -> dict:
-        return {
-            "p_out_lower": self.p_out_lower,
-            "p_out_upper": self.p_out_upper,
-            "p_hat_lower": self.p_hat_lower,
-            "p_hat_upper": self.p_hat_upper,
-            "p_hat_mc": _estimate_obj(self.p_hat_mc),
-            "h1_mc": None if self.h1_mc is None else {
-                format_real(l0): _estimate_obj(est) for l0, est in self.h1_mc.items()
-            },
-            "u_bar": {str(m): v for m, v in self.u_bar.items()},
-            "delay_upper": self.delay_upper,
-            "capacity_lambda": self.capacity_lambda,
-            "n_th_note": self.n_th_note,
-        }
-
-
-def _estimate_obj(est: Optional[Estimate]):
-    if est is None:
-        return None
-    return {"value": est.value, "stderr": est.stderr, "trials": est.trials}
+        obj = asdict(self)
+        if self.h1_mc is not None:
+            obj["h1_mc"] = {format_real(l0): est for l0, est in obj["h1_mc"].items()}
+        return obj
 
 
 # ---------------------------------------------------------------------------

@@ -374,9 +374,9 @@ def _run_sweep(config: RunConfig) -> int:
         return EXIT_OK
     if not fit.valid:
         return _checked(False, fit.note or "fit invalid")
-    alpha = config.alpha[0] if config.alpha else _ALPHA_DEFAULT
-    eta = 2.0 * configs[0].beta  # capacity target n**-eta paired with this range
-    (_, exponent), = tradeoff_curve(config.model, alpha, [eta])
+    # the capacity target n**-eta paired with this range; --beta is 0 when unset
+    eta = 2.0 * (config.beta or 0.0)
+    (_, exponent), = tradeoff_curve(config.model, configs[0].alpha, [eta])
     return _checked(fit.slope <= exponent + _SLOPE_SLACK,
                     f"slope {fit.slope:.4g} > {exponent:.4g} + {_SLOPE_SLACK}")
 

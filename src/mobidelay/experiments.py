@@ -68,18 +68,23 @@ def grid_configs(n_grid: Sequence[int], *, r: Optional[float] = None,
                  master_seed: int = DEFAULT_SEED) -> list[ModelConfig]:
     """One ModelConfig per population of a strictly increasing grid.
 
-    Grid point i runs on master seed master_seed + i, which keeps the
-    points statistically independent while staying a pure function of
-    the arguments.  ModelConfig validates every other field; horizon of
-    None defers to the model default.
+    Exactly one of r/beta must be given; beta in [0, 1/4] sets r = n**beta
+    at each grid point.  Grid point i runs on master seed master_seed + i,
+    which keeps the points statistically independent while staying a pure
+    function of the arguments.  ModelConfig validates every other field;
+    horizon of None defers to the model default.
     """
     grid = [int(n) for n in n_grid]
     if not grid:
         raise ValueError("n_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
-    return [ModelConfig(n=n, r=r, beta=beta, model=model, alpha=alpha,
-                        horizon_slots=horizon, master_seed=master_seed + i)
+    if (r is None) == (beta is None):
+        raise ValueError("give exactly one of r or beta")
+    if beta is not None and not (0.0 <= beta <= 0.25):
+        raise ValueError("beta must be in [0, 0.25]")
+    return [ModelConfig(n=n, r=r if beta is None else float(n) ** beta, model=model,
+                        alpha=alpha, horizon_slots=horizon, master_seed=master_seed + i)
             for i, n in enumerate(grid)]
 
 
@@ -240,7 +245,7 @@ def run_ccdf_sweep(configs: Sequence[ModelConfig], trials: int,
     rows = []
     for cfg in configs:
         if cfg.horizon_slots <= tau_max:
-            raise ValueError("horizon must exceed tau_max")
+            raise ValueError(f"horizon {cfg.horizon_slots} must exceed tau_max {tau_max}")
         p_out_up = p_out_bounds(cfg.n, cfg.r)[1]
         p_hat_up = p_hat_bounds(cfg)[1]
         _, tm = pair_meeting_times(cfg, trials, workers=workers)
@@ -279,7 +284,8 @@ def run_dominance_check(configs: Sequence[ModelConfig], trials: int,
     rows = []
     for cfg in configs:
         if cfg.horizon_slots <= max(taus):
-            raise ValueError("horizon must exceed the largest t")
+            raise ValueError(f"horizon {cfg.horizon_slots} must exceed the largest t, "
+                             f"{max(taus)}")
         lo_t, hi_t = [
             pair_meeting_times(replace(cfg, alpha=a), trials, workers=workers)[1]
             for a in (alpha_low, alpha_high)]

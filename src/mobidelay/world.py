@@ -38,8 +38,11 @@ at any flight length:
     a segment the other node sweeps over one closed-form phase interval,
     where its line crosses the segment's capsule, and only the windows of
     that segment inside those intervals are tested, lazily, up to the
-    first hit.  On a pair the window pass takes, the two find the same
-    times.
+    first hit.
+
+Both wrapped passes hand their windows to one kernel, _window_times,
+which builds each window from its two pieces and tests it; so on a pair
+the window pass takes, the two find the same times.
 
 Randomness discipline (STREAM_VERSION 3): the batch runners
 pair_meeting_times and scheme_delays shard trials into fixed 1024-trial
@@ -146,17 +149,13 @@ _GROUP_NODES = 1 << 14
 class ModelConfig:
     """One network instance.
 
-    Exactly one of r/beta must be given; beta in [0, 1/4] sets r = n**beta.
-    r may come with beta only as that resolved value, which is what
-    dataclasses.replace passes on: so a beta-built config can be copied
-    only with the same n.  The heavy-tailed model requires alpha, the
-    tail exponent of its Pareto flight lengths, in (0, 2]; the teleport
-    model takes none.
+    r is the transmission range.  The heavy-tailed model requires alpha,
+    the tail exponent of its Pareto flight lengths, in (0, 2]; the
+    teleport model takes none.
     """
 
     n: int
-    r: float | None = None
-    beta: float | None = None
+    r: float
     model: str = MODEL_IID
     alpha: float | None = None
     horizon_slots: int | None = None
@@ -167,16 +166,6 @@ class ModelConfig:
             raise ValueError("n must be a positive integer")
         if self.model not in (MODEL_LEVY, MODEL_IID):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.beta is not None:
-            if not (0.0 <= self.beta <= 0.25):
-                raise ValueError("beta must be in [0, 0.25]")
-            r = float(self.n) ** self.beta
-            if self.r not in (None, r):
-                raise ValueError("give exactly one of r or beta: r must equal n**beta; "
-                                 "build a new ModelConfig to change n")
-            object.__setattr__(self, "r", r)
-        elif self.r is None:
-            raise ValueError("give exactly one of r or beta")
         # 2*sqrt(n) is the disc diameter, the largest meaningful range
         if not (0.0 < self.r <= 2.0 * math.sqrt(self.n)):
             raise ValueError("require 0 < r <= 2*sqrt(n)")
@@ -247,21 +236,48 @@ def _wrap_geometry(x0, y0, dx, dy, R) -> _Wraps:
                   np.where(moving, -(-p1y + s * vhy), -p1y), frozen)
 
 
-def _piece(x0, y0, dx, dy, g, m):
-    """Piece m of each path as (t0, px, py, vx, vy).
+def _piece(x0, y0, dx, dy, g, paths, m):
+    """Piece m[k] of path paths[k] as (t0, px, py, vx, vy, dur).
 
-    On the piece the position at slot time t is (px, py) + (vx, vy)(t - t0).
-    Piece -1 is the motion before the first wrap; piece m >= 0 is chord m
-    of _Wraps, or the stand at A of a frozen path.
+    On the piece the position at slot time t is (px, py) + (vx, vy)(t - t0),
+    for dur from t0.  Piece -1 is the motion before the first wrap; piece
+    m >= 0 is chord m of _Wraps, or the stand at A of a frozen path, and
+    piece m_last ends the slot.
     """
+    x0, y0, dx, dy = x0[paths], y0[paths], dx[paths], dy[paths]
+    g = _Wraps(*(v[paths] for v in g))
     pre = m < 0
     still = g.frozen & ~pre
-    odd = m % 2 == 1
+    # m holds an integer: the truncated remainder is the floored one where
+    # odd is read, m >= 0, and costs less
+    odd = np.fmod(m, 2.0) == 1.0
     with np.errstate(invalid="ignore"):
         t0 = np.where(pre, 0.0, g.t1 + m * np.where(g.frozen, 0.0, g.dt))
     return (t0, np.where(pre, x0, np.where(odd, g.bx, g.ax)),
             np.where(pre, y0, np.where(odd, g.by, g.ay)),
-            np.where(still, 0.0, dx), np.where(still, 0.0, dy))
+            np.where(still, 0.0, dx), np.where(still, 0.0, dy),
+            np.where(pre, np.minimum(g.t1, 1.0), np.where(m == g.m_last, 1.0 - t0, g.dt)))
+
+
+def _window_times(x0, y0, dx, dy, g, w, mw, point, r):
+    """Contact time of each window, inf where none.
+
+    Window k is where piece mw[k] of path w[k], the segment, overlaps in
+    time the point's piece, entry k of the _piece tuple point: both nodes
+    move linearly there, so each window is tested whole by one
+    first_contact_np call, the segment's motion first.  Pieces that do not
+    overlap, or only at an instant, hold no window.
+    """
+    wa, fx, fy, fvx, fvy, _ = _piece(x0, y0, dx, dy, g, w, mw)
+    ow, spx, spy, svx, svy, dur = point
+    a = np.maximum(wa, ow)
+    b = np.minimum(np.minimum(np.where(mw < 0.0, g.t1[w], wa + g.dt[w]), ow + dur), 1.0)
+    hit_s = first_contact_np(fx + fvx * (a - wa), fy + fvy * (a - wa),
+                             fx + fvx * (b - wa), fy + fvy * (b - wa),
+                             spx + svx * (a - ow), spy + svy * (a - ow),
+                             spx + svx * (b - ow), spy + svy * (b - ow), r)
+    with np.errstate(invalid="ignore"):  # inf * 0 on a window without time
+        return np.where((b > a) & np.isfinite(hit_s), a + hit_s * (b - a), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +290,16 @@ def _per_trial_min(values, owner, size):
     return out
 
 
-def _band(alpha, beta, top):
-    """Phases phi with 0 <= alpha + beta phi <= top, as (lo, hi); NaN where none.
+def _band(c, s, top):
+    """Phases phi with 0 <= c + s phi <= top, as (lo, hi); NaN where none.
 
     A near-zero slope sends the bounds to +-inf, their limit.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        p = -alpha / beta
-        q = (top - alpha) / beta
-    inside = (alpha >= 0.0) & (alpha <= top)
-    flat = beta == 0.0
+        p = -c / s
+        q = (top - c) / s
+    inside = (c >= 0.0) & (c <= top)
+    flat = s == 0.0
     return (np.where(flat, np.where(inside, -np.inf, np.nan), np.minimum(p, q)),
             np.where(flat, np.where(inside, np.inf, np.nan), np.maximum(p, q)))
 
@@ -337,11 +353,11 @@ def _capsule_search(x0, y0, dx, dy, g, fast, slow, r):
     the even and the odd full chords, and the last piece (or the stand of
     a frozen path).  A contact needs the point within r of the segment its
     window sweeps, which holds over one closed-form phase interval of its
-    piece (_capsule); only the windows meeting that interval are tested,
-    each over its whole overlap with the piece.  Rows enumerate their
-    windows in time order, each up to its first hit, in batches of at most
-    _WINDOW_BATCH windows over all rows; a pair's contact is the earliest
-    of its rows' hits.
+    piece (_capsule); only the windows meeting that interval are tested by
+    _window_times, each over its whole overlap with the piece.  Rows
+    enumerate their windows in time order, each up to its first hit, in
+    batches of at most _WINDOW_BATCH windows over all rows; a pair's
+    contact is the earliest of its rows' hits.
     Every enumerated window, collapsed ones too, is charged to the pair, so
     a flight that wraps ~1e18 times fails in bounded time.  Returns the
     times, inf where none.
@@ -362,13 +378,8 @@ def _capsule_search(x0, y0, dx, dy, g, fast, slow, r):
     keep = (count > 0.0) & (g.m_last[win] >= kind)
     pair, mj, count, pt, win, kind = (v[keep] for v in (pair, mj, count, pt, win, kind))
 
-    def piece(paths, m):
-        return _piece(x0[paths], y0[paths], dx[paths], dy[paths], _Wraps(*(v[paths] for v in g)), m)
-
-    t0, px, py, vx, vy = piece(pt, mj)
-    dur = np.where(mj < 0.0, np.minimum(g.t1[pt], 1.0),
-                   np.where(mj == g.m_last[pt], 1.0 - t0, g.dt[pt]))
-    _, cx, cy, wx, wy = piece(win, kind)
+    t0, px, py, vx, vy, dur = _piece(x0, y0, dx, dy, g, pt, mj)
+    _, cx, cy, wx, wy, _ = _piece(x0, y0, dx, dy, g, win, kind)
     span = np.where(kind < 0.0, np.minimum(g.t1[win], 1.0), np.where(g.frozen[win], 0.0, g.dt[win]))
     lo, hi = _capsule(px, py, vx, vy, dur, cx, cy, wx * span, wy * span, r)
     with np.errstate(invalid="ignore"):
@@ -389,7 +400,8 @@ def _capsule_search(x0, y0, dx, dy, g, fast, slow, r):
         item_row = np.repeat(np.arange(rows.size), n_items)
         it = rows[item_row]
         j = np.arange(it.size) - np.repeat(np.cumsum(n_items) - n_items, n_items)
-        o, spx, spy, svx, svy = piece(pt[it], mj[it] + 2.0 * (rep[it] + j))
+        point = _piece(x0, y0, dx, dy, g, pt[it], mj[it] + 2.0 * (rep[it] + j))
+        o = point[0]
         wp = win[it]
         kd = kind[it]
         # hi <= dur, so the interval is within the point's piece
@@ -411,24 +423,15 @@ def _capsule_search(x0, y0, dx, dy, g, fast, slow, r):
         take = np.minimum(n, np.maximum(quota - before, 0.0)).astype(np.int64)
         wi = np.repeat(np.arange(it.size), take)
         m = m0[wi] + 2.0 * (np.arange(wi.size) - np.repeat(np.cumsum(take) - take, take))
-        fw = wp[wi]
-        wa, fx, fy, fvx, fvy = piece(fw, m)
-        ow = o[wi]
-        # the window's whole overlap with the point's piece: the capsule
-        # interval may be a single instant, as for a touch at phase 0
-        a = np.maximum(wa, ow)
-        b = np.minimum(np.minimum(np.where(m < 0.0, g.t1[fw], wa + g.dt[fw]),
-                                  ow + dur[it[wi]]), 1.0)
-        hit_s = first_contact_np(fx + fvx * (a - wa), fy + fvy * (a - wa),
-                                 fx + fvx * (b - wa), fy + fvy * (b - wa),
-                                 spx[wi] + svx[wi] * (a - ow), spy[wi] + svy[wi] * (a - ow),
-                                 spx[wi] + svx[wi] * (b - ow), spy[wi] + svy[wi] * (b - ow), r)
-        h = np.flatnonzero((b > a) & np.isfinite(hit_s))
+        # each window over its whole overlap with the point's piece: the
+        # capsule interval may be a single instant, as for a touch at phase 0
+        tw = _window_times(x0, y0, dx, dy, g, wp[wi], m, [v[wi] for v in point], r)
+        h = np.flatnonzero(np.isfinite(tw))
         hr = item_row[wi[h]]
         first_hit = np.diff(hr, prepend=-1) != 0
         h = h[first_hit]
         hr = hr[first_hit]
-        np.minimum.at(t, pair[rows[hr]], a[h] + hit_s[h] * (b[h] - a[h]))
+        np.minimum.at(t, pair[rows[hr]], tw[h])
         # charge each row its windows up to and including its first hit
         charge = np.bincount(item_row, take, minlength=rows.size)
         charge[hr] = h - (np.cumsum(charge) - charge)[hr] + 1
@@ -460,11 +463,11 @@ def _window_pass(x0, y0, dx, dy, g, fast, slow, r):
     in _capsule_search.  A path's slot is its pre-wrap piece, then its
     chords 0 .. m_last; every piece of one path is paired with every piece
     of the other, and where the two overlap in time both nodes move
-    linearly: a window, tested whole.  All windows of all pairs go through
-    one first_contact_np call, each with the ends, the positions and the
-    argument order of the capsule-search row that covers it, so the two
-    passes give the same times.  Paths that start c1 and c2 chords have
-    (c1 + 1)(c2 + 1) piece pairs.  Returns the times, inf where none.
+    linearly: a window.  All windows of all pairs go to _window_times at
+    once, each with the segment and the point of the capsule-search row
+    that covers it, so the two passes give the same times.  Paths that
+    start c1 and c2 chords have (c1 + 1)(c2 + 1) piece pairs.  Returns the
+    times, inf where none.
     """
     # pieces of each pair's fast and slow path
     nf = g.m_last[fast].astype(np.int64) + 2
@@ -482,26 +485,10 @@ def _window_pass(x0, y0, dx, dy, g, fast, slow, r):
     p = np.where(chord, slow[pair], fast[pair])
     mw = np.where(chord, mf, ms)
     mp = np.where(chord, ms, mf)
-
-    def piece(paths, m):
-        return _piece(x0[paths], y0[paths], dx[paths], dy[paths], _Wraps(*(v[paths] for v in g)), m)
-
-    wa, fx, fy, fvx, fvy = piece(w, mw)
-    ow, spx, spy, svx, svy = piece(p, mp)
-    dur = np.where(mp < 0.0, np.minimum(g.t1[p], 1.0),
-                   np.where(mp == g.m_last[p], 1.0 - ow, g.dt[p]))
-    a = np.maximum(wa, ow)
-    b = np.minimum(np.minimum(np.where(mw < 0.0, g.t1[w], wa + g.dt[w]), ow + dur), 1.0)
-    # pieces that do not overlap, or only at an instant, hold no window
-    i = np.flatnonzero(b > a)
-    a, b, wa, ow = a[i], b[i], wa[i], ow[i]
-    hit_s = first_contact_np(fx[i] + fvx[i] * (a - wa), fy[i] + fvy[i] * (a - wa),
-                             fx[i] + fvx[i] * (b - wa), fy[i] + fvy[i] * (b - wa),
-                             spx[i] + svx[i] * (a - ow), spy[i] + svy[i] * (a - ow),
-                             spx[i] + svx[i] * (b - ow), spy[i] + svy[i] * (b - ow), r)
-    h = np.flatnonzero(np.isfinite(hit_s))
+    tw = _window_times(x0, y0, dx, dy, g, w, mw, _piece(x0, y0, dx, dy, g, p, mp), r)
+    h = np.flatnonzero(np.isfinite(tw))
     t = np.full(fast.size, np.inf)
-    np.minimum.at(t, pair[i[h]], a[h] + hit_s[h] * (b[h] - a[h]))
+    np.minimum.at(t, pair[h], tw[h])
     return t
 
 
@@ -531,9 +518,10 @@ def _pair_slot_contacts(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
         t[w] = _window_pass(x0, y0, dx, dy, g, fast[w], slow[w], r)
     if c.size:
         t[c] = _capsule_search(x0, y0, dx, dy, g, fast[c], slow[c], r)
-    t0, px, py, vx, vy = _piece(x0, y0, dx, dy, g, g.m_last)
-    ex = px + vx * (1.0 - t0)
-    ey = py + vy * (1.0 - t0)
+    # every path's last piece ends the slot
+    _, px, py, vx, vy, dur = _piece(x0, y0, dx, dy, g, slice(None), g.m_last)
+    ex = px + vx * dur
+    ey = py + vy * dur
     return t, ex[:K], ey[:K], ex[K:], ey[K:]
 
 

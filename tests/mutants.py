@@ -40,6 +40,8 @@ _NO_WRAP = "fx[cpos], fy[cpos], r)"
 _WRAPPED = "sy[nc + j], R, r)"
 _WINDOWS = "fast[w], slow[w], r)"
 _SEARCH = "fast[c], slow[c], r)"
+# the window kernel's end of a window at the end of the point's piece
+_POINT_END = "ow + dur), 1.0)"
 # the Monte Carlo expressions: the flight pairing, the grid's leg clamp,
 # the arc angle's result and the two teleport point draws
 _PAIRS = "theta[:size], theta[size:], z[:size], z[size:]"
@@ -64,6 +66,7 @@ MUTANTS = {
     "0.95r in the no-wrap pass only": (WORLD, _range(0.95, _NO_WRAP)),
     "0.95r in the window pass only": (WORLD, _range(0.95, _WINDOWS)),
     "0.95r in the capsule search only": (WORLD, _range(0.95, _SEARCH)),
+    "window end ignores the point's piece end": (WORLD, [(_POINT_END, "np.inf), 1.0)")]),
     "teleport relocation within 0.95R": (WORLD, [(_RELOCATE, "(uniform_disc_polar, 0.95 * R)")]),
     "MC flights paired (2i, 2i + 1)": (ANALYTICS, [
         (_PAIRS, "theta[0::2], theta[1::2], z[0::2], z[1::2]")]),

@@ -24,7 +24,8 @@ class SlotPath:
 
     def pos(self, t: float):
         m = -1 if t <= self.t1 else int((t - self.t1) / self.dt)
-        t0, px, py, vx, vy = (float(v[0]) for v in _piece(*self._path, self._g, np.array([m])))
+        t0, px, py, vx, vy, _ = (float(v[0]) for v in _piece(*self._path, self._g, slice(None),
+                                                                 np.array([m])))
         return px + vx * (t - t0), py + vy * (t - t0)
 
     def end_pos(self):

@@ -666,7 +666,7 @@ def test_iid_delay_bound_variants():
 
 def test_iid_delay_bound_dominates_simulation():
     n = 1000
-    cfg = ModelConfig(n=n, beta=0.25, model="iid", master_seed=31)
+    cfg = ModelConfig(n=n, r=float(n) ** 0.25, model="iid", master_seed=31)
     r = cfg.r
     _, _, delays = scheme_delays(cfg, 3000)
     finite = delays[np.isfinite(delays)]

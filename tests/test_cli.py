@@ -341,6 +341,17 @@ def test_dominance_rejects_iid():
     assert run(cfg) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["meet", "--n", "400", "--r", "4", "--horizon", "20"],
+     "horizon 20 must exceed tau_max 30"),
+    (["dominance", "--model", "levy", "--horizon", "40"],
+     "horizon 40 must exceed the largest t, 50"),
+])
+def test_short_horizon_errors_name_the_bound(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _count_pools(monkeypatch):
     started = []
 

@@ -6,6 +6,7 @@ against both coverage and the reported standard error.
 """
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -53,8 +54,29 @@ def test_grid_leaves_fields_to_model_config():
         grid_configs((100,), beta=0.0, model="levy")
     with pytest.raises(ValueError, match="horizon"):
         grid_configs((100,), beta=0.0, model="iid", horizon=0)
-    with pytest.raises(ValueError, match="one of r or beta"):
-        grid_configs((100,), model="iid")
+    # the range is the grid's own rule: r as given, or r = n**beta
+    for kwargs in ({}, {"r": 2.0, "beta": 0.1}):
+        with pytest.raises(ValueError, match="one of r or beta"):
+            grid_configs((100,), model="iid", **kwargs)
+    for beta in (-0.01, math.nan):
+        with pytest.raises(ValueError, match=r"beta must be in \[0, 0.25\]"):
+            grid_configs((100,), beta=beta, model="iid")
+
+
+def test_grid_resolves_beta_per_point_and_copies_keep_r():
+    assert grid_configs((256,), beta=0.25, model="iid")[0].r == pytest.approx(4.0)
+    grid = (250, 400, 800, 10_000)
+    for beta in (0.0, 0.1, 1.0 / 6.0, 0.25):
+        configs = grid_configs(grid, beta=beta, model="iid")
+        # r is float(n) ** beta to the bit
+        assert [c.r for c in configs] == [float(n) ** beta for n in grid]
+    # a config carries its range only as r, so a copy keeps it whatever
+    # else changes; dominance copies one config per exponent
+    levy = grid_configs((400,), beta=0.1, model="levy", alpha=1.0)[0]
+    assert dataclasses.replace(levy, n=800).r == levy.r == 400.0 ** 0.1
+    assert dataclasses.replace(levy, alpha=0.5).r == levy.r
+    with pytest.raises(ValueError, match="alpha"):
+        dataclasses.replace(levy, alpha=0.0)
 
 
 def test_grid_configs_differ_by_point():

@@ -2,7 +2,6 @@
 in-slot contact engine for wrapped paths."""
 
 import concurrent.futures
-import dataclasses
 import math
 import warnings
 
@@ -46,13 +45,6 @@ def _contact(x1, y1, d1x, d1y, x2, y2, d2x, d2y, R, r):
 
 def test_model_config_validation():
     ModelConfig(n=100, r=2.0)
-    ModelConfig(n=100, beta=0.25)
-    with pytest.raises(ValueError):
-        ModelConfig(n=100)                      # neither r nor beta
-    with pytest.raises(ValueError):
-        ModelConfig(n=100, r=2.0, beta=0.1)     # both
-    with pytest.raises(ValueError):
-        ModelConfig(n=100, beta=0.3)
     with pytest.raises(ValueError):
         ModelConfig(n=100, r=0.0)
     with pytest.raises(ValueError):
@@ -65,31 +57,11 @@ def test_model_config_validation():
         ModelConfig(n=100, r=2.0, alpha=1.0)
 
 
-def test_model_config_from_beta_copies():
-    cfg = ModelConfig(n=400, beta=0.1)
-    copy = dataclasses.replace(cfg, master_seed=3)
-    assert (copy.r, copy.beta, copy.master_seed) == (cfg.r, 0.1, 3)
-    # r given with beta must be the resolved n**beta
-    with pytest.raises(ValueError, match="one of r or beta"):
-        dataclasses.replace(cfg, r=2.0)
-    # so a copy keeps n: the resolved r of n = 400 is not 800**0.1
-    with pytest.raises(ValueError, match="build a new ModelConfig to change n"):
-        dataclasses.replace(cfg, n=800)
-    assert ModelConfig(n=800, beta=0.1).r == 800 ** 0.1
-    # dominance copies a beta-built config once per exponent
-    levy = ModelConfig(n=400, beta=0.1, model="levy", alpha=1.0)
-    copy = dataclasses.replace(levy, alpha=0.5)
-    assert (copy.r, copy.beta, copy.alpha) == (levy.r, 0.1, 0.5)
-    with pytest.raises(ValueError, match="alpha"):
-        dataclasses.replace(levy, alpha=0.0)
-
-
 def test_model_config_defaults():
     iid = ModelConfig(n=100, r=2.0)
     assert iid.horizon_slots == 1000
     levy = ModelConfig(n=100, r=2.0, model="levy", alpha=1.0)
     assert levy.horizon_slots == 10_000
-    assert ModelConfig(n=256, beta=0.25).r == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,8 +1010,7 @@ def test_trajectories_preserve_count_and_continuity():
     for i in range(4):
         gi = world._Wraps(*(np.repeat(f[i], g.m_last[i] + 2) for f in g))
         m = np.arange(-1.0, g.m_last[i] + 1)
-        t0, px, py, vx, vy = _piece(np.full(m.size, x0[i]), np.full(m.size, y0[i]),
-                                    np.full(m.size, dx[i]), np.full(m.size, dy[i]), gi, m)
+        t0, px, py, vx, vy, _ = _piece(x0, y0, dx, dy, g, np.full(m.size, i), m)
         end = np.where(m < 0, gi.t1, t0 + gi.dt)
         assert t0[0] == 0.0 and (px[0], py[0]) == (x0[i], y0[i])
         assert min(end[-1], 1.0) == 1.0

@@ -50,7 +50,7 @@ def _union_chunk(x0, y0, dx, dy, g, count, paths, r):
     side = np.repeat(np.arange(2 * k) % 2, c)
     pair = np.repeat(np.arange(k), c[0::2] + c[1::2])
     go = _Wraps(*(f[own] for f in g))
-    t0, px, py, vx, vy = _piece(x0[own], y0[own], dx[own], dy[own], go, m)
+    t0, px, py, vx, vy, _ = _piece(x0, y0, dx, dy, g, own, m)
     a = np.maximum(t0, 0.0)
     b = np.minimum(np.where(m < 0, go.t1, t0 + go.dt), 1.0)
     keep = b > a
