@@ -13,44 +13,41 @@ import math
 import numpy as np
 
 __all__ = [
-    "sample_flight_lengths",
+    "to_flight_polar",
     "sample_flight_polar",
 ]
 
 _TWO_PI = 2.0 * math.pi
 
 
-def _one_minus_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
-    # 1 - U for U uniform on [0, 1), in place; rng.random gives the same
-    # bits as rng.uniform(0.0, 1.0) at a fraction of its cost
-    u = rng.random(size)
-    np.subtract(1.0, u, out=u)
-    return u
+def to_flight_polar(theta: np.ndarray, z: np.ndarray, alpha: float):
+    """Isotropic flights from uniform draws, in place, as (theta, z).
 
-
-def sample_flight_lengths(rng: np.random.Generator, alpha: float,
-                          size: int) -> np.ndarray:
-    """Pareto flight lengths of tail exponent alpha, one array per call.
-
-    Raises OverflowError when a length is not a finite float, which
-    happens at very small alpha.
+    theta and z hold draws U uniform on [0, 1), as rng.random gives them
+    (the same bits as rng.uniform(0.0, 1.0) at a fraction of its cost).
+    Each angle becomes 2*pi (1 - U), uniform on (0, 2*pi], and each
+    length the Pareto (1 - U)^(-1/alpha), 1 - U in (0, 1].  Raises
+    OverflowError when a length is not a finite float, which happens at
+    very small alpha.
     """
-    # z = (1 - U)^(-1/alpha) in place, 1 - U in (0, 1]
-    z = _one_minus_uniform(rng, size)
+    np.subtract(1.0, theta, out=theta)
+    theta *= _TWO_PI
+    np.subtract(1.0, z, out=z)
     with np.errstate(all="ignore"):
         z **= -1.0 / alpha
     # lengths are >= 1 and NaN propagates through max
     if z.size and not math.isfinite(z.max()):
         raise OverflowError(f"flight length overflows a float at alpha={alpha}")
-    return z
+    return theta, z
 
 
 def sample_flight_polar(rng: np.random.Generator, alpha: float, size: int):
     """Isotropic flights in polar form, as two (size,) arrays (theta, z).
 
-    Draw order: all angles, uniform on (0, 2*pi], then all lengths.  Every
-    flight draw of the package consumes its stream through here.
+    Draw order: all angles, then all lengths, mapped by to_flight_polar.
+    Every flight draw of the package consumes its stream in this order;
+    the slot loop of ``world`` draws block by block into its group's
+    buffers and maps them with to_flight_polar too.
     """
-    theta = _one_minus_uniform(rng, size)
-    theta *= _TWO_PI
-    return theta, sample_flight_lengths(rng, alpha, size)
+    theta = rng.random(size)
+    return to_flight_polar(theta, rng.random(size), alpha)

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "to_disc_polar",
     "uniform_disc_polar",
     "uniform_points_in_disc",
     "first_contact_np",
@@ -29,22 +30,33 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def to_disc_polar(theta: np.ndarray, rho: np.ndarray, radius: float):
+    """Points uniform over the disc of the given radius from uniform draws,
+    in place, in polar form (theta, rho).
+
+    theta and rho hold draws U uniform on [0, 1), as rng.random gives
+    them (the same bits as rng.uniform(0, 1) at a fraction of its cost):
+    each angle becomes 2*pi U, uniform on [0, 2*pi), and each radius
+    radius * sqrt(U).
+    """
+    theta *= _TWO_PI
+    np.sqrt(rho, out=rho)
+    rho *= radius
+    return theta, rho
+
+
 def uniform_disc_polar(rng: np.random.Generator, radius: float, size: int):
     """Points uniform over the disc of the given radius, in polar form.
 
-    Returns two (size,) arrays (theta, rho): all angles, uniform on
-    [0, 2*pi), are drawn first, then all radii.  rng.random gives the
-    same bits as rng.uniform(0, 2*pi) and rng.uniform(0, 1) at a
-    fraction of their cost.
+    Returns two (size,) arrays (theta, rho): all angles are drawn first,
+    then all radii, and mapped by to_disc_polar.  The slot loop of
+    ``world`` draws block by block into its group's buffers in this order
+    and maps them with to_disc_polar too.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     theta = rng.random(size)
-    theta *= _TWO_PI
-    rho = rng.random(size)
-    np.sqrt(rho, out=rho)
-    rho *= radius
-    return theta, rho
+    return to_disc_polar(theta, rng.random(size), radius)
 
 
 def uniform_points_in_disc(rng: np.random.Generator, radius: float, size: int):
@@ -71,15 +83,29 @@ def first_contact_np(ax, ay, bx, by, qx0, qy0, qx1, qy1, r):
     ddx = bx - qx1 - ax
     ddy = by - qy1 - ay
     c = ax * ax + ay * ay - r * r
+    # a, b and cross have the broadcast shape: from here on every
+    # temporary is this call's own, so the arithmetic runs in place
     a = ddx * ddx + ddy * ddy
     b = ax * ddx + ay * ddy
     cross = ax * ddy - ay * ddx
     # the line's clearance decides the touch: b*b - a*c equals
     # a*r*r - cross**2 but cancels catastrophically near a tangent.
     # Clearance exactly r is an exact tangent touch; contact is inclusive
-    s = np.divide(-b - np.sqrt(np.maximum(b * b - a * c, 0.0)), a, out=np.full(a.shape, np.inf),
-                  where=(b < 0.0) & (cross * cross <= a * (r * r)))
-    s[s > 1.0] = np.inf
+    ok = b < 0.0
+    cross *= cross
+    ok &= cross <= a * (r * r)
+    root = b * b
+    root -= a * c
+    np.maximum(root, 0.0, out=root)
+    np.sqrt(root, out=root)
+    # s = (-b - root) / a, the earlier root, wherever ok holds; the lanes
+    # that fail ok may divide 0 by 0 and are masked
+    s = np.negative(b, out=b)
+    s -= root
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s /= a
+    ok &= s <= 1.0
+    s = np.where(ok, s, np.inf)
     s[c <= 0.0] = 0.0
     return s
 

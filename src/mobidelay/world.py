@@ -67,11 +67,18 @@ nodes of a relay trial instead; version 1 consumed the stream one trial
 at a time.
 
 A task of the runner advances a group of consecutive blocks in one slot
-loop: each block still draws from its own stream as above, and
-everything after the draws (the map to Cartesian steps, the contact
-engine, the live bookkeeping) is elementwise over the group's pairs.
-So neither the grouping nor the worker count changes a result.  With
-more than one worker the groups run on a process pool that the runner
+loop.  Each block still draws from its own stream as above, straight
+into its own runs of the group's two slot buffers, one for angles and
+one for radii or lengths, laid out as [carriers..., destinations...];
+everything after the draws (the polar transform of the law, the map to
+Cartesian steps, the contact engine, the live bookkeeping) runs once
+per slot, elementwise over the group's nodes and pairs.  On a slot
+where every live trial has one carrier, which is every pair-meeting
+slot and every relay slot after the trials with more have met, carrier
+i belongs to live trial i: the no-wrap pass reads the destinations
+without a gather, and the per-trial minimum and the carrier index are
+skipped.  So neither the grouping nor the worker count changes a
+result.  With more than one worker the groups run on a process pool that the runner
 starts at its first call and keeps for later ones, so a run of several
 configurations forks its workers once; close_pool ends it, and the CLI
 calls it when a run ends.
@@ -87,8 +94,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flight import sample_flight_polar
-from .geometry import (_exit_fraction, first_contact_np, lens_area, uniform_disc_polar,
+from .flight import to_flight_polar
+from .geometry import (_exit_fraction, first_contact_np, lens_area, to_disc_polar,
                        uniform_points_in_disc)
 
 __all__ = [
@@ -572,13 +579,14 @@ def _contact_group(args):
     Block first + b holds counts[b] trials, each laid out by _place_trials
     with m nodes from the block's own stream: for m = 2 the source is the
     only carrier.  On every slot each block with live trials draws for
-    its carriers, then its destinations; the group then runs one contact
-    pass over all its pairs, and a trial leaves the loop at the slot it
-    meets.  Returns (l0, neighbor_count, t_meet) arrays over the group's
-    trials in block order: the source-destination distance, the nodes
-    within r of the source (itself included), and the first instant a
-    carrier is within r of the destination, 0 when the destination starts
-    in range and inf when censored.
+    its carriers, then its destinations, into the group's slot buffers;
+    the group then runs one contact pass over all its pairs, and a trial
+    leaves the loop at the slot it meets.  Returns (l0, neighbor_count,
+    t_meet) arrays over the group's trials in block order: the
+    source-destination distance, the nodes within r of the source (itself
+    included), and the first instant a carrier is within r of the
+    destination, 0 when the destination starts in range and inf when
+    censored.
     """
     master_seed, salt, first, counts, cfg, m = args
     rngs = [trial_stream(master_seed, salt, first + b) for b in range(len(counts))]
@@ -586,29 +594,53 @@ def _contact_group(args):
     r = cfg.r
     parts = [_place_trials(rng, cfg, count, m) for rng, count in zip(rngs, counts)]
     l0, ncount, live, qx, qy, cx, cy, cpos = (np.concatenate(col) for col in zip(*parts))
-    # the live trials and the carriers run block by block; each block
-    # with live trials is (stream, live trials, carriers)
     n_live = [p[2].size for p in parts]
     n_car = [p[7].size for p in parts]
     live += np.repeat(np.cumsum(counts) - counts, n_live)
     cpos += np.repeat(np.cumsum(n_live) - n_live, n_car)
-    blocks = [b for b in zip(rngs, n_live, n_car) if b[1]]
+    # block b holds trials bounds[b] to bounds[b + 1]; live and cpos stay
+    # ascending, so each block's live trials and carriers are one run of
+    # them, found by bisection
+    bounds = np.cumsum([0, *counts])
     t_meet = np.where(l0 > r, np.inf, 0.0)
     levy = cfg.model == MODEL_LEVY
     # a Pareto flight, or a relocation uniform over the disc
-    draw, param = (sample_flight_polar, cfg.alpha) if levy else (uniform_disc_polar, R)
+    to_polar, param = (to_flight_polar, cfg.alpha) if levy else (to_disc_polar, R)
+    # the slot's angles and radii or lengths, laid out as [carriers...,
+    # destinations...]; each slot uses a prefix
+    theta_buf = np.empty(cx.size + live.size)
+    rho_buf = np.empty(cx.size + live.size)
     for k in range(1, cfg.horizon_slots + 1):
         if live.size == 0:
             break
         nc = cx.size
-        # each block draws for [its carriers..., its destinations...], in
-        # polar form; the group lays them out as [carriers..., destinations...]
-        draws = [(draw(rng, param, c + n), c) for rng, n, c in blocks]
-        if len(draws) == 1:
-            theta, rho = draws[0][0]
+        # one carrier per live trial, as on every pair-meeting slot:
+        # carrier i belongs to live trial i, so nothing is gathered and
+        # cpos is no longer updated.  A trial's carriers leave with it, so
+        # a group that gets here stays here
+        one = nc == live.size
+        at = slice(None) if one else cpos
+        theta = theta_buf[:nc + live.size]
+        rho = rho_buf[:nc + live.size]
+        # each block with live trials draws all its angles, then all its
+        # radii or lengths, each for its carriers and then its
+        # destinations, into its own runs of the group's buffers; a lone
+        # block's runs are the whole buffers, drawn without a bisection
+        if len(rngs) == 1:
+            rngs[0].random(out=theta)
+            rngs[0].random(out=rho)
         else:
-            theta, rho = (np.concatenate([d[i][:c] for d, c in draws]
-                                         + [d[i][c:] for d, c in draws]) for i in (0, 1))
+            # block b's carriers are the run car[b]:car[b + 1] of the
+            # slot's nodes, and its destinations the run dst[b]:dst[b + 1]
+            cut = np.searchsorted(live, bounds)
+            car = (cut if one else np.searchsorted(cpos, cut)).tolist()
+            dst = (cut + nc).tolist()
+            for b, rng in enumerate(rngs):
+                if dst[b] < dst[b + 1]:
+                    for u in (theta, rho):
+                        rng.random(out=u[car[b]:car[b + 1]])
+                        rng.random(out=u[dst[b]:dst[b + 1]])
+        to_polar(theta, rho, param)
         if levy:
             # the slot's largest product, the contact discriminant, stays
             # below (6 R rho)^2 for the longest flight rho; where that
@@ -616,8 +648,10 @@ def _contact_group(args):
             with np.errstate(over="ignore"):
                 if not np.isfinite(np.square(6.0 * R * rho.max())):
                     raise OverflowError("a flight's wrap count overflows a float")
-        sx = rho * np.cos(theta)
-        sy = rho * np.sin(theta)
+        sx = np.cos(theta)
+        sx *= rho
+        sy = np.sin(theta)
+        sy *= rho
         if levy:
             ex = cx + sx[:nc]
             ey = cy + sy[:nc]
@@ -626,34 +660,28 @@ def _contact_group(args):
         else:
             ex, fx = sx[:nc], sx[nc:]
             ey, fy = sy[:nc], sy[nc:]
-        hits = first_contact_np(cx, cy, ex, ey, qx[cpos], qy[cpos], fx[cpos], fy[cpos], r)
+        hits = first_contact_np(cx, cy, ex, ey, qx[at], qy[at], fx[at], fy[at], r)
         if levy:
             # pairs where either end leaves the disc take the wrap-aware
             # engine, which also gives the wrapped end positions
-            i = np.flatnonzero((ex * ex + ey * ey > R * R) | (fx * fx + fy * fy > R * R)[cpos])
+            i = np.flatnonzero((ex * ex + ey * ey > R * R) | (fx * fx + fy * fy > R * R)[at])
             if i.size:
-                j = cpos[i]
+                j = i if one else cpos[i]
                 hits[i], ex[i], ey[i], fx[j], fy[j] = _pair_slot_contacts(
                     cx[i], cy[i], sx[i], sy[i], qx[j], qy[j], sx[nc + j], sy[nc + j], R, r)
         # every live trial is unmet: it leaves the loop at the slot it meets
-        tm = (k - 1) + _per_trial_min(hits, cpos, live.size)
+        tm = hits if one else _per_trial_min(hits, cpos, live.size)
+        tm += k - 1
         t_meet[live] = tm
         keep = np.isinf(tm)
-        kept = keep[cpos]
+        kept = keep[at]
         live = live[keep]
         qx = fx[keep]
         qy = fy[keep]
         cx = ex[kept]
         cy = ey[kept]
-        cpos = (np.cumsum(keep) - 1)[cpos[kept]]
-        if len(blocks) == 1:
-            blocks = [(blocks[0][0], live.size, cx.size)]
-        else:
-            # each block's survivors, over its run of the arrays
-            streams, n_live, n_car = zip(*blocks)
-            n_live = np.add.reduceat(keep, np.cumsum(n_live) - n_live, dtype=np.int64)
-            n_car = np.add.reduceat(kept, np.cumsum(n_car) - n_car, dtype=np.int64)
-            blocks = [b for b in zip(streams, n_live.tolist(), n_car.tolist()) if b[1]]
+        if not one:
+            cpos = (np.cumsum(keep) - 1)[cpos[kept]]
     return l0, ncount, t_meet
 
 

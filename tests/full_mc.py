@@ -32,7 +32,7 @@ import numpy as np
 
 from lemmas import _MC_CHUNK
 from mobidelay.analytics import _MC_TILE, _REACH_MARGIN, _hit_angle
-from mobidelay.flight import sample_flight_lengths, sample_flight_polar
+from mobidelay.flight import sample_flight_polar
 from mobidelay.geometry import first_contact_np, uniform_points_in_disc
 from oracle import segment_point_dist_np
 
@@ -42,7 +42,7 @@ TWO_PI = 2.0 * math.pi
 def _flights(rng, alpha, size):
     # all angles, then all lengths, written out as the package once did
     th = TWO_PI * (1.0 - rng.uniform(0.0, 1.0, size))
-    return th, sample_flight_lengths(rng, alpha, size)
+    return th, (1.0 - rng.uniform(0.0, 1.0, size)) ** (-1.0 / alpha)
 
 
 def _rotate(dx, dy, angle):

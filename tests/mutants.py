@@ -31,10 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORLD = Path("src", "mobidelay", "world.py")
 ANALYTICS = Path("src", "mobidelay", "analytics.py")
 
-# the slot-loop expressions the engine mutants change
-_FLIGHT = "(sample_flight_polar, cfg.alpha)"
-_RELOCATE = "(uniform_disc_polar, R)"
-_NO_WRAP = "fx[cpos], fy[cpos], r)"
+# the slot-loop expressions the engine mutants change: the group's map
+# of its slot draws to flights or relocations, and the no-wrap pass's one
+# contact call, which one-carrier and gathered slots share
+_FLIGHT = "(to_flight_polar, cfg.alpha)"
+_RELOCATE = "(to_disc_polar, R)"
+_NO_WRAP = "fx[at], fy[at], r)"
 # the wrapped pairs' call, which feeds both the window pass and the
 # capsule search, and each pass's own call
 _WRAPPED = "sy[nc + j], R, r)"
@@ -59,15 +61,15 @@ def _range(scale, *sites):
 # name -> (file, [(expression, replacement)]), each expression found
 # exactly once in the file
 MUTANTS = {
-    "flights at 0.8 alpha": (WORLD, [(_FLIGHT, "(sample_flight_polar, 0.8 * cfg.alpha)")]),
-    "flights at 1.2 alpha": (WORLD, [(_FLIGHT, "(sample_flight_polar, 1.2 * cfg.alpha)")]),
+    "flights at 0.8 alpha": (WORLD, [(_FLIGHT, "(to_flight_polar, 0.8 * cfg.alpha)")]),
+    "flights at 1.2 alpha": (WORLD, [(_FLIGHT, "(to_flight_polar, 1.2 * cfg.alpha)")]),
     "range 0.9r": (WORLD, _range(0.9, _NO_WRAP, _WRAPPED)),
     "range 1.1r": (WORLD, _range(1.1, _NO_WRAP, _WRAPPED)),
     "0.95r in the no-wrap pass only": (WORLD, _range(0.95, _NO_WRAP)),
     "0.95r in the window pass only": (WORLD, _range(0.95, _WINDOWS)),
     "0.95r in the capsule search only": (WORLD, _range(0.95, _SEARCH)),
     "window end ignores the point's piece end": (WORLD, [(_POINT_END, "np.inf), 1.0)")]),
-    "teleport relocation within 0.95R": (WORLD, [(_RELOCATE, "(uniform_disc_polar, 0.95 * R)")]),
+    "teleport relocation within 0.95R": (WORLD, [(_RELOCATE, "(to_disc_polar, 0.95 * R)")]),
     "MC flights paired (2i, 2i + 1)": (ANALYTICS, [
         (_PAIRS, "theta[0::2], theta[1::2], z[0::2], z[1::2]")]),
     "MC grid clamps every leg at the smallest l0": (ANALYTICS, [

@@ -45,7 +45,6 @@ from mobidelay.analytics import (
     tradeoff_curve,
     u_bar_bound,
 )
-from mobidelay.flight import sample_flight_lengths
 from mobidelay.geometry import uniform_points_in_disc
 from mobidelay.world import (
     SALT_MC,
@@ -283,7 +282,7 @@ def test_h1_matches_conditioned_simulation_levy():
     steps = []
     for _ in pairs:
         th = TWO_PI * (1.0 - rng.uniform(size=2))
-        z = sample_flight_lengths(rng, 1.9, 2)
+        z = (1.0 - rng.uniform(size=2)) ** (-1.0 / 1.9)
         steps.append((z[0] * math.cos(th[0]), z[0] * math.sin(th[0]),
                       z[1] * math.cos(th[1]), z[1] * math.sin(th[1])))
     x1, y1, x2, y2 = np.array(pairs, dtype=float).T

@@ -8,11 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from mobidelay.flight import sample_flight_lengths, sample_flight_polar
+from mobidelay.flight import sample_flight_polar, to_flight_polar
 from mobidelay.geometry import uniform_points_in_disc
 from slot_path import SlotPath
 
 RNG = lambda seed: np.random.default_rng(seed)
+
+
+def _lengths(rng, alpha, size):
+    # Pareto lengths alone: size draws mapped by the package's transform
+    _, z = to_flight_polar(np.empty(0), rng.random(size), alpha)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +31,7 @@ def test_flight_vector_autofill_and_consistency():
     got_theta, got_z = sample_flight_polar(RNG(20), 1.0, 1000)
     rng = RNG(20)
     theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 1000))
-    z = sample_flight_lengths(rng, 1.0, 1000)
+    z = _lengths(rng, 1.0, 1000)
     assert np.array_equal(got_theta, theta) and np.array_equal(got_z, z)
 
 
@@ -36,7 +42,7 @@ def test_flight_vector_autofill_and_consistency():
 def test_truncated_pareto_tail_and_support():
     rng = RNG(13)
     n = 10**6
-    z = sample_flight_lengths(rng, 1.0, n)
+    z = _lengths(rng, 1.0, n)
     assert z.min() >= 1.0
     got = float(np.mean(z > 10.0))
     se = math.sqrt(0.1 * 0.9 / n)
@@ -46,7 +52,7 @@ def test_truncated_pareto_tail_and_support():
 def test_truncated_pareto_mean_alpha2():
     rng = RNG(14)
     n = 10**6
-    z = sample_flight_lengths(rng, 2.0, n)
+    z = _lengths(rng, 2.0, n)
     mean = z.mean()
     se = z.std(ddof=1) / math.sqrt(n)
     assert abs(mean - 2.0) <= 3.0 * se
@@ -55,7 +61,7 @@ def test_truncated_pareto_mean_alpha2():
 def test_truncated_pareto_ks_exact_ccdf():
     rng = RNG(15)
     n = 10**6
-    z = sample_flight_lengths(rng, 1.5, n)
+    z = _lengths(rng, 1.5, n)
     res = stats.kstest(z, lambda v: 1.0 - (1.0 / v) ** 1.5)
     assert res.pvalue > 0.01
 
@@ -66,7 +72,7 @@ def test_overflowing_length_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="alpha=0.01"):
-            sample_flight_lengths(RNG(17), 0.01, 100_000)
+            _lengths(RNG(17), 0.01, 100_000)
 
 
 def test_alpha_dominance_of_truncated_pareto_ccdf():

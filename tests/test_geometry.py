@@ -231,6 +231,95 @@ def test_contact_rule_in_monte_carlo_form_matches_segment_distance():
         assert _mc_hit(l0, *end, r)[0] == 0.0
 
 
+def _first_contact_reference(ax, ay, bx, by, qx0, qy0, qx1, qy1, r):
+    # first_contact_np as written before it computed in place, one fresh
+    # array per operation: the package's kernel must give its bits
+    ax = ax - qx0
+    ay = ay - qy0
+    ddx = bx - qx1 - ax
+    ddy = by - qy1 - ay
+    c = ax * ax + ay * ay - r * r
+    a = ddx * ddx + ddy * ddy
+    b = ax * ddx + ay * ddy
+    cross = ax * ddy - ay * ddx
+    s = np.divide(-b - np.sqrt(np.maximum(b * b - a * c, 0.0)), a, out=np.full(a.shape, np.inf),
+                  where=(b < 0.0) & (cross * cross <= a * (r * r)))
+    s[s > 1.0] = np.inf
+    s[c <= 0.0] = 0.0
+    return s
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+
+
+def _check_against_reference(args, r):
+    # bit for bit the reference's result, and every argument left as it was
+    before = [np.array(v, copy=True) for v in args]
+    got = first_contact_np(*args, r)
+    assert _same_bits(got, _first_contact_reference(*args, r))
+    for v, old in zip(args, before):
+        assert np.array_equal(np.asarray(v).view(np.uint64), old.view(np.uint64))
+        assert not np.shares_memory(got, v)
+    return got
+
+
+# the broadcast shapes each argument may take, per result shape
+_CONTACT_SHAPES = {(5,): [(), (1,), (5,)], (3, 4): [(), (4,), (1, 4), (3, 1), (3, 4)]}
+# quarters make exact tangents, starts on the range circle and equal
+# motions (a == 0) common
+_QUARTER = st.integers(-20, 20).map(lambda k: k / 4.0)
+
+
+@st.composite
+def _contact_args(draw):
+    """Eight first_contact_np coordinates that broadcast to a result shape.
+
+    The start points (ax, ay, qx0, qy0) are either Python floats, as the
+    no-contact Monte Carlo passes them, or arrays led by ax of the whole
+    result shape; bx has the whole result shape, the others any shape
+    that broadcasts to it."""
+    full = draw(st.sampled_from(list(_CONTACT_SHAPES)))
+    scalar_start = draw(st.booleans())
+    args = []
+    for k in range(8):
+        if k in (0, 1, 4, 5) and scalar_start:
+            args.append(draw(_QUARTER))
+            continue
+        shape = full if k in (0, 2) else draw(st.sampled_from(_CONTACT_SHAPES[full]))
+        size = math.prod(shape)
+        args.append(np.array(draw(st.lists(_QUARTER, min_size=size, max_size=size)))
+                    .reshape(shape))
+    return args
+
+
+@given(args=_contact_args(), r=st.sampled_from([0.25, 1.0, 1.5, 2.5]))
+@settings(max_examples=300, deadline=None)
+def test_contact_kernel_matches_its_reference_bit_for_bit(args, r):
+    # the in-place kernel over broadcast shapes, scalar starts included,
+    # gives the one-array-per-operation expression's bits and writes into
+    # none of its arguments
+    _check_against_reference(args, r)
+
+
+def test_contact_kernel_edge_cases_match_the_reference():
+    # rows: an exact tangent (cross^2 == a r^2) from either side, a start
+    # on the range circle (c == 0) and one inside it (c < 0), equal motion
+    # (a == 0) out of range and in range, a clear miss, and a hit after
+    # the unit of time
+    ax, ay, bx, by = (np.array(v) for v in zip(
+        (-2.0, 1.5, 2.0, 1.5), (2.0, -1.5, -2.0, -1.5), (0.0, 1.5, 0.0, 4.0),
+        (0.5, 0.5, 3.0, 3.0), (3.0, 3.0, 3.0, 3.0), (0.0, 1.0, 0.0, 1.0),
+        (-2.0, 3.0, 2.0, 3.0), (0.0, 8.0, 0.0, 4.0)))
+    zero = np.zeros(ax.size)
+    got = _check_against_reference([ax, ay, bx, by, zero, zero, zero, zero], 1.5)
+    assert got.tolist() == [0.5, 0.5, 0.0, 0.0, math.inf, 0.0, math.inf, math.inf]
+    # the same motions with the other point moving instead, negated
+    got = _check_against_reference([zero, zero, zero, zero, -ax, -ay, -bx, -by], 1.5)
+    assert got.tolist() == [0.5, 0.5, 0.0, 0.0, math.inf, 0.0, math.inf, math.inf]
+
+
 # ---------------------------------------------------------------------------
 # blocked sets
 

@@ -2,7 +2,9 @@
 in-slot contact engine for wrapped paths."""
 
 import concurrent.futures
+import inspect
 import math
+import textwrap
 import warnings
 
 import numpy as np
@@ -443,14 +445,14 @@ def test_flight_whose_slot_products_overflow_fails_without_warning(monkeypatch):
     # slot's products reach ~32 R^2 rho^2 (R = 20 at n = 400), beyond a
     # float: the run fails with the overflow error and raises no numpy
     # warning on the way
-    real = world.sample_flight_polar
+    real = world.to_flight_polar
 
-    def crafted(rng, alpha, size):
-        theta, z = real(rng, alpha, size)
+    def crafted(theta, z, alpha):
+        real(theta, z, alpha)
         z[0] = 1e153
         return theta, z
 
-    monkeypatch.setattr(world, "sample_flight_polar", crafted)
+    monkeypatch.setattr(world, "to_flight_polar", crafted)
     cfg = ModelConfig(n=400, r=2.0, model="levy", alpha=1.0, horizon_slots=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -812,9 +814,10 @@ def test_pair_streams_match_explicit_placement(monkeypatch, cfg):
 @pytest.mark.parametrize("alpha", [0.5, 1.0], ids=["levy-0.5", "levy-1"])
 def test_wrap_engine_is_called_only_on_wrapped_pairs(monkeypatch, alpha):
     # late slots of a small group often wrap no pair: the wrap-aware engine
-    # is skipped there, and the times stay the replay's
+    # is skipped there, and the times stay the replay's.  The group maps
+    # its slot's draws to flights once per slot, which counts the slots
     cfg = ModelConfig(n=400, r=4.0, model="levy", alpha=alpha, horizon_slots=60)
-    engine, per_slot = world._pair_slot_contacts, world._per_trial_min
+    engine, per_slot = world._pair_slot_contacts, world.to_flight_polar
     calls = {"engine": 0, "slots": 0}
 
     def guarded(x1, *args):
@@ -827,7 +830,7 @@ def test_wrap_engine_is_called_only_on_wrapped_pairs(monkeypatch, alpha):
         return per_slot(*args)
 
     monkeypatch.setattr(world, "_pair_slot_contacts", guarded)
-    monkeypatch.setattr(world, "_per_trial_min", counted)
+    monkeypatch.setattr(world, "to_flight_polar", counted)
     l0, _, tm = world._run_sharded(cfg, 20, 341, 1, 2)
     want_l0, _, want, _ = replay(cfg, 20, 341, False)
     assert 0 < calls["engine"] < calls["slots"]
@@ -1083,6 +1086,63 @@ def test_grouping_and_workers_never_change_a_result(monkeypatch, run, cfg):
         got = run(cfg, trials, salt=330, workers=workers)
         for w, g in zip(want, got):
             assert np.array_equal(w, g)
+
+
+# the slot loop's test for one carrier per live trial
+_ONE_CARRIER = "one = nc == live.size"
+
+
+def _gathered_contact_group():
+    """world._contact_group with its one-carrier pass switched off: every
+    slot gathers the destinations by cpos and takes per-trial minima.
+    Built from the module's current globals."""
+    src = textwrap.dedent(inspect.getsource(world._contact_group))
+    assert src.count(_ONE_CARRIER) == 1
+    namespace = dict(vars(world))
+    exec(src.replace(_ONE_CARRIER, "one = False"), namespace)
+    return namespace["_contact_group"]
+
+
+@pytest.mark.parametrize("run,cfg", [
+    (scheme_delays, ModelConfig(n=36, r=1.0, horizon_slots=200)),
+    (scheme_delays, ModelConfig(n=36, r=1.0, model="levy", alpha=1.0, horizon_slots=100)),
+    (pair_meeting_times, ModelConfig(n=400, r=4.0, model="levy", alpha=0.5, horizon_slots=20)),
+], ids=["relay-iid", "relay-levy", "pair-levy-0.5"])
+@pytest.mark.parametrize("group_nodes", [1, 6200, world._GROUP_NODES],
+                         ids=["1-block", "2-blocks", "default"])
+def test_one_carrier_pass_matches_the_gathered_path(monkeypatch, run, cfg, group_nodes):
+    # three blocks, grouped one, two or three at a time.  A relay group
+    # starts with trials of several carriers and, once those have met,
+    # runs on one carrier per trial; pair meeting has one from the start.
+    # Forced through the gather on every slot, the arrays stay the same
+    monkeypatch.setattr(world, "_GROUP_NODES", group_nodes)
+    calls = {"slots": 0, "gathered": 0}
+    to_polar = "to_flight_polar" if cfg.model == "levy" else "to_disc_polar"
+    real_polar, real_min = getattr(world, to_polar), world._per_trial_min
+
+    def slot(*args):
+        calls["slots"] += 1
+        return real_polar(*args)
+
+    def gathered(*args):
+        calls["gathered"] += 1
+        return real_min(*args)
+
+    monkeypatch.setattr(world, to_polar, slot)
+    monkeypatch.setattr(world, "_per_trial_min", gathered)
+    trials = 2 * world._BLOCK + 300
+    want = run(cfg, trials, salt=350)
+    slots = calls["slots"]
+    if run is scheme_delays:
+        assert 0 < calls["gathered"] < slots
+    else:
+        assert calls["gathered"] == 0
+    calls.update(slots=0, gathered=0)
+    monkeypatch.setattr(world, "_contact_group", _gathered_contact_group())
+    got = run(cfg, trials, salt=350)
+    assert calls["gathered"] == calls["slots"] == slots
+    for w, g in zip(want, got):
+        assert w.dtype == g.dtype and w.tobytes() == g.tobytes()
 
 
 def test_blocks_of_a_group_may_finish_at_different_slots(monkeypatch):
