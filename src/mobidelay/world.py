@@ -78,10 +78,12 @@ slot and every relay slot after the trials with more have met, carrier
 i belongs to live trial i: the no-wrap pass reads the destinations
 without a gather, and the per-trial minimum and the carrier index are
 skipped.  So neither the grouping nor the worker count changes a
-result.  With more than one worker the groups run on a process pool that the runner
-starts at its first call and keeps for later ones, so a run of several
-configurations forks its workers once; close_pool ends it, and the CLI
-calls it when a run ends.
+result.  With more than one worker and group, each call splits its groups
+into min(workers, groups) contiguous shares, forks one child for each
+share after the first and runs the first itself; each child sends its
+columns, or its exception, back through a pipe, and the caller joins
+them in share order.  Every child is reaped before the call returns or
+raises, so none outlives it.  Without os.fork the groups run inline.
 ``tests/replay.py`` replays this contract trial by trial, with an
 explicit-wrap walk in place of the closed forms above.
 """
@@ -89,6 +91,9 @@ explicit-wrap walk in place of the closed forms above.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -113,7 +118,6 @@ __all__ = [
     "trial_stream",
     "pair_meeting_times",
     "scheme_delays",
-    "close_pool",
 ]
 
 MODEL_LEVY = "levy"
@@ -690,7 +694,8 @@ def _run_sharded(cfg, trials, salt, workers, m):
 
     A group holds as many blocks as keep about _GROUP_NODES nodes in
     flight, counting each trial as its two ends plus the carriers it
-    expects, and there are at least as many groups as workers can take.
+    expects, and there are at least as many groups as workers can take;
+    with more than one worker they run in shares, by _fork_join.
     """
     if cfg.n < 2:
         raise ValueError("need n >= 2")
@@ -704,45 +709,80 @@ def _run_sharded(cfg, trials, salt, workers, m):
     tasks = [(cfg.master_seed, salt, lo,
               [min(_BLOCK, trials - b * _BLOCK) for b in range(lo, hi)], cfg, m)
              for lo, hi in zip(cuts, cuts[1:])]
-    if workers <= 1 or groups == 1:
+    shares = min(workers, groups)
+    if shares <= 1 or not hasattr(os, "fork"):
         parts = [_contact_group(t) for t in tasks]
     else:
-        try:
-            parts = list(_pool_of(min(workers, groups)).map(_contact_group, tasks))
-        except BaseException:
-            # a failed run leaves no pool that may be broken
-            close_pool()
-            raise
+        cuts = [groups * s // shares for s in range(shares + 1)]
+        parts = _fork_join([tasks[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
     return [np.concatenate(col) for col in zip(*parts)]
 
 
-# the process pool of the block runners, as (workers, executor): started
-# by the first call that splits its groups and kept for later calls, so a
-# run of several configurations forks its workers once.  Workers are forked
-# copies of this module as it was when the pool started.
-_pool = None
+def _fork_join(shares):
+    """The _contact_group parts of every task of every share, in order.
+
+    The first share runs here; each other runs in a child forked for it,
+    which pickles its parts or its exception into a pipe of its own.  A
+    child's exception is raised here, and a child that leaves no result
+    raises a RuntimeError naming its exit status.  Every child is reaped
+    before this returns or raises.
+    """
+    children = {}  # pid -> read end of its pipe, in share order
+    try:
+        for share in shares[1:]:
+            rd, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rd)
+                os.close(wr)
+                raise
+            if pid == 0:
+                _child(share, wr)
+            os.close(wr)
+            children[pid] = os.fdopen(rd, "rb")
+        parts = [_contact_group(t) for t in shares[0]]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code or not data:
+                raise RuntimeError(f"a worker exited without a result (exit status {code})")
+            ok, got = pickle.loads(data)
+            if not ok:
+                raise got
+            parts += got
+        return parts
+    finally:
+        # on a failure the children still running are stopped, and every
+        # child not yet reaped is reaped here
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _pool_of(workers):
-    """The shared pool, started or regrown to at least workers processes."""
-    global _pool
-    if _pool is None or _pool[0] < workers:
-        close_pool()
-        # imported here: the pool pulls in multiprocessing, which a run
-        # without one need not load
-        from concurrent.futures import ProcessPoolExecutor
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    return _pool[1]
-
-
-def close_pool() -> None:
-    """Shut the block runners' process pool down, if one is running, and
-    wait for its workers to exit."""
-    global _pool
-    if _pool is not None:
-        pool = _pool[1]
-        _pool = None
-        pool.shutdown(wait=True)
+def _child(share, wr):
+    """Run a share in a forked child: pickle (True, parts) or (False,
+    exception) into the write end wr and leave by os._exit, so the child
+    never returns into its caller's code or flushes its caller's buffers."""
+    code = 1
+    try:
+        try:
+            data = pickle.dumps((True, [_contact_group(t) for t in share]), -1)
+        except BaseException as exc:
+            try:
+                data = pickle.dumps((False, exc), -1)
+                pickle.loads(data)
+            except Exception:
+                # an exception that does not survive pickling travels as its message
+                data = pickle.dumps((False, RuntimeError(str(exc))), -1)
+        with open(wr, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def pair_meeting_times(cfg: ModelConfig, trials: int, salt: int = SALT_MEET,

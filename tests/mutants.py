@@ -1,5 +1,5 @@
-"""Mutation check: which tier-1 tests catch a wrong contact engine or a
-wrong no-contact Monte Carlo.
+"""Mutation check: which tier-1 tests catch a wrong contact engine, a
+wrong join of the workers' results or a wrong no-contact Monte Carlo.
 
     python3 tests/mutants.py [NAME ...] [-- PYTEST_ARGS ...]
 
@@ -44,6 +44,8 @@ _WINDOWS = "fast[w], slow[w], r)"
 _SEARCH = "fast[c], slow[c], r)"
 # the window kernel's end of a window at the end of the point's piece
 _POINT_END = "ow + dur), 1.0)"
+# where the caller joins a forked worker's parts to its own share's
+_JOIN = "parts += got"
 # the Monte Carlo expressions: the flight pairing, the grid's leg clamp,
 # the arc angle's result and the two teleport point draws
 _PAIRS = "theta[:size], theta[size:], z[:size], z[size:]"
@@ -70,6 +72,7 @@ MUTANTS = {
     "0.95r in the capsule search only": (WORLD, _range(0.95, _SEARCH)),
     "window end ignores the point's piece end": (WORLD, [(_POINT_END, "np.inf), 1.0)")]),
     "teleport relocation within 0.95R": (WORLD, [(_RELOCATE, "(to_disc_polar, 0.95 * R)")]),
+    "workers' parts before the caller's": (WORLD, [(_JOIN, "parts[:0] = got")]),
     "MC flights paired (2i, 2i + 1)": (ANALYTICS, [
         (_PAIRS, "theta[0::2], theta[1::2], z[0::2], z[1::2]")]),
     "MC grid clamps every leg at the smallest l0": (ANALYTICS, [

@@ -1,10 +1,9 @@
 """CLI parsing, dispatch, exit codes, and output files."""
 
-import concurrent.futures
 import csv
 import json
 import math
-import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -352,43 +351,89 @@ def test_short_horizon_errors_name_the_bound(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _count_pools(monkeypatch):
-    started = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    # the runner imports the pool class when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    return started
+_TWO_WORKER_DOMINANCE = ["dominance", "--model", "levy", "--alpha", "0.5,2.0",
+                         "--n", "64,100", "--r", "2", "--trials", "2100",
+                         "--horizon", "60", "--workers", "2"]
 
 
-_POOLED_DOMINANCE = ["dominance", "--model", "levy", "--alpha", "0.5,2.0",
-                     "--n", "64,100", "--r", "2", "--trials", "2100",
-                     "--horizon", "60", "--workers", "2"]
+def _assert_no_child_left():
+    # every worker a block runner forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_run_forks_one_pool_and_reaps_its_workers(tmp_path, monkeypatch):
+def test_a_run_reaps_its_workers(tmp_path):
     # four block-runner calls (two tail exponents at two population
-    # sizes), each of three blocks in two groups, share one pool, and
-    # cli.run shuts it down before it returns
-    started = _count_pools(monkeypatch)
-    assert run(parse_args(_POOLED_DOMINANCE + ["--out", str(tmp_path / "o")])) == EXIT_OK
-    assert started == [{"max_workers": 2}]
-    assert multiprocessing.active_children() == []
+    # sizes), each of three blocks in two groups, each fork a worker;
+    # each call reaps its own before it returns
+    assert run(parse_args(_TWO_WORKER_DOMINANCE + ["--out", str(tmp_path / "o")])) == EXIT_OK
+    _assert_no_child_left()
 
 
-def test_a_failed_run_reaps_its_pool(tmp_path, monkeypatch, capsys):
-    # workers forked with a one-window budget fail the first search that
-    # needs two windows: the run exits 1 and leaves no worker behind
-    started = _count_pools(monkeypatch)
+def test_a_failed_run_reaps_its_workers(tmp_path, monkeypatch, capsys):
+    # with a one-window budget the first search that needs two windows
+    # fails: the run exits 1 and leaves no worker behind
     monkeypatch.setattr(world, "_WINDOW_BUDGET", 1)
-    assert run(parse_args(_POOLED_DOMINANCE + ["--out", str(tmp_path / "o")])) == EXIT_USAGE
+    assert run(parse_args(_TWO_WORKER_DOMINANCE + ["--out", str(tmp_path / "o")])) == EXIT_USAGE
     assert "budget exceeded" in capsys.readouterr().err
-    assert len(started) == 1
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+_TWO_WORKER_MEET = ["meet", "--n", "100", "--r", "2", "--trials", "3000",
+                    "--horizon", "50", "--workers", "2"]
+
+
+def _in_workers_only(monkeypatch, act):
+    # _contact_group calls act() in a forked worker and runs as usual
+    # in the caller
+    caller, contact_group = os.getpid(), world._contact_group
+
+    def patched(task):
+        if os.getpid() != caller:
+            act()
+        return contact_group(task)
+
+    monkeypatch.setattr(world, "_contact_group", patched)
+
+
+def test_a_two_worker_run_prints_each_line_once(tmp_path, capfd):
+    # a worker leaves by os._exit: it never returns into the CLI's code
+    # or writes to the caller's streams
+    assert main(_TWO_WORKER_MEET + ["--out", str(tmp_path / "o")]) == EXIT_OK
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert len(out.splitlines()) == 1 and out.startswith("meet: ")
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 3.05 GiB for an array with shape (1024, 399999)",
+     "error: Unable to allocate 3.05 GiB for an array with shape (1024, 399999)"),
+    ("", "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capfd,
+                                                     where, message, line):
+    # numpy's _ArrayMemoryError is a MemoryError; a worker's is raised
+    # again in the caller, so one mapping covers both
+    def oom():
+        raise MemoryError(message)
+
+    if where == "caller":
+        monkeypatch.setattr(world, "_contact_group", lambda task: oom())
+    else:
+        _in_workers_only(monkeypatch, oom)
+    assert main(_TWO_WORKER_MEET + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capfd.readouterr() == ("", line + "\n")
+    _assert_no_child_left()
+
+
+def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatch,
+                                                            capfd):
+    _in_workers_only(monkeypatch, lambda: os._exit(3))
+    assert main(_TWO_WORKER_MEET + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capfd.readouterr() == (
+        "", "error: a worker exited without a result (exit status 3)\n")
+    _assert_no_child_left()
 
 
 def test_sweep_r_flag_rejected_for_grids():
@@ -491,8 +536,8 @@ def test_cli_and_a_meet_run_leave_scipy_unloaded(tmp_path):
 
 
 def test_cli_and_a_one_worker_run_leave_the_pool_unloaded(tmp_path):
-    # the process pool pulls in multiprocessing, logging and socket; a
-    # one-worker run of several block groups never starts it
+    # multiprocessing pulls in logging and socket; the block runners
+    # fork their workers without it, and a one-worker run forks none
     assert _modules_after_a_meet_run(
         tmp_path, ("concurrent", "multiprocessing"), 20_000) == "0 []"
 

@@ -22,20 +22,6 @@ def _lengths(rng, alpha, size):
 
 
 # ---------------------------------------------------------------------------
-# the flight-vector draw
-
-
-def test_flight_vector_autofill_and_consistency():
-    # every angle is drawn before any length; the engine's streams
-    # depend on that order
-    got_theta, got_z = sample_flight_polar(RNG(20), 1.0, 1000)
-    rng = RNG(20)
-    theta = 2.0 * math.pi * (1.0 - rng.uniform(0.0, 1.0, 1000))
-    z = _lengths(rng, 1.0, 1000)
-    assert np.array_equal(got_theta, theta) and np.array_equal(got_z, z)
-
-
-# ---------------------------------------------------------------------------
 # flight lengths
 
 

@@ -1,9 +1,9 @@
 """Meeting-process and relay-scheme simulation, including the exact
 in-slot contact engine for wrapped paths."""
 
-import concurrent.futures
 import inspect
 import math
+import os
 import textwrap
 import warnings
 
@@ -1054,11 +1054,10 @@ def test_single_block_runs_without_a_pool(monkeypatch):
     want = pair_meeting_times(cfg, 500, salt=310)
     want_delay = scheme_delays(cfg, 500, salt=311)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started for one block")
+    def no_fork():
+        raise AssertionError("a worker was forked for one block")
 
-    # the runner imports the pool only when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     got = pair_meeting_times(cfg, 500, salt=310, workers=2)
     got_delay = scheme_delays(cfg, 500, salt=311, workers=2)
     for w, g in zip((*want, *want_delay), (*got, *got_delay)):
